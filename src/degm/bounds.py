@@ -90,6 +90,67 @@ class HypothesisPool:
     def labels(self) -> list[dict]:
         return [h.label for h in self.hypotheses]
 
+    def reconstructions(self, x: np.ndarray) -> np.ndarray:
+        """(n_hypotheses, m, d): every hypothesis's reconstruction of x, made now."""
+        return _stack_reconstructions(self.hypotheses, x)
+
+
+def _stack_reconstructions(hypotheses, x: np.ndarray) -> np.ndarray:
+    """Each hypothesis reconstructs x once, straight into its slot of one exact-size array."""
+    out = None
+    for i, h in enumerate(hypotheses):
+        rec = h.reconstruct(x)
+        if out is None:
+            out = np.empty((len(hypotheses), *np.shape(rec)))
+        out[i] = rec
+    return out
+
+
+class ReconstructionTable:
+    """Every snapshot's reconstruction of a few fixed sample sets, computed once.
+
+    Holds one exact-size ``(n_snapshots, m, d)`` array per sample set, so it
+    takes ``n_snapshots * sum(m) * d * 8`` bytes; keep one alive only while its
+    sample sets are in use. ``window(lo, hi)`` stands in for a pool of
+    snapshots ``lo..hi-1``: its reconstructions are the contiguous row slice
+    ``[lo:hi]`` of those arrays, so sliding a pool over the snapshots never
+    reconstructs a (snapshot, sample set) pair twice.
+    """
+
+    def __init__(self, hypotheses, sample_sets):
+        self.size = len(hypotheses)
+        self.samples = [np.asarray(getattr(s, "images", s), dtype=np.float64) for s in sample_sets]
+        self.recons = [_stack_reconstructions(hypotheses, x) for x in self.samples]
+
+    @classmethod
+    def for_breakdown(cls, hypotheses, target_sets, mixed_set) -> "ReconstructionTable":
+        """The two sample sets ``lelbo_breakdown`` reads: pooled targets and the mixed set."""
+        return cls(hypotheses, [_equal_size_pool(target_sets), mixed_set])
+
+    def window(self, lo: int = 0, hi: int | None = None) -> "PoolWindow":
+        hi = self.size if hi is None else hi
+        if not 0 <= lo <= hi <= self.size:
+            raise InvalidSpecError(f"window [{lo}:{hi}] outside a table of {self.size} snapshots")
+        return PoolWindow(self, lo, hi)
+
+
+@dataclass
+class PoolWindow:
+    """Snapshots ``lo..hi-1`` of a ReconstructionTable, accepted wherever a pool is."""
+
+    table: ReconstructionTable
+    lo: int
+    hi: int
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def reconstructions(self, x: np.ndarray) -> np.ndarray:
+        for xs, rec in zip(self.table.samples, self.table.recons):
+            if x is xs or (x.shape == xs.shape and np.array_equal(x, xs)):
+                return rec[self.lo : self.hi]
+        raise InvalidSpecError("sample set is not one the reconstruction table was built on")
+
 
 def squared_loss(x, x_prime) -> float:
     """Sum of squared per-dimension differences; bounded by d on [0,1]^d."""
@@ -133,17 +194,22 @@ def _pair_loss_means(samples: np.ndarray, recons: np.ndarray) -> np.ndarray:
     return diag[:, None] + diag[None, :] - 2.0 * gram
 
 
-def empirical_discrepancy(set_p, set_q, pool: HypothesisPool, normalize: bool = False) -> float:
+def empirical_discrepancy(
+    set_p, set_q, pool: HypothesisPool | PoolWindow, normalize: bool = False
+) -> float:
     """Largest absolute gap, over hypothesis pairs, between the two sets'
-    expected pair losses. Non-negative, symmetric, zero on identical sets."""
+    expected pair losses. Non-negative, symmetric, zero on identical sets.
+
+    ``pool`` is a HypothesisPool, which reconstructs both sets now, or a
+    PoolWindow, which reads its table's stored reconstructions."""
     if len(pool) < 2:
         raise InvalidSpecError("discrepancy needs a pool of at least 2 hypotheses")
     xp = np.asarray(getattr(set_p, "images", set_p), dtype=np.float64)
     xq = np.asarray(getattr(set_q, "images", set_q), dtype=np.float64)
     if xp.size == 0 or xq.size == 0:
         raise InvalidSpecError("discrepancy needs non-empty sample sets")
-    rec_p = np.stack([h.reconstruct(xp) for h in pool.hypotheses])
-    rec_q = np.stack([h.reconstruct(xq) for h in pool.hypotheses])
+    rec_p = pool.reconstructions(xp)
+    rec_q = pool.reconstructions(xq)
     gap = np.abs(_pair_loss_means(xp, rec_p) - _pair_loss_means(xq, rec_q))
     val = float(gap.max())
     return val / xp.shape[1] if normalize else val
@@ -166,7 +232,9 @@ def discrepancy_slack(
     )
 
 
-def rademacher_estimate(dataset, pool: HypothesisPool, n_sign_draws: int = 64, rng=None) -> float:
+def rademacher_estimate(
+    dataset, pool: HypothesisPool | PoolWindow, n_sign_draws: int = 64, rng=None
+) -> float:
     """Finite-pool surrogate for the complexity of the loss-composed class.
 
     Averages, over random sign vectors, the largest |(1/m) sum_i s_i l(x_i)|
@@ -179,7 +247,7 @@ def rademacher_estimate(dataset, pool: HypothesisPool, n_sign_draws: int = 64, r
     m = x.shape[0]
     if rng is None:
         rng = rng_mod.stream(0, "bounds/rademacher")
-    recons = np.stack([h.reconstruct(x) for h in pool.hypotheses])
+    recons = pool.reconstructions(x)
     n_h = recons.shape[0]
     # loss matrix: rows = (h, h') pairs, cols = samples
     losses = np.empty((n_h * n_h, m))
@@ -224,7 +292,7 @@ def lelbo_breakdown(
     model,
     target_sets,
     mixed_set,
-    pool: HypothesisPool,
+    pool: HypothesisPool | PoolWindow,
     rng=None,
     delta: float = 0.05,
     loss_bound: float | None = None,
@@ -239,6 +307,8 @@ def lelbo_breakdown(
     terms account for; the optimal combined risk is not estimable and is
     reported as a zero lower bound with a flag. With ``rademacher_draws`` > 0
     the slack includes finite-pool complexity estimates for both sample sets.
+    ``pool`` is a HypothesisPool or a window of a table built with
+    ``ReconstructionTable.for_breakdown(hypotheses, target_sets, mixed_set)``.
     """
     if rng is None:
         rng = rng_mod.stream(0, "bounds/lelbo")

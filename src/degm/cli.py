@@ -200,8 +200,17 @@ def _validate(cfg: dict) -> None:
                 "decoder_widths must each hold exactly one width"
             )
     diag = cfg["diagnostics"]
+    _require_int(diag["pool_size"], "diagnostics.pool_size", 2)
+    _require_int(diag["snapshot_every"], "diagnostics.snapshot_every", 1)
+    _require_int(diag["sample_size"], "diagnostics.sample_size", 1)
     if diag["enabled"] and cfg["method"].startswith("degm"):
         raise ConfigError("diagnostics snapshots are only recorded for elbo_gr/iwelbo_gr runs")
+
+
+def _require_int(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"field {name!r} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def run_id_of(cfg: dict) -> str:
@@ -346,18 +355,20 @@ def _task_end_breakdowns(recorder: "_SnapshotRecorder", stream, cfg: dict) -> di
         upto = [e for e in entries if e["task"] <= task]
         final = [e for e in upto if e["task"] == task][-1]
         model = ckpt_mod.load_model(final["snapshot"])
-        pool = bounds_mod.HypothesisPool()
-        for e in upto[-pool_size:]:
-            pool.add(
+        snapshots = [
+            bounds_mod.HypothesisSnapshot(
                 ckpt_mod.load_model(e["snapshot"]), {"task": e["task"], "epoch": e["epoch"]}
             )
+            for e in upto[-pool_size:]
+        ]
         mixed = np.load(final["mixed"])
         targets = [stream.tasks[i].test.images for i in range(task)]
+        table = bounds_mod.ReconstructionTable.for_breakdown(snapshots, targets, mixed)
         breakdowns[task] = bounds_mod.lelbo_breakdown(
             model,
             targets,
             mixed,
-            pool,
+            table.window(),
             rng=rng_mod.stream(cfg["seed"], f"ledger/breakdown/t{task}"),
         )
     return breakdowns
@@ -620,8 +631,11 @@ def cmd_diagnose(run_dir: str, pool_size: int | None = None, normalize_risks: bo
     """Per-epoch bound-term traces from a run's recorded snapshots.
 
     Emits ``diagnose.csv`` with columns epoch, source_risk, discrepancy,
-    kl_gap, target_risk, and a JSON summary with the final breakdown.
+    kl_gap, target_risk, and a JSON summary with the final breakdown. Each
+    row's pool is the last ``pool_size`` snapshots up to that epoch.
     """
+    if pool_size is not None:
+        _require_int(pool_size, "pool_size", 2)
     report_path = os.path.join(run_dir, "report.json")
     meta_path = os.path.join(run_dir, "snapshots", "meta.json")
     if not os.path.exists(meta_path):
@@ -640,10 +654,13 @@ def cmd_diagnose(run_dir: str, pool_size: int | None = None, normalize_risks: bo
 
     entries = [e for e in meta["entries"] if e["task"] > 0]
     initial = [e for e in meta["entries"] if e["task"] == 0]
-    pool_models = []
+    snapshots = []
     if initial:
-        pool_models.append(
-            (0, 0, ckpt_mod.load_model(os.path.join(snap_dir, initial[0]["snapshot"])))
+        snapshots.append(
+            bounds_mod.HypothesisSnapshot(
+                ckpt_mod.load_model(os.path.join(snap_dir, initial[0]["snapshot"])),
+                {"task": 0, "epoch": 0},
+            )
         )
     rows = []
     breakdown = None
@@ -653,21 +670,27 @@ def cmd_diagnose(run_dir: str, pool_size: int | None = None, normalize_risks: bo
 
     for task in sorted(by_task):
         task_entries = sorted(by_task[task], key=lambda e: e["epoch"])
+        models = [ckpt_mod.load_model(os.path.join(snap_dir, e["snapshot"])) for e in task_entries]
+        # the task's first row still reaches pool_size - 1 snapshots back
+        snapshots = snapshots[-(pool_size - 1):] + [
+            bounds_mod.HypothesisSnapshot(m, {"task": task, "epoch": e["epoch"]})
+            for e, m in zip(task_entries, models)
+        ]
         mixed = np.load(os.path.join(snap_dir, task_entries[0]["mixed"]))
         target_sets = [stream.tasks[i].test.images for i in range(task)]
-        for e in task_entries:
-            model = ckpt_mod.load_model(os.path.join(snap_dir, e["snapshot"]))
-            pool_models.append((e["task"], e["epoch"], model))
-            pool = bounds_mod.HypothesisPool()
-            for pt, pe, pm in pool_models[-pool_size:]:
-                pool.add(pm, {"task": pt, "epoch": pe})
-            elbo_rng = rng_mod.stream(cfg["seed"], f"diag/elbo/g{e['global_epoch']}")
+        # Both sample sets are fixed within a task: reconstruct each snapshot
+        # once per set and give every row a window of the table as its pool.
+        table = None  # free the previous task's arrays before allocating these
+        table = bounds_mod.ReconstructionTable.for_breakdown(snapshots, target_sets, mixed)
+        first = len(snapshots) - len(task_entries)
+        for j, (e, model) in enumerate(zip(task_entries, models)):
+            hi = first + j + 1
             breakdown = bounds_mod.lelbo_breakdown(
                 model,
                 target_sets,
                 mixed,
-                pool,
-                rng=elbo_rng,
+                table.window(max(0, hi - pool_size), hi),
+                rng=rng_mod.stream(cfg["seed"], f"diag/elbo/g{e['global_epoch']}"),
                 normalize_risks=normalize_risks,
             )
             rows.append(

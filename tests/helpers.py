@@ -1,8 +1,16 @@
-"""Shared test oracles: finite differences and gradient comparison."""
+"""Shared test oracles: finite differences, gradient comparison, stacked pools."""
 
 import numpy as np
 
 from degm import nn
+from degm.bounds import HypothesisPool
+
+
+class StackPool(HypothesisPool):
+    """Reconstruction oracle: every use reconstructs into a list and stacks it."""
+
+    def reconstructions(self, x):
+        return np.stack([h.reconstruct(x) for h in self.hypotheses])
 
 
 def fd_gradients(scalar_fn, params, h=1e-5):

@@ -14,6 +14,7 @@ from degm.bounds import (
     HypothesisSnapshot,
     IncompleteInputError,
     InvalidLogError,
+    ReconstructionTable,
     assignment_summary,
     discrepancy_slack,
     empirical_discrepancy,
@@ -28,6 +29,7 @@ from degm.data import synth_generate
 from degm.nn import InvalidSpecError, ShapeError
 from degm.replay import TrainConfig, train_task_gr
 from degm.vae import build_vae
+from helpers import StackPool
 
 
 class _AffineHypothesis:
@@ -142,6 +144,63 @@ class TestEmpiricalDiscrepancy:
     def test_singleton_pool_rejected(self):
         with pytest.raises(InvalidSpecError):
             empirical_discrepancy(np.zeros((2, 1)), np.zeros((2, 1)), affine_pool((1.0, 0.0)))
+
+
+class TestReconstructionTable:
+    PARAMS = ((1.0, 0.0), (0.5, 0.2), (-0.4, 0.9), (2.0, -0.1), (0.3, 0.5))
+
+    def _sets(self):
+        g = rng.stream(13, "x")
+        return g.random((17, 3)), g.random((23, 3)) * 2.0
+
+    def test_exact_size_arrays(self):
+        set_p, set_q = self._sets()
+        table = ReconstructionTable(affine_pool(*self.PARAMS).hypotheses, [set_p, set_q])
+        assert [r.shape for r in table.recons] == [(5, 17, 3), (5, 23, 3)]
+
+    def test_windows_equal_fresh_pools_bitwise(self):
+        set_p, set_q = self._sets()
+        table = ReconstructionTable(affine_pool(*self.PARAMS).hypotheses, [set_p, set_q])
+        for lo, hi in ((0, 5), (0, 2), (1, 4), (3, 5)):
+            fresh = StackPool(affine_pool(*self.PARAMS[lo:hi]).hypotheses)
+            window = table.window(lo, hi)
+            assert empirical_discrepancy(set_p, set_q, window) == empirical_discrepancy(
+                set_p, set_q, fresh
+            )
+            assert rademacher_estimate(set_q, window, 8, rng=rng.stream(1, "s")) == (
+                rademacher_estimate(set_q, fresh, 8, rng=rng.stream(1, "s"))
+            )
+
+    def test_each_pair_reconstructed_once(self):
+        set_p, set_q = self._sets()
+        pool = affine_pool(*self.PARAMS)
+        calls = []
+
+        def counted(inner):
+            def reconstruct(x):
+                calls.append(x.shape)
+                return inner(x)
+
+            return reconstruct
+
+        for snap in pool.hypotheses:
+            snap.reconstruct = counted(snap.reconstruct)
+        table = ReconstructionTable(pool.hypotheses, [set_p, set_q])
+        for hi in range(2, 6):
+            empirical_discrepancy(set_p, set_q.copy(), table.window(hi - 2, hi))
+        assert len(calls) == 2 * len(self.PARAMS)
+
+    def test_unknown_sample_set_rejected(self):
+        set_p, set_q = self._sets()
+        table = ReconstructionTable(affine_pool(*self.PARAMS).hypotheses, [set_p])
+        with pytest.raises(InvalidSpecError, match="sample set"):
+            empirical_discrepancy(set_p, set_q, table.window())
+
+    def test_window_bounds_checked(self):
+        table = ReconstructionTable(affine_pool(*self.PARAMS).hypotheses, self._sets())
+        for lo, hi in ((-1, 2), (3, 2), (0, 6)):
+            with pytest.raises(InvalidSpecError, match="window"):
+                table.window(lo, hi)
 
 
 class TestDiscrepancySlack:
@@ -304,6 +363,22 @@ class TestLelboBreakdown:
             plain["slack"] + 8.0 * (with_rad["rademacher_p"] + with_rad["rademacher_q"]),
             rel=1e-12,
         )
+
+    def test_table_window_matches_stacked_pool_bitwise(self):
+        m, train = _trained_small_vae(seed=6)
+        targets = [train.images[:120], train.images[120:200]]
+        models = [m, build_vae(36, 4, (16,), (16,), "bernoulli", seed=98)]
+        pool = StackPool()
+        for model in models:
+            pool.add(model, {})
+        table = ReconstructionTable.for_breakdown(pool.hypotheses, targets, train.images)
+
+        def breakdown(p):
+            return lelbo_breakdown(
+                m, targets, train.images, p, rng=rng.stream(1, "b"), rademacher_draws=8
+            )
+
+        assert breakdown(table.window()) == breakdown(pool)
 
 
 def brute_force_accounting(t, partition):

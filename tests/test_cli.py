@@ -1,12 +1,19 @@
 """CLI: config parsing, commands, artifact formats, exit codes."""
 
+import collections
+import csv
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from degm import bounds, rng
+from degm.checkpoint import load_model
 from degm.cli import (
     ConfigError,
     METRICS_COLUMNS,
@@ -19,6 +26,7 @@ from degm.cli import (
     parse_config,
     run_id_of,
 )
+from helpers import StackPool
 
 FAST = {
     "method": "elbo_gr",
@@ -314,6 +322,114 @@ class TestCmdDiagnose:
         rows = (tmp_path / "run" / "diagnose.csv").read_text().splitlines()[1:]
         disc = [float(r.split(",")[2]) for r in rows]
         assert disc[-1] > disc[2]  # final epoch vs end of task 1
+
+
+DIAG_CFG = {
+    **FAST,
+    "likelihood": "gaussian_identity",
+    "binarize": "none",
+    "normalize_recon": True,
+    "epochs": 3,
+    "diagnostics": {"enabled": True, "sample_size": 120},
+}
+
+
+@pytest.fixture(scope="module")
+def diag_run(tmp_path_factory):
+    """A two-task, three-epoch Gaussian replay run with snapshots recorded."""
+    out = str(tmp_path_factory.mktemp("diag") / "run")
+    cmd_train(parse_config({**DIAG_CFG, "output_dir": out}))
+    return out
+
+
+def _oracle_diagnose_csv(run_dir, pool_size):
+    """diagnose.csv recomputed row by row: a fresh pool of copied models per row."""
+    with open(os.path.join(run_dir, "report.json")) as f:
+        cfg = parse_config(json.load(f)["config"])
+    pool_size = pool_size or cfg["diagnostics"]["pool_size"]
+    snap_dir = os.path.join(run_dir, "snapshots")
+    with open(os.path.join(snap_dir, "meta.json")) as f:
+        entries = json.load(f)["entries"]
+    stream = build_stream(cfg)
+    models = [(0, 0, load_model(os.path.join(snap_dir, entries[0]["snapshot"])))]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["epoch", "source_risk", "discrepancy", "kl_gap", "target_risk"])
+    for e in entries[1:]:
+        model = load_model(os.path.join(snap_dir, e["snapshot"]))
+        models.append((e["task"], e["epoch"], model))
+        pool = StackPool()
+        for task, epoch, m in models[-pool_size:]:
+            pool.add(m, {"task": task, "epoch": epoch})
+        b = bounds.lelbo_breakdown(
+            model,
+            [stream.tasks[i].test.images for i in range(e["task"])],
+            np.load(os.path.join(snap_dir, e["mixed"])),
+            pool,
+            rng=rng.stream(cfg["seed"], f"diag/elbo/g{e['global_epoch']}"),
+        )
+        columns = ("source_risk_elbo", "empirical_discrepancy", "kl_gap", "target_risk_elbo")
+        writer.writerow([e["global_epoch"]] + [repr(b[k]) for k in columns])
+    return out.getvalue().encode()
+
+
+class TestDiagnoseReconstructionCache:
+    @pytest.mark.parametrize("pool_size", [None, 3])
+    def test_csv_matches_per_row_pools_bytewise(self, diag_run, pool_size):
+        cmd_diagnose(diag_run, pool_size=pool_size)
+        expected = _oracle_diagnose_csv(diag_run, pool_size)
+        with open(os.path.join(diag_run, "diagnose.csv"), "rb") as f:
+            assert f.read() == expected
+
+    @pytest.mark.parametrize("pool_size, per_set", [(None, 4 + 7), (3, 4 + 5)])
+    def test_each_snapshot_sample_pair_reconstructed_once(
+        self, diag_run, pool_size, per_set, monkeypatch
+    ):
+        # per task: the snapshots its rows' windows cover (initial + 3 epochs,
+        # then all 7 or the 2 carried over + 3), each on two sample sets
+        seen = collections.Counter()
+        inner = bounds.HypothesisSnapshot.reconstruct
+
+        def counting(snap, x):
+            sample = hashlib.sha256(x.tobytes()).hexdigest()
+            seen[(snap.label["task"], snap.label["epoch"], sample)] += 1
+            return inner(snap, x)
+
+        monkeypatch.setattr(bounds.HypothesisSnapshot, "reconstruct", counting)
+        cmd_diagnose(diag_run, pool_size=pool_size)
+        assert set(seen.values()) == {1}
+        assert sum(seen.values()) == 2 * per_set
+
+
+class TestDiagnosticsValidation:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("pool_size", 1),
+            ("pool_size", 0),
+            ("pool_size", True),
+            ("pool_size", 2.5),
+            ("snapshot_every", 0),
+            ("snapshot_every", False),
+            ("sample_size", 0),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**DIAG_CFG, "diagnostics": {"enabled": True, key: value}}))
+        code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert f"diagnostics.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_bad_pool_size_flag_exits_2(self, diag_run, capsys, value):
+        code = main(["diagnose", "--run-dir", diag_run, "--pool-size", value])
+        assert code == 2
+        assert "pool_size" in capsys.readouterr().err
+
+    def test_smallest_pool_accepted(self, diag_run):
+        assert cmd_diagnose(diag_run, pool_size=2)["pool_size"] == 2
 
 
 class TestExportPlots:
