@@ -22,6 +22,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -101,11 +102,10 @@ CONFIG_DEFAULTS = {
     },
 }
 
-_POSITIVE_FIELDS = (
+_POSITIVE_INT_FIELDS = (
     "k_prime",
     "epochs",
     "batch_size",
-    "learning_rate",
     "train_per_task",
     "test_per_task",
     "latent_dim",
@@ -179,11 +179,12 @@ def _validate(cfg: dict) -> None:
             raise ConfigError("split stream 'groups' must be a non-empty list of label lists")
     elif not isinstance(stream, (list, tuple)) or len(stream) < 1:
         raise ConfigError("'stream' must be a list of task specs or a split-stream object")
-    for name in _POSITIVE_FIELDS:
-        value = cfg[name]
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"field {name!r} must be a positive number, got {value!r}")
-    if not isinstance(cfg["seed"], int):
+    for name in _POSITIVE_INT_FIELDS:
+        _require_int(cfg[name], name, 1)
+    lr = cfg["learning_rate"]
+    if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr) or lr <= 0:
+        raise ConfigError(f"field 'learning_rate' must be a finite number > 0, got {lr!r}")
+    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
         raise ConfigError(f"field 'seed' must be an integer, got {cfg['seed']!r}")
     if cfg["replay_ratio"] < 0:
         raise ConfigError("field 'replay_ratio' must be >= 0")
@@ -627,6 +628,17 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
     }
 
 
+def _read_run_json(path: str):
+    """A run directory's JSON file; missing or malformed is a data error."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        raise DataFormatError(f"{path} is missing")
+    except json.JSONDecodeError as err:
+        raise DataFormatError(f"{path} is not valid JSON: {err}")
+
+
 def cmd_diagnose(run_dir: str, pool_size: int | None = None, normalize_risks: bool = False) -> dict:
     """Per-epoch bound-term traces from a run's recorded snapshots.
 
@@ -642,10 +654,12 @@ def cmd_diagnose(run_dir: str, pool_size: int | None = None, normalize_risks: bo
         raise DataFormatError(
             f"no snapshots under {run_dir}; re-run train with diagnostics.enabled = true"
         )
-    with open(report_path) as f:
-        report = json.load(f)
-    with open(meta_path) as f:
-        meta = json.load(f)
+    report = _read_run_json(report_path)
+    meta = _read_run_json(meta_path)
+    if not isinstance(report, dict) or "config" not in report:
+        raise DataFormatError(f"{report_path} has no 'config' object")
+    if not isinstance(meta, dict) or "entries" not in meta:
+        raise DataFormatError(f"{meta_path} has no 'entries' list")
     cfg = parse_config(report["config"])
     if pool_size is None:
         pool_size = cfg["diagnostics"]["pool_size"]
@@ -753,8 +767,7 @@ def cmd_export_plots(run_dir: str) -> list[str]:
         written.append(fig3b)
     report_path = os.path.join(run_dir, "report.json")
     if os.path.exists(report_path):
-        with open(report_path) as f:
-            report = json.load(f)
+        report = _read_run_json(report_path)
         bars = os.path.join(run_dir, "nll_bars.dat")
         with open(bars, "w") as f:
             f.write("# task nll_after_final_task\n")

@@ -285,6 +285,8 @@ def expansion_decision(ks, tau: float, force: str | None = None, first_task: boo
     ks = np.asarray(ks, dtype=np.float64)
     if ks.size == 0:
         raise ContractError("empty novelty vector outside task 1")
+    if np.isnan(ks).any():
+        raise ContractError(f"novelty vector holds NaN: {ks.tolist()}")
     return "basic" if float(ks.min()) > tau else "specific"
 
 
@@ -440,7 +442,9 @@ def mean_melbo_np(
         kl += weight * vae_mod.gaussian_kl_np(mu_i, logvar_i, per_example=True)
     feat = np.zeros((x.shape[0], arch.feat_dim))
     for weight, basic in zip(node.pi, basics):
-        feat += weight * basic.g_tilde.forward_np(z)
+        f = basic.g_tilde.forward_np(z)
+        f *= weight
+        feat += f
     y = node.g_prime.forward_np(feat)
     recon = vae_mod.recon_loglik_np(y, x, arch.likelihood, arch.normalize_recon)
     vals = recon - kl
@@ -491,8 +495,12 @@ class SpecificPath:
     def decode_np(self, z: np.ndarray) -> np.ndarray:
         feat = None
         for weight, basic in zip(self.node.pi, self._basics):
-            f_i = weight * basic.g_tilde.forward_np(z)
-            feat = f_i if feat is None else feat + f_i
+            f_i = basic.g_tilde.forward_np(z)
+            f_i *= weight
+            if feat is None:
+                feat = f_i
+            else:
+                feat += f_i
         return self.node.g_prime.forward_np(feat)
 
 

@@ -316,11 +316,24 @@ _ACT_FNS = {
     "identity": lambda t: t,
 }
 
-_ACT_FNS_NP = {
-    "tanh": np.tanh,
-    "relu": lambda x: np.maximum(x, 0.0),
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "identity": lambda x: x,
+
+def _sigmoid_inplace(h: np.ndarray) -> None:
+    # the four ufuncs of 1.0 / (1.0 + np.exp(-h)), in that order
+    np.negative(h, out=h)
+    np.exp(h, out=h)
+    np.add(1.0, h, out=h)
+    np.divide(1.0, h, out=h)
+
+
+# Activations for forward_np, applied in place to the layer's freshly
+# allocated pre-activation: the same ufuncs in the same order as the
+# out-of-place expressions, so the bits are unchanged and no block-sized
+# temporary is allocated.
+_ACT_FNS_INPLACE = {
+    "tanh": lambda h: np.tanh(h, out=h),
+    "relu": lambda h: np.maximum(h, 0.0, out=h),
+    "sigmoid": _sigmoid_inplace,
+    "identity": lambda h: None,
 }
 
 
@@ -403,7 +416,10 @@ class Mlp:
         if x.shape[-1] != self.in_width:
             raise ShapeError(f"input extent {x.shape[-1]} != first layer width {self.in_width}")
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = _ACT_FNS_NP[act](x @ w.data + b.data)
+            h = x @ w.data
+            h += b.data
+            _ACT_FNS_INPLACE[act](h)
+            x = h
         return x
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -233,21 +233,37 @@ def recon_loglik(decoder_output, x, likelihood: str, normalize: bool = False) ->
 def recon_loglik_np(
     y: np.ndarray, x: np.ndarray, likelihood: str, normalize: bool = False
 ) -> np.ndarray:
-    """Per-example reconstruction log-likelihood over trailing axis; no tape."""
+    """Per-example reconstruction log-likelihood over trailing axis; no tape.
+
+    ``x`` and ``y`` broadcast against each other (evaluation passes data of
+    shape (1, n, d) against K' decodings of shape (K', n, d)); neither is
+    modified. The terms are computed in place in one or two arrays of the
+    broadcast shape, with the ufuncs of x*log(p) + (1-x)*log1p(-p) and
+    (x-y)*(x-y) in their usual order, so the bits match the plain expressions.
+    """
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
     if likelihood == "bernoulli":
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise DomainError("bernoulli likelihood needs data in [0, 1]")
+        y = np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape))
         p = np.clip(y, BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
-        ll = (x * np.log(p) + (1.0 - x) * np.log1p(-p)).sum(axis=-1)
+        terms = np.log(p)
+        terms *= x
+        np.negative(p, out=p)
+        np.log1p(p, out=p)
+        p *= 1.0 - x
+        terms += p
+        ll = terms.sum(axis=-1)
     elif likelihood == "gaussian_half":
         diff = x - y
-        ll = -(diff * diff).sum(axis=-1) - (d / 2.0) * _LOG_PI
+        diff *= diff
+        ll = -diff.sum(axis=-1) - (d / 2.0) * _LOG_PI
     elif likelihood == "gaussian_identity":
         diff = x - y
-        ll = -0.5 * (diff * diff).sum(axis=-1) - (d / 2.0) * _LOG_2PI
+        diff *= diff
+        ll = -0.5 * diff.sum(axis=-1) - (d / 2.0) * _LOG_2PI
     else:
         raise InvalidSpecError(f"unknown likelihood {likelihood!r}")
     if normalize:

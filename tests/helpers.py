@@ -1,9 +1,13 @@
-"""Shared test oracles: finite differences, gradient comparison, stacked pools."""
+"""Shared test oracles: finite differences, gradient comparison, stacked pools,
+and out-of-place copies of the evaluation kernels."""
+
+import math
 
 import numpy as np
 
 from degm import nn
 from degm.bounds import HypothesisPool
+from degm.vae import BERNOULLI_CLAMP
 
 
 class StackPool(HypothesisPool):
@@ -53,3 +57,38 @@ def max_grad_error(scalar_fn, loss_builder, params, h=1e-5):
         if big.any():
             worst = max(worst, float(np.max(np.abs(a[big] - f[big]) / np.abs(a[big]))))
     return worst
+
+
+# Out-of-place evaluation kernels: one fresh array per ufunc. The in-place
+# kernels in degm must reproduce these bit for bit.
+_ORACLE_ACTS = {
+    "tanh": np.tanh,
+    "relu": lambda x: np.maximum(x, 0.0),
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
+    "identity": lambda x: x,
+}
+
+
+def oracle_forward_np(mlp, x):
+    x = np.asarray(x, dtype=np.float64)
+    for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
+        x = _ORACLE_ACTS[act](x @ w.data + b.data)
+    return x
+
+
+def oracle_recon_loglik_np(y, x, likelihood, normalize=False):
+    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
+    if likelihood == "bernoulli":
+        p = np.clip(y, BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
+        ll = (x * np.log(p) + (1.0 - x) * np.log1p(-p)).sum(axis=-1)
+    elif likelihood == "gaussian_half":
+        diff = x - y
+        ll = -(diff * diff).sum(axis=-1) - (d / 2.0) * math.log(math.pi)
+    else:
+        diff = x - y
+        ll = -0.5 * (diff * diff).sum(axis=-1) - (d / 2.0) * math.log(2.0 * math.pi)
+    if normalize:
+        ll = ll / d
+    return ll

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -430,6 +431,59 @@ class TestDiagnosticsValidation:
 
     def test_smallest_pool_accepted(self, diag_run):
         assert cmd_diagnose(diag_run, pool_size=2)["pool_size"] == 2
+
+
+class TestBrokenRunDirectory:
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("report.json", None),
+            ("report.json", "{not json"),
+            ("report.json", "[1, 2]"),
+            (os.path.join("snapshots", "meta.json"), None),
+            (os.path.join("snapshots", "meta.json"), '{"entries": '),
+        ],
+    )
+    def test_diagnose_exits_3(self, diag_run, tmp_path, capsys, name, content):
+        run = tmp_path / "run"
+        shutil.copytree(diag_run, run, ignore=shutil.ignore_patterns("diagnose.csv"))
+        if content is None:
+            (run / name).unlink()
+        else:
+            (run / name).write_text(content)
+        code = main(["diagnose", "--run-dir", str(run)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert not (run / "diagnose.csv").exists()
+
+
+class TestStrictNumericConfig:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("eval_k_prime", 2.5),
+            ("batch_size", 16.5),
+            ("epochs", True),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", True),
+            ("learning_rate", 0.0),
+            ("k_prime", False),
+            ("width", 12.0),
+            ("seed", True),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAST, key: value}))
+        code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_integer_learning_rate_accepted(self):
+        assert parse_config({**FAST, "learning_rate": 1})["learning_rate"] == 1
 
 
 class TestExportPlots:

@@ -1,0 +1,188 @@
+"""Evaluation kernels: bitwise equal to their out-of-place oracles, inputs
+untouched, and no block-sized temporaries beyond the ones they return."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from degm import nn, vae
+from degm.graph import (
+    ArchSpec,
+    GraphState,
+    SpecificPath,
+    build_basic_node,
+    build_specific_node,
+    mean_melbo_np,
+)
+from degm.vae import (
+    DomainError,
+    build_vae,
+    gaussian_kl_np,
+    iw_logpx_np,
+    mean_elbo_np,
+    recon_loglik_np,
+)
+from helpers import oracle_forward_np, oracle_recon_loglik_np
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def read_only(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+class TestForwardNp:
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("shape", [(9,), (40, 9), (3, 40, 9)])
+    def test_bitwise_equal_to_oracle(self, act, shape):
+        mlp = nn.build_mlp(nn.MlpSpec.make((9, 30, 20, 7), hidden=act, output=act, seed=4))
+        # scaled so tanh and sigmoid saturate and relu sees both signs
+        x = np.random.default_rng(1).standard_normal(shape) * 6.0
+        assert same_bits(mlp.forward_np(x), oracle_forward_np(mlp, x))
+
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    def test_input_not_mutated(self, act):
+        mlp = nn.build_mlp(nn.MlpSpec.make((9, 30, 7), hidden=act, output=act, seed=4))
+        x = read_only(np.random.default_rng(2).standard_normal((40, 9)))
+        before = x.copy()
+        weights = [p.data.copy() for p in mlp.parameters()]
+        mlp.forward_np(x)
+        assert same_bits(x, before)
+        assert all(same_bits(p.data, w) for p, w in zip(mlp.parameters(), weights))
+
+
+class TestReconLoglikNp:
+    @pytest.mark.parametrize("likelihood", vae.LIKELIHOODS)
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("binary", [True, False])
+    @pytest.mark.parametrize(
+        "y_shape, x_shape",
+        [((20, 16, 144), (1, 16, 144)), ((16, 144), (16, 144)), ((16, 144), (20, 16, 144))],
+    )
+    def test_bitwise_equal_to_oracle(self, likelihood, normalize, binary, y_shape, x_shape):
+        g = np.random.default_rng(3)
+        if likelihood == "bernoulli":
+            y = g.random(y_shape)
+            y.reshape(-1)[::7] = 0.0  # clamped from below
+            y.reshape(-1)[3::11] = 1.0  # clamped from above
+        else:
+            y = g.standard_normal(y_shape)
+        x = g.random(x_shape)
+        if binary:
+            x = (x > 0.5).astype(np.float64)
+        got = recon_loglik_np(y, x, likelihood, normalize)
+        assert same_bits(got, oracle_recon_loglik_np(y, x, likelihood, normalize))
+
+    @pytest.mark.parametrize("likelihood", vae.LIKELIHOODS)
+    def test_inputs_not_mutated(self, likelihood):
+        g = np.random.default_rng(4)
+        y = read_only(g.random((20, 16, 144)))
+        x = read_only((g.random((1, 16, 144)) > 0.5).astype(np.float64))
+        y_before, x_before = y.copy(), x.copy()
+        recon_loglik_np(y, x, likelihood)
+        assert same_bits(y, y_before) and same_bits(x, x_before)
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5])
+    def test_bernoulli_domain_still_checked(self, bad):
+        x = np.full((1, 4, 6), 0.5)
+        x[0, 2, 3] = bad
+        with pytest.raises(DomainError):
+            recon_loglik_np(np.full((3, 4, 6), 0.5), x, "bernoulli")
+
+
+class TestThroughTheBounds:
+    """The kernels in place of their oracles leave the bounds' bits unchanged."""
+
+    @pytest.fixture
+    def oracle_kernels(self, monkeypatch):
+        def run(fn, *args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(nn.Mlp, "forward_np", oracle_forward_np)
+                m.setattr(vae, "recon_loglik_np", oracle_recon_loglik_np)
+                return fn(*args, **kwargs)
+
+        return run
+
+    @pytest.mark.parametrize("likelihood", vae.LIKELIHOODS)
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("k_prime", [1, 20])
+    def test_iw_logpx_and_mean_elbo(self, oracle_kernels, likelihood, normalize, k_prime):
+        model = build_vae(
+            data_dim=36,
+            latent_dim=4,
+            trunk_widths=(20,),
+            decoder_widths=(20,),
+            likelihood=likelihood,
+            normalize_recon=normalize,
+            seed=6,
+        )
+        x = (np.random.default_rng(5).random((70, 36)) > 0.5).astype(np.float64)
+        calls = ((iw_logpx_np, {"k_prime": k_prime, "batch_chunk": 32}), (mean_elbo_np, {"per_example": True}))
+        for fn, kwargs in calls:
+            got = fn(model, x, rng=np.random.default_rng(7), **kwargs)
+            want = oracle_kernels(fn, model, x, rng=np.random.default_rng(7), **kwargs)
+            assert same_bits(got, want)
+
+
+class TestSpecificNodeAccumulation:
+    """The weighted branch features are summed in place, in pi order."""
+
+    @pytest.fixture
+    def graph_and_node(self):
+        graph = GraphState(arch=ArchSpec(data_dim=36, inter_dim=12, latent_dim=4, feat_dim=12))
+        for task in (1, 2, 3):
+            build_basic_node(graph, task, seed=task)
+        return graph, build_specific_node(graph, 4, [0.2, 0.5, 0.3], seed=9)
+
+    @staticmethod
+    def oracle_features(node, basics, z, feat=None):
+        for weight, basic in zip(node.pi, basics):
+            f_i = weight * oracle_forward_np(basic.g_tilde, z)
+            feat = f_i if feat is None else feat + f_i
+        return feat
+
+    def test_specific_path_decode(self, graph_and_node):
+        graph, node = graph_and_node
+        z = np.random.default_rng(8).standard_normal((3, 50, 4))
+        want = oracle_forward_np(node.g_prime, self.oracle_features(node, graph.basic_nodes, z))
+        assert same_bits(SpecificPath(node, graph).decode_np(z), want)
+
+    def test_mean_melbo(self, graph_and_node):
+        graph, node = graph_and_node
+        g = np.random.default_rng(9)
+        x = (g.random((50, 36)) > 0.5).astype(np.float64)
+        gamma = g.standard_normal((50, 4))
+        z = np.zeros((50, 4))
+        kl = np.zeros(50)
+        for weight, basic in zip(node.pi, graph.basic_nodes):
+            h = oracle_forward_np(basic.f_tilde, x)
+            mu, logvar = oracle_forward_np(node.f_mu, h), oracle_forward_np(node.f_logvar, h)
+            z += weight * (mu + np.exp(0.5 * logvar) * gamma)
+            kl += weight * gaussian_kl_np(mu, logvar, per_example=True)
+        feat = self.oracle_features(node, graph.basic_nodes, z, feat=np.zeros((50, 12)))
+        y = oracle_forward_np(node.g_prime, feat)
+        want = oracle_recon_loglik_np(y, x, "bernoulli") - kl
+        assert same_bits(mean_melbo_np(node, graph, x, noise=gamma, per_example=True), want)
+
+
+def test_iw_eval_chunk_peak_memory():
+    """One 200 x 64 x 144 eval chunk allocates about three blocks at its peak:
+    the decoding, its clipped copy and the per-pixel terms (it was 5.2 blocks
+    when every ufunc allocated its own result)."""
+    model = build_vae(seed=1)
+    x = (np.random.default_rng(0).random((64, 144)) > 0.5).astype(np.float64)
+    block = 200 * 64 * 144 * 8
+    iw_logpx_np(model, x, 200)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        iw_logpx_np(model, x, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * block

@@ -114,6 +114,12 @@ class TestExpansionDecision:
         with pytest.raises(ContractError):
             expansion_decision([], tau=5.0)
 
+    def test_nan_novelty_rejected(self):
+        # NaN > tau is False, so without the check the task would silently
+        # get a Specific node
+        with pytest.raises(ContractError, match="nan"):
+            expansion_decision([700.0, float("nan")], tau=600.0)
+
 
 class TestGraphConstruction:
     def test_basic_node_grows_graph(self):
