@@ -13,10 +13,20 @@ Graph container (magic ``DEGM``, version 1):
                  | activation u8 | W f64[fan_in*fan_out] | b f64[fan_out]
     tail:    adjacency V, t*t f64 row-major
 
-Single-model container (magic ``SVAE``, version 1) stores the same arch and
-sub-model encoding for trunk, mu head, logvar head, decoder.
+Single-model container (magic ``SVAE``, version 1):
+
+    header:  magic 4s | version u32 | data_dim u32 | latent_dim u32
+             | likelihood u8 | normalize u8
+    body:    trunk, mu head, logvar head, decoder, each in the sub-model
+             encoding above
 
 All integers and floats are little-endian; float payloads are raw f64.
+
+Loading accepts a container only if every enum byte names a known value,
+every layer width fits the stored geometry, node ids run 1..t in file order,
+each Specific node's K equals the number of Basic nodes before it (its
+parents), the stored V equals the V those nodes' pi give, and no byte follows
+the last field. Anything else raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -26,24 +36,17 @@ import struct
 import numpy as np
 
 from .graph import ArchSpec, BasicNode, GraphState, SpecificNode
-from .nn import ACTIVATIONS, Mlp, Tensor
+from .nn import ACTIVATIONS, ContractError, InvalidSpecError, Mlp, Tensor
 from .vae import LIKELIHOODS, VaeModel
 
 GRAPH_MAGIC = b"DEGM"
 MODEL_MAGIC = b"SVAE"
 FORMAT_VERSION = 1
+NODE_KINDS = ("basic", "specific")
 
 
 class CheckpointError(ValueError):
     """Container is malformed or truncated."""
-
-
-def _act_byte(name: str) -> int:
-    return ACTIVATIONS.index(name)
-
-
-def _likelihood_byte(name: str) -> int:
-    return LIKELIHOODS.index(name)
 
 
 class _Writer:
@@ -72,9 +75,12 @@ class _Reader:
         self.off = 0
         self.path = path
 
+    def fail(self, message: str):
+        raise CheckpointError(f"{self.path}: {message}")
+
     def _take(self, count: int) -> bytes:
         if self.off + count > len(self.buf):
-            raise CheckpointError(f"{self.path}: truncated at byte {self.off}")
+            self.fail(f"truncated at byte {self.off}")
         out = self.buf[self.off : self.off + count]
         self.off += count
         return out
@@ -92,6 +98,41 @@ class _Reader:
         raw = self._take(count * 8)
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
+    def choice(self, names: tuple, what: str):
+        """A u8 that indexes ``names``; any other byte is an error."""
+        code = self.u8()
+        if code >= len(names):
+            self.fail(f"{what} byte {code} at byte {self.off - 1} is not one of {list(names)}")
+        return names[code]
+
+
+def _open(path):
+    try:
+        return open(path, "rb")
+    except OSError as err:
+        raise CheckpointError(f"{path}: {err.strerror}") from err
+
+
+def _load(path, magic: bytes, parse):
+    """Check magic and version, parse the body with ``parse(reader)`` and
+    require the buffer to end where the body does. Every fault, including an
+    invalid spec the fields describe, comes back as CheckpointError."""
+    with _open(path) as f:
+        r = _Reader(f.read(), str(path))
+    found = r._take(4)
+    if found != magic:
+        r.fail(f"bad magic {found!r}, expected {magic!r}")
+    version = r.u32()
+    if version != FORMAT_VERSION:
+        r.fail(f"unsupported format version {version}")
+    try:
+        out = parse(r)
+    except (InvalidSpecError, ContractError) as err:
+        raise CheckpointError(f"{r.path}: {err}") from err
+    if r.off != len(r.buf):
+        r.fail(f"{len(r.buf) - r.off} bytes after the last field")
+    return out
+
 
 def _write_mlp(w: _Writer, mlp: Mlp) -> None:
     w.u32(len(mlp.weights))
@@ -99,18 +140,22 @@ def _write_mlp(w: _Writer, mlp: Mlp) -> None:
         fan_in, fan_out = weight.shape
         w.u32(fan_in)
         w.u32(fan_out)
-        w.u8(_act_byte(act))
+        w.u8(ACTIVATIONS.index(act))
         w.f64_array(weight.data)
         w.f64_array(bias.data)
 
 
 def _read_mlp(r: _Reader, requires_grad: bool = False) -> Mlp:
     n_layers = r.u32()
+    if n_layers == 0:
+        r.fail("sub-model without layers")
     weights, biases, acts = [], [], []
     for _ in range(n_layers):
         fan_in = r.u32()
         fan_out = r.u32()
-        act = ACTIVATIONS[r.u8()]
+        if weights and fan_in != weights[-1].shape[1]:
+            r.fail(f"layer input width {fan_in} != previous output width {weights[-1].shape[1]}")
+        act = r.choice(ACTIVATIONS, "activation")
         w = r.f64_array(fan_in * fan_out).reshape(fan_in, fan_out)
         b = r.f64_array(fan_out)
         weights.append(Tensor(w, requires_grad=requires_grad))
@@ -119,13 +164,17 @@ def _read_mlp(r: _Reader, requires_grad: bool = False) -> Mlp:
     return Mlp(weights, biases, tuple(acts))
 
 
+def _widths(mlp: Mlp) -> tuple[int, ...]:
+    return (mlp.in_width, *(w.shape[1] for w in mlp.weights))
+
+
 def _write_arch(w: _Writer, arch: ArchSpec) -> None:
     w.u32(arch.data_dim)
     w.u32(arch.inter_dim)
     w.u32(arch.latent_dim)
     w.u32(arch.feat_dim)
-    w.u8(_act_byte(arch.hidden_activation))
-    w.u8(_likelihood_byte(arch.likelihood))
+    w.u8(ACTIVATIONS.index(arch.hidden_activation))
+    w.u8(LIKELIHOODS.index(arch.likelihood))
     w.u8(1 if arch.normalize_recon else 0)
 
 
@@ -135,10 +184,28 @@ def _read_arch(r: _Reader) -> ArchSpec:
         inter_dim=r.u32(),
         latent_dim=r.u32(),
         feat_dim=r.u32(),
-        hidden_activation=ACTIVATIONS[r.u8()],
-        likelihood=LIKELIHOODS[r.u8()],
-        normalize_recon=bool(r.u8()),
+        hidden_activation=r.choice(ACTIVATIONS, "activation"),
+        likelihood=r.choice(LIKELIHOODS, "likelihood"),
+        normalize_recon=r.choice((False, True), "normalize flag"),
     )
+
+
+def _read_sub_models(r: _Reader, arch: ArchSpec, names: tuple[str, ...]) -> dict[str, Mlp]:
+    """A node's sub-models, each checked against the geometry the arch gives it."""
+    count = r.u32()
+    if count != len(names):
+        r.fail(f"node carries {count} sub-models, expected {len(names)}")
+    nets = {}
+    for name in names:
+        mlp = _read_mlp(r)
+        spec = arch.sub_model_spec(name, seed=0)
+        if (_widths(mlp), mlp.activations) != (spec.layer_widths, spec.activations):
+            r.fail(
+                f"sub-model {name} has widths {_widths(mlp)} and activations "
+                f"{mlp.activations}; the arch needs {spec.layer_widths} and {spec.activations}"
+            )
+        nets[name] = mlp
+    return nets
 
 
 def save_graph(path, graph: GraphState) -> None:
@@ -167,60 +234,36 @@ def save_graph(path, graph: GraphState) -> None:
         f.write(w.bytes())
 
 
-def load_graph(path) -> GraphState:
-    with open(path, "rb") as f:
-        buf = f.read()
-    r = _Reader(buf, str(path))
-    magic = r._take(4)
-    if magic != GRAPH_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {GRAPH_MAGIC!r}")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
+def _parse_graph(r: _Reader) -> GraphState:
     node_count = r.u32()
     arch = _read_arch(r)
     graph = GraphState(arch=arch)
-    for _ in range(node_count):
-        kind = r.u8()
-        task_id = r.u32()
-        if kind == 0:
+    for expected_id in range(1, node_count + 1):
+        kind = r.choice(NODE_KINDS, "node kind")
+        node_id = r.u32()
+        if node_id != expected_id:
+            r.fail(f"node {expected_id} in file order carries id {node_id}")
+        if kind == "basic":
             best = r.f64()
-            node = BasicNode.__new__(BasicNode)
-            node.id = task_id
-            node.task_id = task_id
-            node.arch = arch
+            nets = _read_sub_models(r, arch, BasicNode.SUB_MODELS)
+            node = BasicNode(node_id, node_id, arch, nets=nets)
             node.best_elbo = None if np.isnan(best) else best
-            node.frozen = True
-            sub_count = r.u32()
-            if sub_count != 5:
-                raise CheckpointError(f"{path}: basic node carries {sub_count} sub-models")
-            node.f_tilde = _read_mlp(r)
-            node.f_mu = _read_mlp(r)
-            node.f_logvar = _read_mlp(r)
-            node.g_tilde = _read_mlp(r)
-            node.g_prime = _read_mlp(r)
             graph.basic_nodes.append(node)
-        elif kind == 1:
-            k = r.u32()
-            pi = r.f64_array(k)
-            node = SpecificNode.__new__(SpecificNode)
-            node.id = task_id
-            node.task_id = task_id
-            node.arch = arch
-            node.pi = pi
-            node.frozen = True
-            sub_count = r.u32()
-            if sub_count != 3:
-                raise CheckpointError(f"{path}: specific node carries {sub_count} sub-models")
-            node.f_mu = _read_mlp(r)
-            node.f_logvar = _read_mlp(r)
-            node.g_prime = _read_mlp(r)
-            graph.specific_nodes.append(node)
         else:
-            raise CheckpointError(f"{path}: unknown node kind {kind}")
-    t = node_count
-    graph.adjacency = r.f64_array(t * t).reshape(t, t)
+            pi = r.f64_array(r.u32())
+            # wired to every Basic node read so far, as build_specific_node does
+            nets = _read_sub_models(r, arch, SpecificNode.SUB_MODELS)
+            node = SpecificNode(node_id, node_id, arch, pi, graph.basic_nodes, nets=nets)
+            graph.specific_nodes.append(node)
+        node.freeze()
+    stored = r.f64_array(node_count * node_count).reshape(node_count, node_count)
+    if not np.array_equal(stored, graph.adjacency):
+        r.fail("stored adjacency V differs from the one the Specific nodes' pi and parents give")
     return graph
+
+
+def load_graph(path) -> GraphState:
+    return _load(path, GRAPH_MAGIC, _parse_graph)
 
 
 def save_model(path, model: VaeModel) -> None:
@@ -229,7 +272,7 @@ def save_model(path, model: VaeModel) -> None:
     w.u32(FORMAT_VERSION)
     w.u32(model.data_dim)
     w.u32(model.latent_dim)
-    w.u8(_likelihood_byte(model.likelihood))
+    w.u8(LIKELIHOODS.index(model.likelihood))
     w.u8(1 if model.normalize_recon else 0)
     for mlp in (model.trunk, model.mu_head, model.logvar_head, model.decoder):
         _write_mlp(w, mlp)
@@ -238,37 +281,32 @@ def save_model(path, model: VaeModel) -> None:
 
 
 def load_model(path, requires_grad: bool = False) -> VaeModel:
-    with open(path, "rb") as f:
-        buf = f.read()
-    r = _Reader(buf, str(path))
-    magic = r._take(4)
-    if magic != MODEL_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    r.u32()  # data_dim, implied by the decoder's output layer
-    latent_dim = r.u32()
-    likelihood = LIKELIHOODS[r.u8()]
-    normalize = bool(r.u8())
-    trunk = _read_mlp(r, requires_grad)
-    mu_head = _read_mlp(r, requires_grad)
-    logvar_head = _read_mlp(r, requires_grad)
-    decoder = _read_mlp(r, requires_grad)
-    return VaeModel(
-        trunk=trunk,
-        mu_head=mu_head,
-        logvar_head=logvar_head,
-        decoder=decoder,
-        latent_dim=latent_dim,
-        likelihood=likelihood,
-        normalize_recon=normalize,
-    )
+    def parse(r: _Reader) -> VaeModel:
+        data_dim = r.u32()
+        latent_dim = r.u32()
+        likelihood = r.choice(LIKELIHOODS, "likelihood")
+        normalize = r.choice((False, True), "normalize flag")
+        trunk, mu_head, logvar_head, decoder = (_read_mlp(r, requires_grad) for _ in range(4))
+        if trunk.in_width != data_dim or decoder.out_width != data_dim:
+            r.fail(f"trunk input or decoder output width differs from data_dim {data_dim}")
+        if mu_head.in_width != trunk.out_width or logvar_head.in_width != trunk.out_width:
+            r.fail(f"head input widths differ from the trunk's output width {trunk.out_width}")
+        return VaeModel(
+            trunk=trunk,
+            mu_head=mu_head,
+            logvar_head=logvar_head,
+            decoder=decoder,
+            latent_dim=latent_dim,
+            likelihood=likelihood,
+            normalize_recon=normalize,
+        )
+
+    return _load(path, MODEL_MAGIC, parse)
 
 
 def sniff_kind(path) -> str:
     """Return 'graph' or 'model' by magic; raise CheckpointError otherwise."""
-    with open(path, "rb") as f:
+    with _open(path) as f:
         magic = f.read(4)
     if magic == GRAPH_MAGIC:
         return "graph"

@@ -181,13 +181,14 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("'stream' must be a list of task specs or a split-stream object")
     for name in _POSITIVE_INT_FIELDS:
         _require_int(cfg[name], name, 1)
-    lr = cfg["learning_rate"]
-    if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr) or lr <= 0:
-        raise ConfigError(f"field 'learning_rate' must be a finite number > 0, got {lr!r}")
+    if _require_finite(cfg["learning_rate"], "learning_rate") <= 0:
+        raise ConfigError(f"field 'learning_rate' must be > 0, got {cfg['learning_rate']!r}")
+    if _require_finite(cfg["replay_ratio"], "replay_ratio") < 0:
+        raise ConfigError(f"field 'replay_ratio' must be >= 0, got {cfg['replay_ratio']!r}")
+    if cfg["tau"] is not None:
+        _require_finite(cfg["tau"], "tau")
     if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
         raise ConfigError(f"field 'seed' must be an integer, got {cfg['seed']!r}")
-    if cfg["replay_ratio"] < 0:
-        raise ConfigError("field 'replay_ratio' must be >= 0")
     if cfg["method"] in ("degm_elbo", "degm_iwelbo") and cfg["tau"] is None:
         raise ConfigError(f"method {cfg['method']!r} requires 'tau'")
     if cfg["binarize"] not in ("stochastic", "threshold_0.5", "none"):
@@ -206,6 +207,12 @@ def _validate(cfg: dict) -> None:
     _require_int(diag["sample_size"], "diagnostics.sample_size", 1)
     if diag["enabled"] and cfg["method"].startswith("degm"):
         raise ConfigError("diagnostics snapshots are only recorded for elbo_gr/iwelbo_gr runs")
+
+
+def _require_finite(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
+    return value
 
 
 def _require_int(value, name: str, minimum: int) -> int:
@@ -348,22 +355,26 @@ class _SnapshotRecorder:
 
 
 def _task_end_breakdowns(recorder: "_SnapshotRecorder", stream, cfg: dict) -> dict:
-    """Bound-term breakdown at each task boundary from the recorded snapshots."""
+    """Bound-term breakdown at each task boundary from the recorded snapshots.
+
+    Each snapshot file is loaded once: one list of the last ``pool_size``
+    snapshots slides across the entries, and a task's last entry is both its
+    breakdown's model and the newest member of its pool.
+    """
     breakdowns = {}
     pool_size = cfg["diagnostics"]["pool_size"]
     entries = recorder.entries
-    for task in range(1, len(stream.tasks) + 1):
-        upto = [e for e in entries if e["task"] <= task]
-        final = [e for e in upto if e["task"] == task][-1]
-        model = ckpt_mod.load_model(final["snapshot"])
-        snapshots = [
-            bounds_mod.HypothesisSnapshot(
-                ckpt_mod.load_model(e["snapshot"]), {"task": e["task"], "epoch": e["epoch"]}
-            )
-            for e in upto[-pool_size:]
+    snapshots = []
+    for i, e in enumerate(entries):
+        model = ckpt_mod.load_model(e["snapshot"])
+        snapshots = snapshots[-(pool_size - 1):] + [
+            bounds_mod.HypothesisSnapshot(model, {"task": e["task"], "epoch": e["epoch"]})
         ]
-        mixed = np.load(final["mixed"])
-        targets = [stream.tasks[i].test.images for i in range(task)]
+        task = e["task"]
+        if task == 0 or (i + 1 < len(entries) and entries[i + 1]["task"] == task):
+            continue
+        mixed = np.load(e["mixed"])
+        targets = [stream.tasks[j].test.images for j in range(task)]
         table = bounds_mod.ReconstructionTable.for_breakdown(snapshots, targets, mixed)
         breakdowns[task] = bounds_mod.lelbo_breakdown(
             model,

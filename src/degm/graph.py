@@ -3,10 +3,11 @@
 Each task adds exactly one node. A Basic node is a free-standing VAE split
 into four sub-models (input trunk, Gaussian head, latent expander, output
 head); its trunks become shared knowledge sources. A Specific node owns
-only a fresh Gaussian head and output head and routes through every Basic
-trunk, weighting branch latents and branch features by importance weights
-derived from a novelty score: how far each Basic node's bound on the new
-data falls from the best bound it achieved on its own task. Low novelty
+only a fresh Gaussian head and output head and routes through the trunks of
+its parents, the Basic nodes that exist when it is built, weighting branch
+latents and branch features by importance weights derived from a novelty
+score: how far each Basic node's bound on the new data falls from the best
+bound it achieved on its own task. Low novelty
 against any source keeps the graph small; high novelty everywhere spawns a
 new Basic node. Existing nodes are frozen the moment their task ends.
 """
@@ -14,7 +15,6 @@ new Basic node. Existing nodes are frozen the moment their task ends.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +32,7 @@ from .nn import (
     build_mlp,
     no_grad,
 )
-from .replay import TrainConfig, run_training
+from .replay import TrainConfig, _bound_objective, run_training
 
 
 @dataclass(frozen=True)
@@ -60,40 +60,37 @@ class ArchSpec:
     def output_activation(self) -> str:
         return "sigmoid" if self.likelihood == "bernoulli" else "identity"
 
+    def sub_model_spec(self, name: str, seed: int) -> MlpSpec:
+        """Geometry of a node's sub-model (one layer each), initialized from ``seed``."""
+        widths, act = {
+            "f_tilde": ((self.data_dim, self.inter_dim), self.hidden_activation),
+            "f_mu": ((self.inter_dim, self.latent_dim), "identity"),
+            "f_logvar": ((self.inter_dim, self.latent_dim), "identity"),
+            "g_tilde": ((self.latent_dim, self.feat_dim), self.hidden_activation),
+            "g_prime": ((self.feat_dim, self.data_dim), self.output_activation),
+        }[name]
+        return MlpSpec(widths, (act,), rng_mod.derive_seed(seed, name))
 
-class BasicNode:
-    """Four sub-models: input trunk, Gaussian head, latent expander, output head."""
 
-    def __init__(self, node_id: int, task_id: int, arch: ArchSpec, seed: int):
+class _Node:
+    """What every node shares: the model protocol, read from ``arch``, and the
+    parameters of the sub-models named in ``SUB_MODELS``.
+
+    ``nets`` supplies those sub-models (a checkpoint's); by default each is
+    built fresh from ``seed``.
+    """
+
+    SUB_MODELS: tuple[str, ...] = ()
+
+    def __init__(self, node_id: int, task_id: int, arch: ArchSpec, seed: int = 0, nets=None):
         self.id = node_id
         self.task_id = task_id
         self.arch = arch
-        act = arch.hidden_activation
-        self.f_tilde = build_mlp(
-            MlpSpec((arch.data_dim, arch.inter_dim), (act,), rng_mod.derive_seed(seed, "f_tilde"))
-        )
-        self.f_mu = build_mlp(
-            MlpSpec((arch.inter_dim, arch.latent_dim), ("identity",), rng_mod.derive_seed(seed, "f_mu"))
-        )
-        self.f_logvar = build_mlp(
-            MlpSpec(
-                (arch.inter_dim, arch.latent_dim), ("identity",), rng_mod.derive_seed(seed, "f_logvar")
-            )
-        )
-        self.g_tilde = build_mlp(
-            MlpSpec((arch.latent_dim, arch.feat_dim), (act,), rng_mod.derive_seed(seed, "g_tilde"))
-        )
-        self.g_prime = build_mlp(
-            MlpSpec(
-                (arch.feat_dim, arch.data_dim),
-                (arch.output_activation,),
-                rng_mod.derive_seed(seed, "g_prime"),
-            )
-        )
-        self.best_elbo: float | None = None
+        for name in self.SUB_MODELS:
+            net = nets[name] if nets is not None else build_mlp(arch.sub_model_spec(name, seed))
+            setattr(self, name, net)
         self.frozen = False
 
-    # Model protocol: the node scores data exactly like a single VAE.
     @property
     def latent_dim(self) -> int:
         return self.arch.latent_dim
@@ -110,6 +107,30 @@ class BasicNode:
     def normalize_recon(self) -> bool:
         return self.arch.normalize_recon
 
+    def sub_models(self) -> list[Mlp]:
+        return [getattr(self, name) for name in self.SUB_MODELS]
+
+    def parameters(self) -> list[Tensor]:
+        params = []
+        for net in self.sub_models():
+            params.extend(net.parameters())
+        return params
+
+    def freeze(self) -> None:
+        for net in self.sub_models():
+            net.set_requires_grad(False)
+        self.frozen = True
+
+    def param_bytes(self) -> bytes:
+        return b"".join(net.param_bytes() for net in self.sub_models())
+
+
+class BasicNode(_Node):
+    """Four sub-models: input trunk, Gaussian head, latent expander, output head."""
+
+    SUB_MODELS = ("f_tilde", "f_mu", "f_logvar", "g_tilde", "g_prime")
+    best_elbo: float | None = None  # set once the node's training ends
+
     def encode(self, x: Tensor):
         h = self.f_tilde.forward(x)
         return self.f_mu.forward(h), self.f_logvar.forward(h)
@@ -124,82 +145,96 @@ class BasicNode:
     def decode_np(self, z: np.ndarray) -> np.ndarray:
         return self.g_prime.forward_np(self.g_tilde.forward_np(z))
 
-    def sub_models(self) -> list[Mlp]:
-        return [self.f_tilde, self.f_mu, self.f_logvar, self.g_tilde, self.g_prime]
 
-    def parameters(self) -> list[Tensor]:
-        params = []
-        for net in self.sub_models():
-            params.extend(net.parameters())
-        return params
+class SpecificNode(_Node):
+    """Two fresh heads and an output head, wired through the trunks and latent
+    expanders of its ``parents`` (the Basic nodes it weights by ``pi``, in id
+    order).
 
-    def freeze(self) -> None:
-        for net in self.sub_models():
-            net.set_requires_grad(False)
-        self.frozen = True
+    As a model it encodes with the shared-noise proposal: with one noise draw
+    shared by all branches the combined latent is Gaussian with mean
+    sum_i pi_i mu_i and standard deviation sum_i pi_i sd_i. It decodes by
+    weighting the parents' latent expanders by pi and finishing with its own
+    output head. Only its own parameters can receive gradients.
+    """
 
-    def param_bytes(self) -> bytes:
-        return b"".join(net.param_bytes() for net in self.sub_models())
+    SUB_MODELS = ("f_mu", "f_logvar", "g_prime")
 
-
-class SpecificNode:
-    """Two fresh sub-models wired through every Basic trunk via weights pi."""
-
-    def __init__(self, node_id: int, task_id: int, arch: ArchSpec, pi: np.ndarray, seed: int):
-        self.id = node_id
-        self.task_id = task_id
-        self.arch = arch
+    def __init__(
+        self, node_id: int, task_id: int, arch: ArchSpec, pi, parents, seed: int = 0, nets=None
+    ):
         self.pi = np.ascontiguousarray(pi, dtype=np.float64)
         if self.pi.ndim != 1 or np.any(self.pi < 0) or abs(self.pi.sum() - 1.0) > 1e-9:
             raise InvalidSpecError("pi must be a 1-D probability vector (sum 1 within 1e-9)")
-        self.f_mu = build_mlp(
-            MlpSpec((arch.inter_dim, arch.latent_dim), ("identity",), rng_mod.derive_seed(seed, "f_mu"))
-        )
-        self.f_logvar = build_mlp(
-            MlpSpec(
-                (arch.inter_dim, arch.latent_dim), ("identity",), rng_mod.derive_seed(seed, "f_logvar")
-            )
-        )
-        self.g_prime = build_mlp(
-            MlpSpec(
-                (arch.feat_dim, arch.data_dim),
-                (arch.output_activation,),
-                rng_mod.derive_seed(seed, "g_prime"),
-            )
-        )
-        self.frozen = False
+        self.parents = list(parents)
+        if len(self.parents) != self.pi.shape[0]:
+            raise ContractError(f"pi has {self.pi.shape[0]} entries for {len(self.parents)} parents")
+        super().__init__(node_id, task_id, arch, seed, nets)
 
-    def sub_models(self) -> list[Mlp]:
-        return [self.f_mu, self.f_logvar, self.g_prime]
+    def encode(self, x: Tensor):
+        mu_bar = None
+        sd_bar = None
+        for weight, parent in zip(self.pi, self.parents):
+            h = parent.f_tilde.forward(x)
+            mu_i = self.f_mu.forward(h) * float(weight)
+            sd_i = (self.f_logvar.forward(h) * 0.5).exp() * float(weight)
+            mu_bar = mu_i if mu_bar is None else mu_bar + mu_i
+            sd_bar = sd_i if sd_bar is None else sd_bar + sd_i
+        return mu_bar, sd_bar.log() * 2.0
 
-    def parameters(self) -> list[Tensor]:
-        params = []
-        for net in self.sub_models():
-            params.extend(net.parameters())
-        return params
+    def decode(self, z: Tensor) -> Tensor:
+        feat = None
+        for weight, parent in zip(self.pi, self.parents):
+            f_i = parent.g_tilde.forward(z) * float(weight)
+            feat = f_i if feat is None else feat + f_i
+        return self.g_prime.forward(feat)
 
-    def freeze(self) -> None:
-        for net in self.sub_models():
-            net.set_requires_grad(False)
-        self.frozen = True
+    def encode_np(self, x: np.ndarray):
+        mu_bar = None
+        sd_bar = None
+        for weight, parent in zip(self.pi, self.parents):
+            h = parent.f_tilde.forward_np(x)
+            mu_i = self.f_mu.forward_np(h)
+            sd_i = np.exp(0.5 * self.f_logvar.forward_np(h))
+            mu_bar = weight * mu_i if mu_bar is None else mu_bar + weight * mu_i
+            sd_bar = weight * sd_i if sd_bar is None else sd_bar + weight * sd_i
+        return mu_bar, 2.0 * np.log(sd_bar)
 
-    def param_bytes(self) -> bytes:
-        return b"".join(net.param_bytes() for net in self.sub_models())
+    def decode_np(self, z: np.ndarray) -> np.ndarray:
+        feat = None
+        for weight, parent in zip(self.pi, self.parents):
+            f_i = parent.g_tilde.forward_np(z)
+            f_i *= weight
+            if feat is None:
+                feat = f_i
+            else:
+                feat += f_i
+        return self.g_prime.forward_np(feat)
 
 
 @dataclass
 class GraphState:
-    """Node registry, adjacency matrix V, and the expansion audit trail."""
+    """Node registry and the expansion audit trail."""
 
     arch: ArchSpec
     basic_nodes: list[BasicNode] = field(default_factory=list)
     specific_nodes: list[SpecificNode] = field(default_factory=list)
-    adjacency: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     expansion_log: list[dict] = field(default_factory=list)
 
     @property
     def tasks_seen(self) -> int:
         return len(self.basic_nodes) + len(self.specific_nodes)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """V, t x t: a Specific node's row holds pi over its parents' columns,
+        every other entry is 0. Derived from the nodes, so it has no other source."""
+        t = self.tasks_seen
+        v = np.zeros((t, t))
+        for node in self.specific_nodes:
+            for weight, parent in zip(node.pi, node.parents):
+                v[node.id - 1, parent.id - 1] = weight
+        return v
 
     def all_nodes(self):
         return sorted(self.basic_nodes + self.specific_nodes, key=lambda n: n.id)
@@ -209,16 +244,6 @@ class GraphState:
             if node.id == node_id:
                 return node
         raise ContractError(f"no node with id {node_id}")
-
-    def basic_task_ids(self) -> list[int]:
-        return [node.task_id for node in self.basic_nodes]
-
-    def _grow_adjacency(self) -> None:
-        t = self.tasks_seen
-        grown = np.zeros((t, t))
-        old = self.adjacency
-        grown[: old.shape[0], : old.shape[1]] = old
-        self.adjacency = grown
 
     def param_hash(self) -> str:
         """SHA-256 over every node's serialized parameters, in node-id order."""
@@ -319,23 +344,14 @@ def build_basic_node(graph: GraphState, task_id: int, seed: int) -> BasicNode:
     """Append a fresh Basic node; its adjacency row stays all-zero."""
     node = BasicNode(node_id=task_id, task_id=task_id, arch=graph.arch, seed=seed)
     graph.basic_nodes.append(node)
-    graph._grow_adjacency()
     return node
 
 
 def build_specific_node(graph: GraphState, task_id: int, pi, seed: int) -> SpecificNode:
-    """Append a Specific node; its adjacency row holds pi over Basic columns."""
-    pi = np.asarray(pi, dtype=np.float64)
-    if pi.shape != (len(graph.basic_nodes),):
-        raise ContractError(
-            f"pi has {pi.shape[0] if pi.ndim == 1 else 'bad'} entries for "
-            f"{len(graph.basic_nodes)} Basic nodes"
-        )
-    node = SpecificNode(node_id=task_id, task_id=task_id, arch=graph.arch, pi=pi, seed=seed)
+    """Append a Specific node wired to every Basic node so far; pi weights them."""
+    parents = sorted(graph.basic_nodes, key=lambda n: n.id)
+    node = SpecificNode(task_id, task_id, graph.arch, pi, parents, seed=seed)
     graph.specific_nodes.append(node)
-    graph._grow_adjacency()
-    for weight, basic_task in zip(pi, graph.basic_task_ids()):
-        graph.adjacency[task_id - 1, basic_task - 1] = weight
     return node
 
 
@@ -343,39 +359,30 @@ def build_specific_node(graph: GraphState, task_id: int, pi, seed: int) -> Speci
 # Specific-node forward, bound, and scoring
 
 
-def specific_forward(node: SpecificNode, graph: GraphState, x, noise) -> dict:
-    """Composite pass through all Basic trunks.
+def specific_forward(node: SpecificNode, x, noise) -> dict:
+    """Composite pass through the parents' trunks.
 
-    Per branch i: h_i from the i-th Basic trunk, (mu_i, logvar_i) from the
+    Per branch i: h_i from the i-th parent's trunk, (mu_i, logvar_i) from the
     Specific head, z_i reparameterized with the shared noise. The combined
-    latent is z = sum_i pi_i z_i; decoding weights the Basic latent expanders
-    the same way and finishes with the Specific output head. Only the
-    Specific node's parameters can receive gradients.
+    latent is z = sum_i pi_i z_i, which ``node.decode`` turns into the
+    reconstruction. Only the Specific node's parameters can receive gradients.
     """
     x = as_tensor(x)
     noise = as_tensor(noise)
-    basics = sorted(graph.basic_nodes, key=lambda n: n.id)
-    if len(basics) != node.pi.shape[0]:
-        raise ContractError("graph Basic count changed since this node was wired")
     branch_stats = []
     z = None
-    for weight, basic in zip(node.pi, basics):
-        h = basic.f_tilde.forward(x)
+    for weight, parent in zip(node.pi, node.parents):
+        h = parent.f_tilde.forward(x)
         mu_i = node.f_mu.forward(h)
         logvar_i = node.f_logvar.forward(h)
         z_i = vae_mod.reparameterize(mu_i, logvar_i, noise)
         branch_stats.append((mu_i, logvar_i))
         contrib = z_i * float(weight)
         z = contrib if z is None else z + contrib
-    feat = None
-    for weight, basic in zip(node.pi, basics):
-        f_i = basic.g_tilde.forward(z) * float(weight)
-        feat = f_i if feat is None else feat + f_i
-    recon = node.g_prime.forward(feat)
-    return {"z": z, "branch_stats": branch_stats, "recon": recon}
+    return {"z": z, "branch_stats": branch_stats, "recon": node.decode(z)}
 
 
-def melbo_parts(node: SpecificNode, graph: GraphState, batch, mc_samples: int = 1, noise=None, rng=None):
+def melbo_parts(node: SpecificNode, batch, mc_samples: int = 1, noise=None, rng=None):
     """Differentiable (recon, kl) of the mixture bound: reconstruction under the
     single composite decoder minus the pi-weighted sum of branch KLs."""
     if mc_samples < 1:
@@ -384,13 +391,12 @@ def melbo_parts(node: SpecificNode, graph: GraphState, batch, mc_samples: int = 
     n = x.shape[0] if x.ndim > 1 else 1
     if rng is None and noise is None:
         rng = rng_mod.stream(0, "degm/melbo")
-    arch = graph.arch
     recon = None
     kl = None
     for s in range(mc_samples):
-        eps = noise if noise is not None else rng.standard_normal((n, arch.latent_dim))
-        out = specific_forward(node, graph, x, eps)
-        r = vae_mod.recon_loglik(out["recon"], x, arch.likelihood, arch.normalize_recon)
+        eps = noise if noise is not None else rng.standard_normal((n, node.latent_dim))
+        out = specific_forward(node, x, eps)
+        r = vae_mod.recon_loglik(out["recon"], x, node.likelihood, node.normalize_recon)
         recon = r if recon is None else recon + r
         if kl is None:
             kl_acc = None
@@ -403,10 +409,10 @@ def melbo_parts(node: SpecificNode, graph: GraphState, batch, mc_samples: int = 
     return recon, kl
 
 
-def melbo(node: SpecificNode, graph: GraphState, batch, mc_samples: int = 1, noise=None, rng=None):
+def melbo(node: SpecificNode, batch, mc_samples: int = 1, noise=None, rng=None):
     """Mixture bound estimate for a Specific node."""
     with no_grad():
-        recon, kl = melbo_parts(node, graph, batch, mc_samples, noise, rng)
+        recon, kl = melbo_parts(node, batch, mc_samples, noise, rng)
     arr = np.asarray(batch, dtype=np.float64)
     n = arr.shape[0] if arr.ndim > 1 else 1
     return vae_mod.ElboEstimate(
@@ -418,97 +424,28 @@ def melbo(node: SpecificNode, graph: GraphState, batch, mc_samples: int = 1, noi
     )
 
 
-def mean_melbo_np(
-    node: SpecificNode, graph: GraphState, x: np.ndarray, rng=None, noise=None, per_example: bool = False
-):
+def mean_melbo_np(node: SpecificNode, x: np.ndarray, rng=None, noise=None, per_example: bool = False):
     """Evaluation-only mixture bound (plain arrays)."""
     x = np.asarray(x, dtype=np.float64)
     if rng is None:
         rng = rng_mod.stream(0, "degm/melbo-eval")
-    arch = graph.arch
-    basics = sorted(graph.basic_nodes, key=lambda n: n.id)
     gamma = (
         np.asarray(noise, dtype=np.float64)
         if noise is not None
-        else rng.standard_normal((x.shape[0], arch.latent_dim))
+        else rng.standard_normal((x.shape[0], node.latent_dim))
     )
-    z = np.zeros((x.shape[0], arch.latent_dim))
+    z = np.zeros((x.shape[0], node.latent_dim))
     kl = np.zeros(x.shape[0])
-    for weight, basic in zip(node.pi, basics):
-        h = basic.f_tilde.forward_np(x)
+    for weight, parent in zip(node.pi, node.parents):
+        h = parent.f_tilde.forward_np(x)
         mu_i = node.f_mu.forward_np(h)
         logvar_i = node.f_logvar.forward_np(h)
         z += weight * (mu_i + np.exp(0.5 * logvar_i) * gamma)
         kl += weight * vae_mod.gaussian_kl_np(mu_i, logvar_i, per_example=True)
-    feat = np.zeros((x.shape[0], arch.feat_dim))
-    for weight, basic in zip(node.pi, basics):
-        f = basic.g_tilde.forward_np(z)
-        f *= weight
-        feat += f
-    y = node.g_prime.forward_np(feat)
-    recon = vae_mod.recon_loglik_np(y, x, arch.likelihood, arch.normalize_recon)
+    y = node.decode_np(z)
+    recon = vae_mod.recon_loglik_np(y, x, node.likelihood, node.normalize_recon)
     vals = recon - kl
     return vals if per_example else float(vals.mean())
-
-
-class SpecificPath:
-    """Single-VAE view of a Specific node for importance-weighted evaluation.
-
-    With shared branch noise the combined latent is Gaussian with mean
-    sum_i pi_i mu_i and standard deviation sum_i pi_i sd_i, which serves as
-    the proposal for importance sampling against the composite decoder and
-    the unit Gaussian prior.
-    """
-
-    def __init__(self, node: SpecificNode, graph: GraphState):
-        self.node = node
-        self.graph = graph
-        self._basics = sorted(graph.basic_nodes, key=lambda n: n.id)
-
-    @property
-    def latent_dim(self) -> int:
-        return self.graph.arch.latent_dim
-
-    @property
-    def data_dim(self) -> int:
-        return self.graph.arch.data_dim
-
-    @property
-    def likelihood(self) -> str:
-        return self.graph.arch.likelihood
-
-    @property
-    def normalize_recon(self) -> bool:
-        return self.graph.arch.normalize_recon
-
-    def encode_np(self, x: np.ndarray):
-        mu_bar = None
-        sd_bar = None
-        for weight, basic in zip(self.node.pi, self._basics):
-            h = basic.f_tilde.forward_np(x)
-            mu_i = self.node.f_mu.forward_np(h)
-            sd_i = np.exp(0.5 * self.node.f_logvar.forward_np(h))
-            mu_bar = weight * mu_i if mu_bar is None else mu_bar + weight * mu_i
-            sd_bar = weight * sd_i if sd_bar is None else sd_bar + weight * sd_i
-        return mu_bar, 2.0 * np.log(sd_bar)
-
-    def decode_np(self, z: np.ndarray) -> np.ndarray:
-        feat = None
-        for weight, basic in zip(self.node.pi, self._basics):
-            f_i = basic.g_tilde.forward_np(z)
-            f_i *= weight
-            if feat is None:
-                feat = f_i
-            else:
-                feat += f_i
-        return self.node.g_prime.forward_np(feat)
-
-
-def scoring_view(graph: GraphState, node):
-    """The object to hand to the bound/likelihood evaluators for a node."""
-    if isinstance(node, BasicNode):
-        return node
-    return SpecificPath(node, graph)
 
 
 def select_node(graph: GraphState, x, rng=None, k_prime: int = 1):
@@ -529,12 +466,12 @@ def select_node(graph: GraphState, x, rng=None, k_prime: int = 1):
     scores: dict[int, float] = {}
     for node in nodes:
         if k_prime > 1:
-            logpx = vae_mod.iw_logpx_np(scoring_view(graph, node), x, k_prime, noise=noise)
+            logpx = vae_mod.iw_logpx_np(node, x, k_prime, noise=noise)
             scores[node.id] = float(logpx.mean())
         elif isinstance(node, BasicNode):
             scores[node.id] = vae_mod.mean_elbo_np(node, x, noise=noise)
         else:
-            scores[node.id] = mean_melbo_np(node, graph, x, noise=noise)
+            scores[node.id] = mean_melbo_np(node, x, noise=noise)
     best_id = max(sorted(scores), key=lambda nid: scores[nid])
     return best_id, scores
 
@@ -544,16 +481,6 @@ def select_node(graph: GraphState, x, rng=None, k_prime: int = 1):
 
 
 def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label: str):
-    params = node.parameters()
-    if config.k_prime == 1:
-        def objective(batch, noise_rng):
-            recon, kl = vae_mod.elbo_parts(node, batch, config.mc_samples, rng=noise_rng)
-            return recon - kl
-    else:
-        def objective(batch, noise_rng):
-            total, _, _ = vae_mod.iwelbo_parts(node, batch, config.k_prime, rng=noise_rng)
-            return total
-
     best = -np.inf
     score_noise = _score_noise(images, node.latent_dim)
 
@@ -565,66 +492,23 @@ def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label
         best = max(best, mean_bound)
         record["train_elbo"] = mean_bound
 
-    history = run_training(params, objective, images, config, label, epoch_hook)
+    history = run_training(
+        node.parameters(), _bound_objective(node, config), images, config, label, epoch_hook
+    )
     node.best_elbo = float(best)
     return history
 
 
-def _iw_melbo_objective(node: SpecificNode, graph: GraphState, config: TrainConfig):
-    """Importance-weighted mixture objective using the shared-noise proposal."""
-    arch = graph.arch
-
-    def objective(batch, noise_rng):
-        x = as_tensor(batch)
-        n = x.shape[0]
-        basics = sorted(graph.basic_nodes, key=lambda b: b.id)
-        mus, sds = [], []
-        for basic in basics:
-            h = basic.f_tilde.forward(x)
-            mus.append(node.f_mu.forward(h))
-            sds.append((node.f_logvar.forward(h) * 0.5).exp())
-        mu_bar = None
-        sd_bar = None
-        for weight, mu_i, sd_i in zip(node.pi, mus, sds):
-            m = mu_i * float(weight)
-            s = sd_i * float(weight)
-            mu_bar = m if mu_bar is None else mu_bar + m
-            sd_bar = s if sd_bar is None else sd_bar + s
-        log_ws = []
-        latent = arch.latent_dim
-        log_2pi = math.log(2.0 * math.pi)
-        for k in range(config.k_prime):
-            gamma = noise_rng.standard_normal((n, latent))
-            z = mu_bar + sd_bar * gamma
-            feat = None
-            for weight, basic in zip(node.pi, basics):
-                f_i = basic.g_tilde.forward(z) * float(weight)
-                feat = f_i if feat is None else feat + f_i
-            y = node.g_prime.forward(feat)
-            recon_pe = vae_mod._recon_loglik_pe(y, x, arch.likelihood, arch.normalize_recon)
-            gamma_sq = (gamma * gamma).sum(axis=1)
-            log_q = (sd_bar.log().sum(axis=1) * 2.0 + gamma_sq + latent * log_2pi) * -0.5
-            log_p = (z * z).sum(axis=1) * -0.5 - (latent / 2.0) * log_2pi
-            log_ws.append(recon_pe + log_p - log_q)
-        shift = np.maximum.reduce([w.data for w in log_ws])
-        acc = None
-        for w in log_ws:
-            e = (w - shift).exp()
-            acc = e if acc is None else acc + e
-        return (acc.log() + shift - math.log(config.k_prime)).mean()
-
-    return objective
-
-
-def _train_specific(node: SpecificNode, graph: GraphState, images: np.ndarray, config: TrainConfig, label: str):
-    params = node.parameters()
+def _train_specific(node: SpecificNode, images: np.ndarray, config: TrainConfig, label: str):
+    """K' = 1 trains the mixture bound; K' > 1 the importance-weighted bound of
+    the node's shared-noise proposal, like any other model."""
     if config.k_prime == 1:
         def objective(batch, noise_rng):
-            recon, kl = melbo_parts(node, graph, batch, config.mc_samples, rng=noise_rng)
+            recon, kl = melbo_parts(node, batch, config.mc_samples, rng=noise_rng)
             return recon - kl
     else:
-        objective = _iw_melbo_objective(node, graph, config)
-    return run_training(params, objective, images, config, label, None)
+        objective = _bound_objective(node, config)
+    return run_training(node.parameters(), objective, images, config, label, None)
 
 
 def train_degm_sequence(
@@ -675,7 +559,7 @@ def train_degm_sequence(
         else:
             pi = importance_weights(ks)
             node = build_specific_node(graph, t, pi, node_seed)
-            history = _train_specific(node, graph, images, config, label)
+            history = _train_specific(node, images, config, label)
         node.freeze()
         graph.expansion_log.append(
             {"task_id": t, "decision": decision, "ks": [float(v) for v in ks], "tau": tau}
@@ -720,7 +604,7 @@ def evaluate_task(
         node_id, _ = select_node(graph, xb)
         node = graph.node_by_id(node_id)
         nll_rng = rng_mod.stream(rng_seed, f"{rng_label}/nll/{start}")
-        logpx = vae_mod.iw_logpx_np(scoring_view(graph, node), xb, eval_k_prime, rng=nll_rng)
+        logpx = vae_mod.iw_logpx_np(node, xb, eval_k_prime, rng=nll_rng)
         total_logpx += float(logpx.sum())
         selections.append(node_id)
         batches += 1

@@ -186,21 +186,6 @@ def _mix_for_task(generator, new_data, config: TrainConfig, task_index: int, pri
     )
 
 
-def _run_gr_task(model, generator, task, config, prior_count, epoch_hook):
-    mixed = _mix_for_task(generator, task.train, config, task.task_id, prior_count)
-    hook = None
-    if epoch_hook is not None:
-        hook = lambda epoch, record: epoch_hook(task.task_id, epoch, model, mixed, record)
-    return run_training(
-        model.parameters(),
-        _bound_objective(model, config),
-        mixed.samples,
-        config,
-        f"gr/task{task.task_id}",
-        hook,
-    )
-
-
 def train_task_gr(
     model,
     new_data: Dataset,
@@ -208,14 +193,19 @@ def train_task_gr(
     task_index: int,
     prior_count: int,
     epoch_hook=None,
+    generator=None,
 ) -> list[dict]:
     """One generative-replay task step: generate, mix, fit.
 
     ``prior_count`` is the cumulative number of real training examples seen
     before this task; the pseudo set gets ``round(replay_ratio * prior_count)``
     samples. Task 1 (prior_count 0) reduces to plain training on the new data.
+    ``generator`` produces the pseudo set (default: ``model`` itself).
+    ``epoch_hook(task_index, epoch, model, mixed, record)`` runs after each epoch.
     """
-    mixed = _mix_for_task(model, new_data, config, task_index, prior_count)
+    mixed = _mix_for_task(
+        model if generator is None else generator, new_data, config, task_index, prior_count
+    )
     hook = None
     if epoch_hook is not None:
         hook = lambda epoch, record: epoch_hook(task_index, epoch, model, mixed, record)
@@ -249,15 +239,13 @@ def run_gr_sequence(
     train_metrics = []
     prior_count = 0
     for task in stream.tasks:
+        generator = None
         if not config.warm_start and task.task_id > 1:
             # Fresh parameters per task; pseudo data still comes from the old model.
-            old = model
-            model = model_factory(rng_mod.derive_seed(config.seed, f"gr/restart/{task.task_id}"))
-            generator = old
-        else:
             generator = model
-        metrics = _run_gr_task(
-            model, generator, task, config, prior_count, epoch_hook
+            model = model_factory(rng_mod.derive_seed(config.seed, f"gr/restart/{task.task_id}"))
+        metrics = train_task_gr(
+            model, task.train, config, task.task_id, prior_count, epoch_hook, generator
         )
         prior_count += len(task.train)
         train_metrics.append({"task": task.task_id, "epochs": metrics})

@@ -1,12 +1,15 @@
 """Shared test oracles: finite differences, gradient comparison, stacked pools,
-and out-of-place copies of the evaluation kernels."""
+out-of-place copies of the evaluation kernels, and the importance-weighted
+mixture objective as it was written before Specific nodes became models."""
 
 import math
 
 import numpy as np
 
 from degm import nn
+from degm import vae as vae_mod
 from degm.bounds import HypothesisPool
+from degm.nn import as_tensor
 from degm.vae import BERNOULLI_CLAMP
 
 
@@ -92,3 +95,50 @@ def oracle_recon_loglik_np(y, x, likelihood, normalize=False):
     if normalize:
         ll = ll / d
     return ll
+
+
+def iw_melbo_objective(node, graph, config):
+    """Importance-weighted mixture objective using the shared-noise proposal,
+    wired by position in the graph's sorted Basic nodes (frozen oracle)."""
+    arch = graph.arch
+
+    def objective(batch, noise_rng):
+        x = as_tensor(batch)
+        n = x.shape[0]
+        basics = sorted(graph.basic_nodes, key=lambda b: b.id)
+        mus, sds = [], []
+        for basic in basics:
+            h = basic.f_tilde.forward(x)
+            mus.append(node.f_mu.forward(h))
+            sds.append((node.f_logvar.forward(h) * 0.5).exp())
+        mu_bar = None
+        sd_bar = None
+        for weight, mu_i, sd_i in zip(node.pi, mus, sds):
+            m = mu_i * float(weight)
+            s = sd_i * float(weight)
+            mu_bar = m if mu_bar is None else mu_bar + m
+            sd_bar = s if sd_bar is None else sd_bar + s
+        log_ws = []
+        latent = arch.latent_dim
+        log_2pi = math.log(2.0 * math.pi)
+        for k in range(config.k_prime):
+            gamma = noise_rng.standard_normal((n, latent))
+            z = mu_bar + sd_bar * gamma
+            feat = None
+            for weight, basic in zip(node.pi, basics):
+                f_i = basic.g_tilde.forward(z) * float(weight)
+                feat = f_i if feat is None else feat + f_i
+            y = node.g_prime.forward(feat)
+            recon_pe = vae_mod._recon_loglik_pe(y, x, arch.likelihood, arch.normalize_recon)
+            gamma_sq = (gamma * gamma).sum(axis=1)
+            log_q = (sd_bar.log().sum(axis=1) * 2.0 + gamma_sq + latent * log_2pi) * -0.5
+            log_p = (z * z).sum(axis=1) * -0.5 - (latent / 2.0) * log_2pi
+            log_ws.append(recon_pe + log_p - log_q)
+        shift = np.maximum.reduce([w.data for w in log_ws])
+        acc = None
+        for w in log_ws:
+            e = (w - shift).exp()
+            acc = e if acc is None else acc + e
+        return (acc.log() + shift - math.log(config.k_prime)).mean()
+
+    return objective

@@ -17,7 +17,7 @@ from degm import rng
 from degm.bounds import AssignmentLog, assignment_summary
 from degm.cli import cmd_diagnose, cmd_train, parse_config
 from degm.data import make_cross_domain_stream
-from degm.graph import ArchSpec, SpecificPath, melbo, train_degm_sequence
+from degm.graph import ArchSpec, melbo, train_degm_sequence
 from degm.nn import MlpSpec, Tensor, build_mlp
 from degm.replay import TrainConfig, run_gr_sequence, train_task_gr
 from degm.vae import (
@@ -268,10 +268,8 @@ class TestCriterion5MelboValidity:
             for node in graph.specific_nodes:
                 task = stream.tasks[node.task_id - 1]
                 x = task.test.images[:64]
-                est = melbo(node, graph, x, rng=rng.stream(seed, f"a5/m{node.id}"))
-                logpx = iw_logpx_np(
-                    SpecificPath(node, graph), x, 1000, rng=rng.stream(seed, f"a5/iw{node.id}")
-                )
+                est = melbo(node, x, rng=rng.stream(seed, f"a5/m{node.id}"))
+                logpx = iw_logpx_np(node, x, 1000, rng=rng.stream(seed, f"a5/iw{node.id}"))
                 se = logpx.std(ddof=1) / math.sqrt(len(logpx))
                 if est.total > logpx.mean() + 3 * se:
                     violations += 1

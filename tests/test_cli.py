@@ -9,11 +9,12 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from degm import bounds, rng
+from degm import bounds, cli, rng
 from degm.checkpoint import load_model
 from degm.cli import (
     ConfigError,
@@ -402,6 +403,55 @@ class TestDiagnoseReconstructionCache:
         assert sum(seen.values()) == 2 * per_set
 
 
+def _oracle_task_end_breakdowns(entries, stream, cfg):
+    """Per task, reload the pool's snapshots and the task's final model."""
+    breakdowns = {}
+    pool_size = cfg["diagnostics"]["pool_size"]
+    for task in range(1, len(stream.tasks) + 1):
+        upto = [e for e in entries if e["task"] <= task]
+        final = [e for e in upto if e["task"] == task][-1]
+        pool = StackPool()
+        for e in upto[-pool_size:]:
+            pool.add(load_model(e["snapshot"]), {"task": e["task"], "epoch": e["epoch"]})
+        breakdowns[task] = bounds.lelbo_breakdown(
+            load_model(final["snapshot"]),
+            [stream.tasks[i].test.images for i in range(task)],
+            np.load(final["mixed"]),
+            pool,
+            rng=rng.stream(cfg["seed"], f"ledger/breakdown/t{task}"),
+        )
+    return breakdowns
+
+
+class TestTaskEndBreakdowns:
+    @pytest.mark.parametrize("pool_size", [64, 3])
+    def test_each_snapshot_loaded_once_same_values(self, diag_run, pool_size, monkeypatch):
+        with open(os.path.join(diag_run, "report.json")) as f:
+            cfg = parse_config(json.load(f)["config"])
+        cfg["diagnostics"]["pool_size"] = pool_size
+        snap_dir = os.path.join(diag_run, "snapshots")
+        with open(os.path.join(snap_dir, "meta.json")) as f:
+            entries = [
+                {**e, **{k: os.path.join(snap_dir, e[k]) for k in ("snapshot", "mixed") if k in e}}
+                for e in json.load(f)["entries"]
+            ]
+        stream = build_stream(cfg)
+        expected = _oracle_task_end_breakdowns(entries, stream, cfg)
+
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_model(path)
+
+        monkeypatch.setattr(cli.ckpt_mod, "load_model", counting_load)
+        got = cli._task_end_breakdowns(types.SimpleNamespace(entries=entries), stream, cfg)
+        assert got == expected
+        snapshot_files = len([n for n in os.listdir(snap_dir) if n.endswith(".bin")])
+        assert len(loads) <= snapshot_files + len(stream.tasks)
+        assert len(loads) == len(set(loads))
+
+
 class TestDiagnosticsValidation:
     @pytest.mark.parametrize(
         "key, value",
@@ -472,6 +522,12 @@ class TestStrictNumericConfig:
             ("k_prime", False),
             ("width", 12.0),
             ("seed", True),
+            ("tau", float("nan")),
+            ("tau", True),
+            ("tau", "35"),
+            ("replay_ratio", float("nan")),
+            ("replay_ratio", "x"),
+            ("replay_ratio", -0.5),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, key, value):

@@ -11,7 +11,6 @@ from degm.data import make_cross_domain_stream
 from degm.graph import (
     ArchSpec,
     GraphState,
-    SpecificPath,
     build_basic_node,
     build_specific_node,
     evaluate_task,
@@ -21,15 +20,14 @@ from degm.graph import (
     melbo,
     melbo_parts,
     mean_melbo_np,
-    scoring_view,
     select_node,
     specific_forward,
     train_degm_sequence,
 )
-from degm.nn import ContractError, InvalidSpecError, Tensor, backward
-from degm.replay import TrainConfig
+from degm.nn import ContractError, InvalidSpecError, Tensor, backward, zero_grad
+from degm.replay import TrainConfig, _bound_objective
 from degm.vae import iw_logpx_np, mean_elbo_np
-from helpers import max_grad_error
+from helpers import iw_melbo_objective, max_grad_error
 
 MICRO_ARCH = ArchSpec(
     data_dim=36, inter_dim=12, latent_dim=4, feat_dim=12, likelihood="bernoulli"
@@ -139,6 +137,7 @@ class TestGraphConstruction:
         np.testing.assert_allclose(graph.adjacency[2, :2], [0.25, 0.75])
         np.testing.assert_array_equal(graph.adjacency[:2], 0.0)
         np.testing.assert_allclose(node.pi, [0.25, 0.75])
+        assert node.parents == graph.basic_nodes
 
     def test_pi_length_mismatch(self):
         graph = GraphState(arch=MICRO_ARCH)
@@ -206,7 +205,7 @@ class TestSpecificForward:
         basic = graph.basic_nodes[0]
         x = stream.tasks[1].train.images[:16]
         noise = rng.stream(3, "n").standard_normal((16, MICRO_ARCH.latent_dim))
-        out = specific_forward(node, graph, Tensor(x), noise)
+        out = specific_forward(node, Tensor(x), noise)
         h = basic.f_tilde.forward_np(x)
         mu = node.f_mu.forward_np(h)
         lv = node.f_logvar.forward_np(h)
@@ -218,7 +217,7 @@ class TestSpecificForward:
         stream, graph, node = self._graph_with_specific()
         x = stream.tasks[1].train.images[:8]
         noise = rng.stream(5, "n").standard_normal((8, MICRO_ARCH.latent_dim))
-        out = specific_forward(node, graph, Tensor(x), noise)
+        out = specific_forward(node, Tensor(x), noise)
         # recompute branches outside the graph machinery
         expected = np.zeros((8, MICRO_ARCH.latent_dim))
         for w, basic in zip(node.pi, sorted(graph.basic_nodes, key=lambda b: b.id)):
@@ -233,7 +232,7 @@ class TestSpecificForward:
         for p in node.parameters():
             p.requires_grad = True  # the trained node comes back frozen
         x = stream.tasks[1].train.images[:8]
-        recon, kl = melbo_parts(node, graph, x, rng=rng.stream(1, "m"))
+        recon, kl = melbo_parts(node, x, rng=rng.stream(1, "m"))
         backward(recon - kl)
         for basic in graph.basic_nodes:
             for p in basic.parameters():
@@ -248,22 +247,22 @@ class TestMelbo:
         if len(graph.basic_nodes) != 1:
             pytest.skip("expansion produced extra basic nodes")
         x = stream.tasks[1].test.images[:32]
-        a = mean_melbo_np(node, graph, x, rng=rng.stream(8, "shared"))
-        b = mean_elbo_np(SpecificPath(node, graph), x, rng=rng.stream(8, "shared"))
+        a = mean_melbo_np(node, x, rng=rng.stream(8, "shared"))
+        b = mean_elbo_np(node, x, rng=rng.stream(8, "shared"))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_kl_term_non_negative(self):
         stream, graph, _ = trained_micro_graph(seed=6, tau=1e9)
         for node in graph.specific_nodes:
-            est = melbo(node, graph, stream.tasks[0].test.images[:16], rng=rng.stream(1, "m"))
+            est = melbo(node, stream.tasks[0].test.images[:16], rng=rng.stream(1, "m"))
             assert est.kl_term >= 0.0
 
     def test_valid_lower_bound(self):
         stream, graph, _ = trained_micro_graph(seed=7, families=("bars", "blobs"), tau=1e9)
         node = graph.specific_nodes[0]
         x = stream.tasks[1].test.images[:64]
-        est = melbo(node, graph, x, rng=rng.stream(2, "m"))
-        logpx = iw_logpx_np(SpecificPath(node, graph), x, 1000, rng=rng.stream(3, "iw"))
+        est = melbo(node, x, rng=rng.stream(2, "m"))
+        logpx = iw_logpx_np(node, x, 1000, rng=rng.stream(3, "iw"))
         se = logpx.std(ddof=1) / math.sqrt(len(logpx))
         assert est.total <= logpx.mean() + 3 * se
 
@@ -277,28 +276,23 @@ class TestMelbo:
             p.requires_grad = True
 
         def value():
-            recon, kl = melbo_parts(node, graph, x, noise=noise)
+            recon, kl = melbo_parts(node, x, noise=noise)
             return float(recon) - float(kl)
 
         def loss():
-            recon, kl = melbo_parts(node, graph, x, noise=noise)
+            recon, kl = melbo_parts(node, x, noise=noise)
             return recon - kl
 
         assert max_grad_error(value, loss, params) < 1e-4
 
     def test_iw_objective_gradients_match_fd(self):
-        from degm.graph import _iw_melbo_objective
-        from degm.replay import TrainConfig
-
         stream, graph, _ = trained_micro_graph(seed=9, families=("bars", "blobs"), tau=1e9)
         node = graph.specific_nodes[0]
         x = stream.tasks[1].train.images[:5]
         params = node.parameters()
         for p in params:
             p.requires_grad = True
-        objective = _iw_melbo_objective(
-            node, graph, TrainConfig(epochs=1, k_prime=3, seed=0)
-        )
+        objective = _bound_objective(node, TrainConfig(epochs=1, k_prime=3, seed=0))
 
         # fixed noise: rebuild the same stream for every evaluation
         def value():
@@ -308,6 +302,51 @@ class TestMelbo:
             return objective(x, rng.stream(11, "iwm"))
 
         assert max_grad_error(value, loss, params) < 1e-4
+
+
+class TestSpecificNodeIsAModel:
+    def test_iw_objective_matches_frozen_oracle(self):
+        # the K' > 1 objective is iwelbo_parts on the node's shared-noise
+        # proposal; it must reproduce the former hand-written objective
+        stream, graph, _ = trained_micro_graph(seed=9, families=("bars", "blobs"), tau=1e9)
+        node = graph.specific_nodes[0]
+        x = stream.tasks[1].train.images[:50]
+        params = node.parameters()
+        for p in params:
+            p.requires_grad = True
+        config = TrainConfig(epochs=1, k_prime=3, seed=0)
+        grads = []
+        for objective in (_bound_objective(node, config), iw_melbo_objective(node, graph, config)):
+            zero_grad(params)
+            bound = objective(x, rng.stream(11, "iwm"))
+            backward(-bound)
+            grads.append((float(bound), [p.grad.copy() for p in params]))
+        (value, got), (want_value, want) = grads
+        assert value == want_value
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    def test_later_basic_node_leaves_specific_scores_unchanged(self):
+        graph = GraphState(arch=MICRO_ARCH)
+        build_basic_node(graph, 1, seed=3)
+        node = build_specific_node(graph, 2, [1.0], seed=5)
+        x = (rng.stream(6, "x").random((24, 36)) > 0.5).astype(np.float64)
+
+        def scores():
+            return (
+                melbo(node, x, rng=rng.stream(1, "m")).total,
+                mean_melbo_np(node, x, rng=rng.stream(2, "m"), per_example=True),
+                iw_logpx_np(node, x, 20, rng=rng.stream(3, "iw")),
+            )
+
+        before = scores()
+        build_basic_node(graph, 3, seed=7)
+        after = scores()
+        assert after[0] == before[0]
+        np.testing.assert_array_equal(after[1], before[1])
+        np.testing.assert_array_equal(after[2], before[2])
+        assert [p.id for p in node.parents] == [1]
+        np.testing.assert_array_equal(graph.adjacency, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
 
 
 class TestSelectNode:
@@ -379,7 +418,7 @@ class TestTrainDegmSequence:
             knowledge_novelty(graph, stream.tasks[1].train.images)
         )
         node = build_specific_node(graph, 2, pi, seed=11)
-        _train_specific(node, graph, stream.tasks[1].train.images, micro_config(seed=3), "t2")
+        _train_specific(node, stream.tasks[1].train.images, micro_config(seed=3), "t2")
         node.freeze()
         assert graph.basic_param_hash() == before
 

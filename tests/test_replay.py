@@ -8,6 +8,7 @@ from scipy import stats
 
 from degm.data import make_cross_domain_stream, synth_generate
 from degm.nn import InvalidSpecError
+from degm.rng import derive_seed
 from degm.replay import (
     MixedDataset,
     PseudoDataset,
@@ -192,6 +193,23 @@ class TestRunGrSequence:
         train_task_gr(plain, one.tasks[0].train, cfg, task_index=1, prior_count=0)
         assert model.param_bytes() == plain.param_bytes()
         assert len(records) == 1
+
+    def test_cold_start_replays_the_previous_model(self):
+        # warm_start off: each later task trains fresh parameters, and its
+        # pseudo data is decoded by the model the previous task finished with
+        stream = self._stream()
+        cfg = TrainConfig(epochs=1, batch_size=50, seed=6, warm_start=False)
+        model, _, _ = run_gr_sequence(stream, self._factory(), cfg, eval_k_prime=5)
+
+        prev = small_model(seed=cfg.seed)
+        train_task_gr(prev, stream.tasks[0].train, cfg, task_index=1, prior_count=0)
+        prior = len(stream.tasks[0].train)
+        for task in stream.tasks[1:]:
+            fresh = small_model(seed=derive_seed(cfg.seed, f"gr/restart/{task.task_id}"))
+            train_task_gr(fresh, task.train, cfg, task.task_id, prior, generator=prev)
+            prior += len(task.train)
+            prev = fresh
+        assert model.param_bytes() == prev.param_bytes()
 
     def test_eval_record_count(self):
         cfg = TrainConfig(epochs=1, batch_size=50, seed=6)
