@@ -53,8 +53,8 @@ class HypothesisSnapshot:
 
     def __init__(self, model, label: dict | None = None):
         self.label = dict(label or {})
-        # Copy parameters so later training cannot mutate the hypothesis;
-        # models without copy() are assumed to be frozen already.
+        # Copy a trainable model so later training cannot mutate the
+        # hypothesis; a frozen one (e.g. a loaded checkpoint) is used as is.
         self._frozen = _freeze_params(model)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -68,9 +68,9 @@ class HypothesisSnapshot:
 
 def _freeze_params(model):
     copy = getattr(model, "copy", None)
-    if copy is not None:
-        return copy(requires_grad=False)
-    return model  # already a frozen view (e.g. a loaded checkpoint)
+    if copy is None or not any(p.requires_grad for p in model.parameters()):
+        return model  # already frozen: nothing trains it any more
+    return copy(requires_grad=False)
 
 
 @dataclass

@@ -42,7 +42,7 @@ from .data import (
     make_split_stream,
 )
 from .graph import ArchSpec, evaluate_task, train_degm_sequence
-from .replay import TrainConfig, run_gr_sequence
+from .replay import NonFiniteError, TrainConfig, run_gr_sequence
 from .vae import build_vae
 
 METHODS = ("elbo_gr", "iwelbo_gr", "degm_elbo", "degm_iwelbo", "degm2")
@@ -453,10 +453,12 @@ def cmd_train(cfg: dict) -> dict:
     breakdowns = (
         _task_end_breakdowns(recorder, stream, cfg) if recorder is not None else {}
     )
-    nll_matrix = []
-    for record in task_records:
-        nlls = [e["nll"] for e in record["evals"]]
-        nll_matrix.append(nlls)
+    nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
+    for record, nlls in zip(task_records, nll_matrix):
+        for j, nll in enumerate(nlls, 1):
+            if not math.isfinite(nll):
+                raise NonFiniteError(f"NLL {nll} on test task {j} after task {record['task']}")
+    for record, nlls in zip(task_records, nll_matrix):
         if is_graph_method:
             partition = [{i} for i in range(1, record["task"] + 1)]
         else:

@@ -31,6 +31,10 @@ class IdxTruncatedError(DataFormatError):
     """IDX payload is shorter than the header promises."""
 
 
+class IdxTrailingBytesError(DataFormatError):
+    """IDX file has bytes after the payload its header describes."""
+
+
 class IdxCountMismatchError(DataFormatError):
     """Image and label files disagree on item count."""
 
@@ -299,10 +303,21 @@ def _read_u32(buf: bytes, offset: int, path: str) -> tuple[int, int]:
     return struct.unpack_from(">I", buf, offset)[0], offset + 4
 
 
+def _payload(buf: bytes, offset: int, expected: int, path: str) -> np.ndarray:
+    """The header's ``expected`` payload bytes, which must end the file."""
+    got = len(buf) - offset
+    if got < expected:
+        raise IdxTruncatedError(f"{path}: payload has {got} bytes, expected {expected}")
+    if got > expected:
+        raise IdxTrailingBytesError(f"{path}: {got - expected} bytes after the {expected}-byte payload")
+    return np.frombuffer(buf, dtype=np.uint8, offset=offset)
+
+
 def load_idx(images_path, labels_path=None) -> Dataset:
     """Parse big-endian IDX image (and optional label) files into a Dataset.
 
-    Pixels are scaled to [0, 1] by dividing by 255.
+    Pixels are scaled to [0, 1] by dividing by 255. A file must end where its
+    header says the payload ends.
     """
     with open(images_path, "rb") as f:
         buf = f.read()
@@ -314,13 +329,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
     count, off = _read_u32(buf, off, str(images_path))
     rows, off = _read_u32(buf, off, str(images_path))
     cols, off = _read_u32(buf, off, str(images_path))
-    expected = count * rows * cols
-    payload = buf[off:]
-    if len(payload) < expected:
-        raise IdxTruncatedError(
-            f"{images_path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    pixels = np.frombuffer(payload[:expected], dtype=np.uint8).astype(np.float64) / 255.0
+    pixels = _payload(buf, off, count * rows * cols, str(images_path)).astype(np.float64) / 255.0
     images = pixels.reshape(count, rows * cols)
 
     labels = None
@@ -337,12 +346,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
             raise IdxCountMismatchError(
                 f"{labels_path}: {lcount} labels for {count} images"
             )
-        lpayload = lbuf[loff:]
-        if len(lpayload) < lcount:
-            raise IdxTruncatedError(
-                f"{labels_path}: payload has {len(lpayload)} bytes, expected {lcount}"
-            )
-        labels = np.frombuffer(lpayload[:lcount], dtype=np.uint8).astype(np.int64)
+        labels = _payload(lbuf, loff, lcount, str(labels_path)).astype(np.int64)
 
     name = os.path.basename(str(images_path))
     return Dataset(images, labels, {"name": name, "width": cols, "height": rows})

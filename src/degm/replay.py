@@ -9,6 +9,7 @@ degrades early-task knowledge, which the diagnostics modules measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ from . import rng as rng_mod
 from . import vae as vae_mod
 from .data import Dataset, TaskStream
 from .nn import InvalidSpecError, ShapeError, adam_step, backward, init_adam, zero_grad
+
+
+class NonFiniteError(RuntimeError):
+    """A training loss or an evaluation result is NaN or infinite."""
 
 
 @dataclass
@@ -134,7 +139,9 @@ def run_training(
 
     ``objective`` must return a scalar tensor (the bound for the batch).
     Batches are reshuffled per epoch from a labeled stream; the recorded
-    metric is the epoch's size-weighted mean of the negated bound.
+    metric is the epoch's size-weighted mean of the negated bound. A loss
+    that is not finite raises ``NonFiniteError`` naming the label, epoch and
+    batch, before it reaches the parameters.
     """
     n = images.shape[0]
     state = init_adam(params, learning_rate=config.learning_rate)
@@ -147,10 +154,16 @@ def run_training(
             batch = images[perm[start : start + config.batch_size]]
             bound = objective(batch, noise_rng)
             loss = -bound
+            value = float(loss)
+            if not math.isfinite(value):
+                raise NonFiniteError(
+                    f"{seed_label}: loss {value} in epoch {epoch}, "
+                    f"batch {start // config.batch_size + 1}"
+                )
             zero_grad(params)
             backward(loss)
             adam_step(params, state)
-            running += float(loss) * batch.shape[0]
+            running += value * batch.shape[0]
         record = {"epoch": epoch, "objective": running / n}
         if epoch_hook is not None:
             epoch_hook(epoch, record)

@@ -14,7 +14,9 @@ expansion-graph nodes reuse them unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,6 +397,35 @@ def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> ElboEstimate:
 # Evaluation-only paths (plain numpy, chunked)
 
 
+def _eval_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _part_count(cpus: int, kc: int, nc: int) -> int:
+    """Parts to split a (kc, nc, latent) noise block into along K'.
+
+    Every part keeps at least two decoder rows when the block has two: numpy
+    multiplies a one-row matrix with BLAS gemv, whose sums round differently
+    from the gemm a larger block takes.
+    """
+    return max(1, min(cpus, kc if nc > 1 else kc // 2))
+
+
+def _log_w_rows(model, xc, mu, sd, logvar_sum, gamma) -> np.ndarray:
+    """log p(x, z) - log q(z | x) for each sample of one noise part, shape (k, n)."""
+    latent = model.latent_dim
+    z = mu[None] + sd[None] * gamma
+    y = model.decode_np(z.reshape(-1, latent)).reshape(gamma.shape[0], xc.shape[0], -1)
+    recon = recon_loglik_np(y, xc[None], model.likelihood, model.normalize_recon)
+    log_p = -0.5 * (z * z).sum(axis=-1) - (latent / 2.0) * _LOG_2PI
+    log_q = -0.5 * ((gamma * gamma).sum(axis=-1) + logvar_sum[None] + latent * _LOG_2PI)
+    return recon + log_p - log_q
+
+
 def iw_logpx_np(
     model,
     x: np.ndarray,
@@ -410,6 +441,13 @@ def iw_logpx_np(
     fixed order so results are deterministic for a given generator. An
     explicit ``noise`` array of shape (k_prime, n, latent) overrides the
     generator (used for order-invariant scoring).
+
+    Each drawn noise block is split along K' into one contiguous part per
+    CPU of the process: the caller computes the first part and pool threads
+    the rest, and the parts' rows are joined in order. Every row is computed
+    as it would be in one piece, so the result is bitwise independent of the
+    CPU count, and the parts together hold one block's temporaries. The
+    threads live only inside the call.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
@@ -425,30 +463,40 @@ def iw_logpx_np(
                 f"noise shape {noise.shape} != {(k_prime, x.shape[0], model.latent_dim)}"
             )
     latent = model.latent_dim
+    cpus = _eval_cpus()
+    # the first chunk has the most samples and rows, so the most parts
+    most = _part_count(cpus, min(k_chunk, k_prime), min(batch_chunk, x.shape[0]))
+    pool = contextlib.nullcontext()
+    if most > 1:
+        # imported on first use: concurrent.futures loads logging, which
+        # would add ~10 ms to every start of the command line
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(most - 1)
     out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], batch_chunk):
-        xc = x[start : start + batch_chunk]
-        nc = xc.shape[0]
-        mu, logvar = model.encode_np(xc)
-        sd = np.exp(0.5 * logvar)
-        blocks = []
-        done = 0
-        while done < k_prime:
-            kc = min(k_chunk, k_prime - done)
-            if noise is not None:
-                gamma = noise[done : done + kc, start : start + nc, :]
-            else:
-                gamma = rng.standard_normal((kc, nc, latent))
-            z = mu[None] + sd[None] * gamma
-            y = model.decode_np(z.reshape(-1, latent)).reshape(kc, nc, -1)
-            recon = recon_loglik_np(y, xc[None], model.likelihood, model.normalize_recon)
-            log_p = -0.5 * (z * z).sum(axis=-1) - (latent / 2.0) * _LOG_2PI
-            log_q = -0.5 * ((gamma * gamma).sum(axis=-1) + logvar.sum(axis=-1)[None] + latent * _LOG_2PI)
-            blocks.append(recon + log_p - log_q)
-            done += kc
-        log_w = np.concatenate(blocks, axis=0)
-        shift = log_w.max(axis=0)
-        out[start : start + nc] = shift + np.log(np.exp(log_w - shift).mean(axis=0))
+    with pool:
+        for start in range(0, x.shape[0], batch_chunk):
+            xc = x[start : start + batch_chunk]
+            nc = xc.shape[0]
+            mu, logvar = model.encode_np(xc)
+            sd = np.exp(0.5 * logvar)
+            logvar_sum = logvar.sum(axis=-1)
+            blocks = []
+            done = 0
+            while done < k_prime:
+                kc = min(k_chunk, k_prime - done)
+                if noise is not None:
+                    gamma = noise[done : done + kc, start : start + nc, :]
+                else:
+                    gamma = rng.standard_normal((kc, nc, latent))
+                first, *rest = np.array_split(gamma, _part_count(cpus, kc, nc))
+                futures = [pool.submit(_log_w_rows, model, xc, mu, sd, logvar_sum, g) for g in rest]
+                blocks.append(_log_w_rows(model, xc, mu, sd, logvar_sum, first))
+                blocks.extend(f.result() for f in futures)
+                done += kc
+            log_w = np.concatenate(blocks, axis=0)
+            shift = log_w.max(axis=0)
+            out[start : start + nc] = shift + np.log(np.exp(log_w - shift).mean(axis=0))
     return out
 
 

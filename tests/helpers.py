@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, gradient comparison, stacked pools,
-out-of-place copies of the evaluation kernels, and the importance-weighted
-mixture objective as it was written before Specific nodes became models."""
+out-of-place copies of the evaluation kernels, the serial importance-weighted
+log-likelihood, and the importance-weighted mixture objective as it was
+written before Specific nodes became models."""
 
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 from degm import nn
 from degm import vae as vae_mod
 from degm.bounds import HypothesisPool
+from degm import rng as rng_mod
 from degm.nn import as_tensor
 from degm.vae import BERNOULLI_CLAMP
 
@@ -95,6 +97,43 @@ def oracle_recon_loglik_np(y, x, likelihood, normalize=False):
     if normalize:
         ll = ll / d
     return ll
+
+
+def oracle_iw_logpx_np(model, x, k_prime, rng=None, noise=None, batch_chunk=64, k_chunk=250):
+    """``vae.iw_logpx_np`` as it was before noise blocks were split across CPUs:
+    one thread, each (kc, nc, latent) block decoded in one piece."""
+    x = np.asarray(x, dtype=np.float64)
+    if rng is None and noise is None:
+        rng = rng_mod.stream(0, "vae/iw-eval")
+    if noise is not None:
+        noise = np.asarray(noise, dtype=np.float64)
+    latent = model.latent_dim
+    log_2pi = math.log(2.0 * math.pi)
+    out = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], batch_chunk):
+        xc = x[start : start + batch_chunk]
+        nc = xc.shape[0]
+        mu, logvar = model.encode_np(xc)
+        sd = np.exp(0.5 * logvar)
+        blocks = []
+        done = 0
+        while done < k_prime:
+            kc = min(k_chunk, k_prime - done)
+            if noise is not None:
+                gamma = noise[done : done + kc, start : start + nc, :]
+            else:
+                gamma = rng.standard_normal((kc, nc, latent))
+            z = mu[None] + sd[None] * gamma
+            y = model.decode_np(z.reshape(-1, latent)).reshape(kc, nc, -1)
+            recon = vae_mod.recon_loglik_np(y, xc[None], model.likelihood, model.normalize_recon)
+            log_p = -0.5 * (z * z).sum(axis=-1) - (latent / 2.0) * log_2pi
+            log_q = -0.5 * ((gamma * gamma).sum(axis=-1) + logvar.sum(axis=-1)[None] + latent * log_2pi)
+            blocks.append(recon + log_p - log_q)
+            done += kc
+        log_w = np.concatenate(blocks, axis=0)
+        shift = log_w.max(axis=0)
+        out[start : start + nc] = shift + np.log(np.exp(log_w - shift).mean(axis=0))
+    return out
 
 
 def iw_melbo_objective(node, graph, config):

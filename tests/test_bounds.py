@@ -25,6 +25,7 @@ from degm.bounds import (
     risk,
     squared_loss,
 )
+from degm.checkpoint import load_model, save_model
 from degm.data import synth_generate
 from degm.nn import InvalidSpecError, ShapeError
 from degm.replay import TrainConfig, train_task_gr
@@ -56,6 +57,27 @@ def affine_pool(*params):
         snap.reconstruct = h.reconstruct
         pool.hypotheses.append(snap)
     return pool
+
+
+class TestSnapshotFreezing:
+    """A snapshot copies a model that can still train, and uses a frozen one as is."""
+
+    def test_loaded_model_is_not_copied(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, build_vae(data_dim=36, latent_dim=4, seed=3))
+        model = load_model(path)
+        assert HypothesisSnapshot(model)._frozen is model
+
+    def test_live_model_is_copied(self):
+        model = build_vae(data_dim=36, latent_dim=4, seed=3)
+        x = rng.stream(3, "x").random((5, 36))
+        snap = HypothesisSnapshot(model)
+        before = snap.reconstruct(x)
+        for p in model.parameters():
+            p.data += 0.5
+        assert snap._frozen is not model
+        assert snap.reconstruct(x).tobytes() == before.tobytes()
+        assert not np.array_equal(HypothesisSnapshot(model).reconstruct(x), before)
 
 
 class TestSquaredLoss:

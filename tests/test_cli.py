@@ -231,6 +231,19 @@ class TestSplitStream:
 
             build_stream(cfg)
 
+    @pytest.mark.parametrize("victim", ["train_images", "test_labels"])
+    def test_trailing_idx_bytes_exit_3(self, tmp_path, capsys, victim):
+        cfg = self._split_cfg(tmp_path)
+        with open(cfg["stream"][victim], "ab") as f:
+            f.write(b"\0")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " + cfg["stream"][victim])
+        assert "1 bytes after the" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
 
 class TestIwelboTraining:
     def test_iwelbo_gr_method_runs_and_improves(self, tmp_path):
@@ -540,6 +553,39 @@ class TestStrictNumericConfig:
 
     def test_integer_learning_rate_accepted(self):
         assert parse_config({**FAST, "learning_rate": 1})["learning_rate"] == 1
+
+
+class TestNonFiniteRun:
+    """A run whose loss or NLL is not finite exits 4 and writes no metrics."""
+
+    def test_diverging_training_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "method": "elbo_gr", "stream": ["bars", "blobs"], "learning_rate": 1e6,
+            "epochs": 1, "train_per_task": 200, "test_per_task": 50,
+        }))
+        code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "NonFiniteError: gr/task1: loss nan in epoch 1, batch " in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_non_finite_nll_exits_4(self, tmp_path, capsys, monkeypatch):
+        real = cli.vae_mod.nll_estimate
+
+        def nan_on_task_2(model, data, *args, **kwargs):
+            nll, se = real(model, data, *args, **kwargs)
+            return (float("nan"), se) if data is stream.tasks[1].test else (nll, se)
+
+        stream = build_stream(fast_cfg(tmp_path))
+        monkeypatch.setattr(cli, "build_stream", lambda cfg: stream)
+        monkeypatch.setattr(cli.vae_mod, "nll_estimate", nan_on_task_2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(FAST))
+        code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 4
+        assert "NonFiniteError: NLL nan on test task 2 after task 2" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
 class TestExportPlots:

@@ -10,6 +10,7 @@ from degm.data import (
     DataFormatError,
     IdxCountMismatchError,
     IdxMagicError,
+    IdxTrailingBytesError,
     IdxTruncatedError,
     SYNTH_FAMILIES,
     binarize,
@@ -228,3 +229,55 @@ class TestLoadIdx:
             f.write(bytes(2))
         with pytest.raises(IdxMagicError):
             load_idx(tmp_path / "i.idx", path)
+
+
+class TestCorruptIdx:
+    """Exhaustive over a tiny image/label pair: every truncation and every
+    single-byte flip either raises DataFormatError or loads the same shapes."""
+
+    SHAPES = ((3, 4), (3,), 2, 2)
+
+    @staticmethod
+    def shapes(ds):
+        return ds.images.shape, ds.labels.shape, ds.meta["width"], ds.meta["height"]
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(images, np.arange(12, dtype=np.uint8).reshape(3, 2, 2) * 20)
+        write_idx_labels(labels, [4, 2, 7])
+        assert self.shapes(load_idx(images, labels)) == self.SHAPES
+        return images, labels
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_every_truncation_raises(self, pair, victim):
+        path = pair[victim]
+        buf = path.read_bytes()
+        for n in range(len(buf)):
+            path.write_bytes(buf[:n])
+            with pytest.raises(DataFormatError):
+                load_idx(*pair)
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_trailing_bytes_rejected(self, pair, victim):
+        path = pair[victim]
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(IdxTrailingBytesError, match="1 bytes after the"):
+            load_idx(*pair)
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_every_byte_flip_raises_or_keeps_shapes(self, pair, victim):
+        path = pair[victim]
+        buf = path.read_bytes()
+        rejected = 0
+        for i in range(len(buf)):
+            flipped = bytearray(buf)
+            flipped[i] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded = load_idx(*pair)
+            except DataFormatError:
+                rejected += 1
+                continue
+            assert self.shapes(loaded) == self.SHAPES, f"flip at byte {i}"
+        assert 0 < rejected < len(buf)

@@ -1,7 +1,10 @@
 """Evaluation kernels: bitwise equal to their out-of-place oracles, inputs
-untouched, and no block-sized temporaries beyond the ones they return."""
+untouched, no block-sized temporaries beyond the ones they return, and the
+same bits however many CPUs share an importance-weighted chunk."""
 
+import threading
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from degm.vae import (
     mean_elbo_np,
     recon_loglik_np,
 )
-from helpers import oracle_forward_np, oracle_recon_loglik_np
+from helpers import oracle_forward_np, oracle_iw_logpx_np, oracle_recon_loglik_np
 
 
 def same_bits(a, b):
@@ -170,13 +173,98 @@ class TestSpecificNodeAccumulation:
         assert same_bits(mean_melbo_np(node, x, noise=gamma, per_example=True), want)
 
 
-def test_iw_eval_chunk_peak_memory():
-    """One 200 x 64 x 144 eval chunk allocates about three blocks at its peak:
-    the decoding, its clipped copy and the per-pixel terms (it was 5.2 blocks
-    when every ufunc allocated its own result)."""
+class TestSplitAcrossCpus:
+    """Each noise block is split along K' across the process's CPUs; the
+    estimates stay byte for byte those of the serial kernel."""
+
+    @staticmethod
+    def model(kind, likelihood):
+        if kind == "vae":
+            return build_vae(
+                data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,),
+                likelihood=likelihood, seed=6,
+            )
+        arch = ArchSpec(data_dim=36, inter_dim=12, latent_dim=4, feat_dim=12, likelihood=likelihood)
+        graph = GraphState(arch=arch)
+        for task in (1, 2):
+            build_basic_node(graph, task, seed=task)
+        return build_specific_node(graph, 3, [0.4, 0.6], seed=9)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["vae", "specific"])
+    @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian_identity"])
+    @pytest.mark.parametrize("path", ["rng", "noise"])
+    @pytest.mark.parametrize(
+        "n, k_prime, k_chunk",
+        # 70 rows make a 64-row and a 6-row batch chunk; K'=7 in one piece
+        # splits unevenly (3 parts: 3, 2, 2), in chunks of 3 as 3+3+1; one row
+        # keeps at least two samples per part
+        [(70, 7, 250), (70, 7, 3), (70, 20, 250), (1, 7, 250), (1, 2, 250)],
+    )
+    def test_bitwise_equal_to_serial_oracle(
+        self, monkeypatch, cpus, kind, likelihood, path, n, k_prime, k_chunk
+    ):
+        model = self.model(kind, likelihood)
+        g = np.random.default_rng(11)
+        x = g.random((n, 36))
+        if likelihood == "bernoulli":
+            x = (x > 0.5).astype(np.float64)
+        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
+        if path == "rng":
+            got = iw_logpx_np(model, x, k_prime, rng=np.random.default_rng(7), k_chunk=k_chunk)
+            want = oracle_iw_logpx_np(model, x, k_prime, rng=np.random.default_rng(7), k_chunk=k_chunk)
+        else:
+            noise = read_only(g.standard_normal((k_prime, n, 4)))
+            got = iw_logpx_np(model, x, k_prime, noise=noise, k_chunk=k_chunk)
+            want = oracle_iw_logpx_np(model, x, k_prime, noise=noise, k_chunk=k_chunk)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("kc, nc, cpus, parts", [
+        (200, 64, 2, 2), (7, 6, 3, 3), (1, 64, 5, 1), (7, 1, 5, 3), (3, 1, 2, 1), (1, 1, 2, 1),
+    ])
+    def test_part_count(self, kc, nc, cpus, parts):
+        assert vae._part_count(cpus, kc, nc) == parts
+
+    def test_domain_error_from_a_worker(self, monkeypatch):
+        model = build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)
+        x = (np.random.default_rng(5).random((10, 36)) > 0.5).astype(np.float64)
+        serial = vae.recon_loglik_np
+
+        def fails_off_the_calling_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise DomainError("raised in a worker")
+            return serial(*args, **kwargs)
+
+        monkeypatch.setattr(vae, "_eval_cpus", lambda: 2)
+        monkeypatch.setattr(vae, "recon_loglik_np", fails_off_the_calling_thread)
+        with pytest.raises(DomainError, match="raised in a worker"):
+            iw_logpx_np(model, x, 8)
+
+    def test_threads_only_inside_the_call(self, monkeypatch):
+        model = build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)
+        x = (np.random.default_rng(5).random((10, 36)) > 0.5).astype(np.float64)
+        real = futures.ThreadPoolExecutor
+        pools = []
+
+        def counted(*args, **kwargs):
+            pools.append(real(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", counted)
+        monkeypatch.setattr(vae, "_eval_cpus", lambda: 5)
+        before = threading.active_count()
+        iw_logpx_np(model, x, 1)
+        assert pools == []  # K' = 1: one part, no executor
+        iw_logpx_np(model, x, 8, k_chunk=3)
+        assert len(pools) == 1  # one executor per call, shared by its chunks
+        assert threading.active_count() == before
+
+
+def chunk_peak_blocks(monkeypatch, cpus):
+    """tracemalloc peak of one 200 x 64 x 144 eval chunk, in blocks."""
+    monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
     model = build_vae(seed=1)
     x = (np.random.default_rng(0).random((64, 144)) > 0.5).astype(np.float64)
-    block = 200 * 64 * 144 * 8
     iw_logpx_np(model, x, 200)  # warm caches outside the trace
     tracemalloc.start()
     try:
@@ -184,4 +272,16 @@ def test_iw_eval_chunk_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * block
+    return peak / (200 * 64 * 144 * 8)
+
+
+def test_iw_eval_chunk_peak_memory(monkeypatch):
+    """One 200 x 64 x 144 eval chunk allocates about three blocks at its peak:
+    the decoding, its clipped copy and the per-pixel terms (it was 5.2 blocks
+    when every ufunc allocated its own result)."""
+    assert chunk_peak_blocks(monkeypatch, cpus=1) <= 3.5
+
+
+def test_iw_eval_chunk_peak_memory_in_two_parts(monkeypatch):
+    """Split across two CPUs, the parts share those three blocks."""
+    assert chunk_peak_blocks(monkeypatch, cpus=2) <= 3.5

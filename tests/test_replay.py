@@ -7,15 +7,17 @@ import pytest
 from scipy import stats
 
 from degm.data import make_cross_domain_stream, synth_generate
-from degm.nn import InvalidSpecError
+from degm.nn import InvalidSpecError, Tensor
 from degm.rng import derive_seed
 from degm.replay import (
     MixedDataset,
+    NonFiniteError,
     PseudoDataset,
     TrainConfig,
     generate_pseudo,
     mix_datasets,
     run_gr_sequence,
+    run_training,
     train_task_gr,
 )
 from degm.vae import build_vae
@@ -238,3 +240,24 @@ class TestRunGrSequence:
         # domains differ in intrinsic difficulty, so compare degradation,
         # not absolute likelihoods: the earliest task accumulates most
         assert degradation_t1 > degradation_t2
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_raises_naming_label_epoch_and_batch(self, bad):
+        param = Tensor(np.zeros(3), requires_grad=True)
+        calls = []
+
+        def objective(batch, noise_rng):
+            calls.append(param.data.copy())
+            # epoch 2's third batch goes bad (4 batches of 10 per epoch)
+            extra = bad if len(calls) == 7 else 0.0
+            return (param * param).sum() + (extra - float(batch.sum()))
+
+        images = np.ones((40, 2))
+        config = TrainConfig(epochs=3, batch_size=10)
+        with pytest.raises(NonFiniteError, match=r"gr/task2: loss (nan|-inf) in epoch 2, batch 3"):
+            run_training([param], objective, images, config, "gr/task2")
+        assert len(calls) == 7
+        # the bad loss never reached the parameters
+        assert np.array_equal(param.data, calls[-1])
