@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from . import vae as vae_mod
-from .nn import InvalidSpecError, ShapeError
+from .nn import InvalidSpecError, ShapeError, no_grad
 
 
 class IncompleteInputError(ValueError):
@@ -47,8 +47,9 @@ class InvalidLogError(ValueError):
 class HypothesisSnapshot:
     """A frozen encode-decode map h(x) = decode(encode_mean(x)).
 
-    Snapshots are taken from any model exposing ``encode_np``/``decode_np``;
-    the latent is the posterior mean so the map is deterministic.
+    Snapshots are taken from any model exposing ``encode``/``decode``, run
+    under ``no_grad``; the latent is the posterior mean so the map is
+    deterministic.
     """
 
     def __init__(self, model, label: dict | None = None):
@@ -61,9 +62,9 @@ class HypothesisSnapshot:
         return self.reconstruct(x)
 
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        mu, _ = self._frozen.encode_np(x)
-        return self._frozen.decode_np(mu)
+        with no_grad():
+            mu, _ = self._frozen.encode(np.asarray(x, dtype=np.float64))
+            return self._frozen.decode(mu).data
 
 
 def _freeze_params(model):
@@ -272,20 +273,14 @@ def kl_gap(model, target_sets, mixed_set) -> float:
     versus over the mixed source set, both analytic."""
     if not target_sets:
         raise InvalidSpecError("need at least one target set")
-    per_task = []
-    for ts in target_sets:
+    kls = []
+    for kind, ts in [*(("target", t) for t in target_sets), ("mixed", mixed_set)]:
         x = np.asarray(getattr(ts, "images", ts), dtype=np.float64)
         if x.shape[0] == 0:
-            raise InvalidSpecError("empty target set")
-        mu, logvar = model.encode_np(x)
-        per_task.append(vae_mod.gaussian_kl_np(mu, logvar))
-    kl1 = float(np.mean(per_task))
-    xm = np.asarray(getattr(mixed_set, "images", mixed_set), dtype=np.float64)
-    if xm.shape[0] == 0:
-        raise InvalidSpecError("empty mixed set")
-    mu, logvar = model.encode_np(xm)
-    kl2 = vae_mod.gaussian_kl_np(mu, logvar)
-    return abs(kl1 - kl2)
+            raise InvalidSpecError(f"empty {kind} set")
+        with no_grad():
+            kls.append(float(vae_mod.gaussian_kl(*model.encode(x))))
+    return abs(float(np.mean(kls[:-1])) - kls[-1])
 
 
 def lelbo_breakdown(

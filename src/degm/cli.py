@@ -424,8 +424,6 @@ def cmd_train(cfg: dict) -> dict:
             force=force,
             eval_k_prime=cfg["eval_k_prime"],
         )
-        checkpoint_path = os.path.join(out_dir, "graph.bin")
-        ckpt_mod.save_graph(checkpoint_path, graph)
         expansion_log = graph.expansion_log
     else:
         factory = _model_factory(cfg)
@@ -441,11 +439,22 @@ def cmd_train(cfg: dict) -> dict:
             eval_k_prime=cfg["eval_k_prime"],
             epoch_hook=hook,
         )
-        checkpoint_path = os.path.join(out_dir, "model.bin")
-        ckpt_mod.save_model(checkpoint_path, model)
         expansion_log = None
         if recorder is not None:
             recorder.finish()
+
+    # a diverged run leaves no checkpoint behind
+    nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
+    for record, nlls in zip(task_records, nll_matrix):
+        for j, nll in enumerate(nlls, 1):
+            if not math.isfinite(nll):
+                raise NonFiniteError(f"NLL {nll} on test task {j} after task {record['task']}")
+    if is_graph_method:
+        checkpoint_path = os.path.join(out_dir, "graph.bin")
+        ckpt_mod.save_graph(checkpoint_path, graph)
+    else:
+        checkpoint_path = os.path.join(out_dir, "model.bin")
+        ckpt_mod.save_model(checkpoint_path, model)
 
     # ledger: one record per task with every seen test NLL; with diagnostics
     # enabled the bound-term breakdown at each task boundary fills the rest
@@ -453,11 +462,6 @@ def cmd_train(cfg: dict) -> dict:
     breakdowns = (
         _task_end_breakdowns(recorder, stream, cfg) if recorder is not None else {}
     )
-    nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
-    for record, nlls in zip(task_records, nll_matrix):
-        for j, nll in enumerate(nlls, 1):
-            if not math.isfinite(nll):
-                raise NonFiniteError(f"NLL {nll} on test task {j} after task {record['task']}")
     for record, nlls in zip(task_records, nll_matrix):
         if is_graph_method:
             partition = [{i} for i in range(1, record["task"] + 1)]

@@ -230,6 +230,9 @@ def make_split_stream(train: Dataset, test: Dataset, groups) -> TaskStream:
     for i, group in enumerate(groups, start=1):
         tr_idx = np.isin(train.labels, list(group))
         te_idx = np.isin(test.labels, list(group))
+        for split, idx in (("train", tr_idx), ("test", te_idx)):
+            if not idx.any():
+                raise DataFormatError(f"label group {sorted(group)} selects no {split} example")
         tasks.append(Task(i, train.subset(tr_idx), test.subset(te_idx)))
     return TaskStream(tasks, kind="split")
 

@@ -138,13 +138,6 @@ class BasicNode(_Node):
     def decode(self, z: Tensor) -> Tensor:
         return self.g_prime.forward(self.g_tilde.forward(z))
 
-    def encode_np(self, x: np.ndarray):
-        h = self.f_tilde.forward_np(x)
-        return self.f_mu.forward_np(h), self.f_logvar.forward_np(h)
-
-    def decode_np(self, z: np.ndarray) -> np.ndarray:
-        return self.g_prime.forward_np(self.g_tilde.forward_np(z))
-
 
 class SpecificNode(_Node):
     """Two fresh heads and an output head, wired through the trunks and latent
@@ -188,28 +181,6 @@ class SpecificNode(_Node):
             f_i = parent.g_tilde.forward(z) * float(weight)
             feat = f_i if feat is None else feat + f_i
         return self.g_prime.forward(feat)
-
-    def encode_np(self, x: np.ndarray):
-        mu_bar = None
-        sd_bar = None
-        for weight, parent in zip(self.pi, self.parents):
-            h = parent.f_tilde.forward_np(x)
-            mu_i = self.f_mu.forward_np(h)
-            sd_i = np.exp(0.5 * self.f_logvar.forward_np(h))
-            mu_bar = weight * mu_i if mu_bar is None else mu_bar + weight * mu_i
-            sd_bar = weight * sd_i if sd_bar is None else sd_bar + weight * sd_i
-        return mu_bar, 2.0 * np.log(sd_bar)
-
-    def decode_np(self, z: np.ndarray) -> np.ndarray:
-        feat = None
-        for weight, parent in zip(self.pi, self.parents):
-            f_i = parent.g_tilde.forward_np(z)
-            f_i *= weight
-            if feat is None:
-                feat = f_i
-            else:
-                feat += f_i
-        return self.g_prime.forward_np(feat)
 
 
 @dataclass
@@ -425,26 +396,20 @@ def melbo(node: SpecificNode, batch, mc_samples: int = 1, noise=None, rng=None):
 
 
 def mean_melbo_np(node: SpecificNode, x: np.ndarray, rng=None, noise=None, per_example: bool = False):
-    """Evaluation-only mixture bound (plain arrays)."""
+    """Evaluation-only mixture bound: ``specific_forward`` under no_grad, with
+    the pi-weighted branch KLs kept per example."""
     x = np.asarray(x, dtype=np.float64)
     if rng is None:
         rng = rng_mod.stream(0, "degm/melbo-eval")
-    gamma = (
-        np.asarray(noise, dtype=np.float64)
-        if noise is not None
-        else rng.standard_normal((x.shape[0], node.latent_dim))
-    )
-    z = np.zeros((x.shape[0], node.latent_dim))
-    kl = np.zeros(x.shape[0])
-    for weight, parent in zip(node.pi, node.parents):
-        h = parent.f_tilde.forward_np(x)
-        mu_i = node.f_mu.forward_np(h)
-        logvar_i = node.f_logvar.forward_np(h)
-        z += weight * (mu_i + np.exp(0.5 * logvar_i) * gamma)
-        kl += weight * vae_mod.gaussian_kl_np(mu_i, logvar_i, per_example=True)
-    y = node.decode_np(z)
-    recon = vae_mod.recon_loglik_np(y, x, node.likelihood, node.normalize_recon)
-    vals = recon - kl
+    gamma = noise if noise is not None else rng.standard_normal((x.shape[0], node.latent_dim))
+    with no_grad():
+        out = specific_forward(node, x, gamma)
+        kl = None
+        for weight, (mu_i, logvar_i) in zip(node.pi, out["branch_stats"]):
+            term = vae_mod._gaussian_kl_pe(mu_i, logvar_i) * float(weight)
+            kl = term if kl is None else kl + term
+    recon = vae_mod.recon_loglik_np(out["recon"].data, x, node.likelihood, node.normalize_recon)
+    vals = recon - kl.data
     return vals if per_example else float(vals.mean())
 
 

@@ -190,24 +190,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (a,), grad_fn)
 
-    def sigmoid(self) -> "Tensor":
-        a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-        def grad_fn(g):
-            return (g * out_data * (1.0 - out_data),)
-
-        return Tensor._from_op(out_data, (a,), grad_fn)
-
-    def relu(self) -> "Tensor":
-        a = self
-        mask = a.data > 0.0
-
-        def grad_fn(g):
-            return (g * mask,)
-
-        return Tensor._from_op(a.data * mask, (a,), grad_fn)
-
     def clip(self, lo: float, hi: float) -> "Tensor":
         a = self
         mask = (a.data >= lo) & (a.data <= hi)
@@ -309,14 +291,6 @@ def backward(scalar_loss: Tensor) -> None:
 
 ACTIVATIONS = ("tanh", "relu", "sigmoid", "identity")
 
-_ACT_FNS = {
-    "tanh": Tensor.tanh,
-    "relu": Tensor.relu,
-    "sigmoid": Tensor.sigmoid,
-    "identity": lambda t: t,
-}
-
-
 def _sigmoid_inplace(h: np.ndarray) -> None:
     # the four ufuncs of 1.0 / (1.0 + np.exp(-h)), in that order
     np.negative(h, out=h)
@@ -325,15 +299,24 @@ def _sigmoid_inplace(h: np.ndarray) -> None:
     np.divide(1.0, h, out=h)
 
 
-# Activations for forward_np, applied in place to the layer's freshly
-# allocated pre-activation: the same ufuncs in the same order as the
-# out-of-place expressions, so the bits are unchanged and no block-sized
-# temporary is allocated.
+# Activations, applied in place to the layer's freshly allocated
+# pre-activation: the same ufuncs in the same order as the out-of-place
+# expressions, so the bits are unchanged and no block-sized temporary is
+# allocated.
 _ACT_FNS_INPLACE = {
     "tanh": lambda h: np.tanh(h, out=h),
     "relu": lambda h: np.maximum(h, 0.0, out=h),
     "sigmoid": _sigmoid_inplace,
     "identity": lambda h: None,
+}
+
+# Gradient with respect to a layer's pre-activation, from the gradient ``g``
+# with respect to its output ``y``.
+_ACT_GRADS = {
+    "tanh": lambda g, y: g * (1.0 - y * y),
+    "relu": lambda g, y: g * (y > 0.0),
+    "sigmoid": lambda g, y: g * y * (1.0 - y),
+    "identity": lambda g, y: g,
 }
 
 
@@ -397,21 +380,42 @@ class Mlp:
         return sum(p.size for p in self.parameters())
 
     def forward(self, x: Tensor) -> Tensor:
+        """One tape op over every layer: ``forward_np`` computes the outputs,
+        and the backward walks the kept layer outputs in reverse."""
         x = as_tensor(x)
         squeeze = x.ndim == 1
         if squeeze:
             x = x.reshape(1, x.shape[0])
-        if x.shape[-1] != self.in_width:
-            raise ShapeError(f"input extent {x.shape[-1]} != first layer width {self.in_width}")
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = x @ w + b
-            x = _ACT_FNS[act](x)
-        if squeeze:
-            x = x.reshape(x.shape[1])
-        return x
+        params = self.parameters()
+        if not (_GRAD_ENABLED and (x.requires_grad or any(p.requires_grad for p in params))):
+            out = Tensor(self.forward_np(x.data))
+        else:
+            if x.ndim != 2:
+                raise ShapeError(f"a recorded forward needs an (n, d) input, got {x.shape}")
+            outputs: list[np.ndarray] = []
+            self.forward_np(x.data, outputs)
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Evaluation-only forward pass; same arithmetic, no tape."""
+            def grad_fn(g):
+                grads = [None] * len(params)
+                for i in reversed(range(len(self.weights))):
+                    g = _ACT_GRADS[self.activations[i]](g, outputs[i])
+                    w, b = self.weights[i], self.biases[i]
+                    inp = outputs[i - 1] if i else x.data
+                    if w.requires_grad:
+                        grads[2 * i] = inp.T @ g
+                    if b.requires_grad:
+                        grads[2 * i + 1] = g.sum(axis=0)
+                    g = g @ w.data.T if i or x.requires_grad else None
+                return (g, *grads)
+
+            out = Tensor._from_op(outputs[-1], (x, *params), grad_fn)
+        if squeeze:
+            out = out.reshape(out.shape[1])
+        return out
+
+    def forward_np(self, x: np.ndarray, outputs: list | None = None) -> np.ndarray:
+        """The layer arithmetic, on plain arrays; ``outputs`` (a list) receives
+        each layer's output in order."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.in_width:
             raise ShapeError(f"input extent {x.shape[-1]} != first layer width {self.in_width}")
@@ -419,6 +423,8 @@ class Mlp:
             h = x @ w.data
             h += b.data
             _ACT_FNS_INPLACE[act](h)
+            if outputs is not None:
+                outputs.append(h)
             x = h
         return x
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as rng_mod
 from . import vae as vae_mod
 from .data import Dataset, TaskStream
-from .nn import InvalidSpecError, ShapeError, adam_step, backward, init_adam, zero_grad
+from .nn import InvalidSpecError, ShapeError, adam_step, backward, init_adam, no_grad, zero_grad
 
 
 class NonFiniteError(RuntimeError):
@@ -85,7 +85,8 @@ def generate_pseudo(model, n: int, seed: int, binarize: bool | None = None) -> P
     if n < 1:
         raise InvalidSpecError(f"n must be >= 1, got {n}")
     z = rng_mod.stream(seed, "replay/latent").standard_normal((n, model.latent_dim))
-    samples = model.decode_np(z)
+    with no_grad():
+        samples = model.decode(z).data
     if binarize is None:
         binarize = model.likelihood == "bernoulli"
     if binarize:

@@ -6,10 +6,11 @@ the unit Gaussian prior. The importance-weighted bound tightens it with
 K' weighted samples; with K' = 1 the two coincide and this module makes
 that identity exact by sharing the single-sample code path.
 
-Any object with ``encode/decode`` (tensor) and ``encode_np/decode_np``
-(plain arrays) plus ``latent_dim``, ``data_dim``, ``likelihood`` and
-``normalize_recon`` attributes can be scored by these functions; the
-expansion-graph nodes reuse them unchanged.
+Any object with tape ``encode``/``decode`` plus ``latent_dim``,
+``data_dim``, ``likelihood`` and ``normalize_recon`` attributes can be
+scored by these functions; the expansion-graph nodes reuse them unchanged.
+Evaluation runs the same ``encode``/``decode`` under ``no_grad``, so
+training and evaluation share one forward pass per model.
 """
 
 from __future__ import annotations
@@ -93,13 +94,6 @@ class VaeModel:
 
     def decode(self, z: Tensor) -> Tensor:
         return self.decoder.forward(z)
-
-    def encode_np(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = self.trunk.forward_np(x)
-        return self.mu_head.forward_np(h), self.logvar_head.forward_np(h)
-
-    def decode_np(self, z: np.ndarray) -> np.ndarray:
-        return self.decoder.forward_np(z)
 
     def parameters(self) -> list[Tensor]:
         params = []
@@ -185,21 +179,18 @@ def _promote_2d(t: Tensor) -> Tensor:
     return t.reshape(1, t.shape[0]) if t.ndim == 1 else t
 
 
-def gaussian_kl(mu, logvar) -> Tensor:
-    """Analytic KL(N(mu, exp(logvar)) || N(0, I)), per example then batch-averaged."""
+def _gaussian_kl_pe(mu, logvar) -> Tensor:
+    """Analytic KL(N(mu, exp(logvar)) || N(0, I)) per example, shape (n,)."""
     mu = _promote_2d(as_tensor(mu))
     logvar = _promote_2d(as_tensor(logvar))
     if mu.shape != logvar.shape:
         raise ShapeError(f"mu {mu.shape} and logvar {logvar.shape} must match")
-    per_example = (mu * mu + logvar.exp() - logvar - 1.0).sum(axis=1) * 0.5
-    return per_example.mean()
+    return (mu * mu + logvar.exp() - logvar - 1.0).sum(axis=1) * 0.5
 
 
-def gaussian_kl_np(mu: np.ndarray, logvar: np.ndarray, per_example: bool = False):
-    mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
-    logvar = np.atleast_2d(np.asarray(logvar, dtype=np.float64))
-    kl = 0.5 * (mu * mu + np.exp(logvar) - logvar - 1.0).sum(axis=-1)
-    return kl if per_example else float(kl.mean())
+def gaussian_kl(mu, logvar) -> Tensor:
+    """Analytic KL(N(mu, exp(logvar)) || N(0, I)), per example then batch-averaged."""
+    return _gaussian_kl_pe(mu, logvar).mean()
 
 
 def _recon_loglik_pe(decoder_output: Tensor, x: Tensor, likelihood: str, normalize: bool) -> Tensor:
@@ -394,7 +385,7 @@ def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> ElboEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation-only paths (plain numpy, chunked)
+# Evaluation-only paths (the models' forward under no_grad, chunked)
 
 
 def _eval_cpus() -> int:
@@ -416,10 +407,13 @@ def _part_count(cpus: int, kc: int, nc: int) -> int:
 
 
 def _log_w_rows(model, xc, mu, sd, logvar_sum, gamma) -> np.ndarray:
-    """log p(x, z) - log q(z | x) for each sample of one noise part, shape (k, n)."""
+    """log p(x, z) - log q(z | x) for each sample of one noise part, shape (k, n).
+
+    Runs on pool threads: the caller has switched grad recording off, and
+    this must not switch it (the flag is process-wide)."""
     latent = model.latent_dim
     z = mu[None] + sd[None] * gamma
-    y = model.decode_np(z.reshape(-1, latent)).reshape(gamma.shape[0], xc.shape[0], -1)
+    y = model.decode(z.reshape(-1, latent)).data.reshape(gamma.shape[0], xc.shape[0], -1)
     recon = recon_loglik_np(y, xc[None], model.likelihood, model.normalize_recon)
     log_p = -0.5 * (z * z).sum(axis=-1) - (latent / 2.0) * _LOG_2PI
     log_q = -0.5 * ((gamma * gamma).sum(axis=-1) + logvar_sum[None] + latent * _LOG_2PI)
@@ -447,7 +441,8 @@ def iw_logpx_np(
     the rest, and the parts' rows are joined in order. Every row is computed
     as it would be in one piece, so the result is bitwise independent of the
     CPU count, and the parts together hold one block's temporaries. The
-    threads live only inside the call.
+    threads live only inside the call, and grad recording is off for all of
+    it, switched once on the calling thread.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
@@ -474,11 +469,11 @@ def iw_logpx_np(
 
         pool = ThreadPoolExecutor(most - 1)
     out = np.empty(x.shape[0])
-    with pool:
+    with no_grad(), pool:
         for start in range(0, x.shape[0], batch_chunk):
             xc = x[start : start + batch_chunk]
             nc = xc.shape[0]
-            mu, logvar = model.encode_np(xc)
+            mu, logvar = (t.data for t in model.encode(xc))
             sd = np.exp(0.5 * logvar)
             logvar_sum = logvar.sum(axis=-1)
             blocks = []
@@ -519,11 +514,11 @@ def mean_elbo_np(model, x: np.ndarray, rng=None, noise=None, per_example: bool =
     x = np.asarray(x, dtype=np.float64)
     if rng is None:
         rng = rng_mod.stream(0, "vae/elbo-eval")
-    mu, logvar = model.encode_np(x)
-    gamma = np.asarray(noise, dtype=np.float64) if noise is not None else rng.standard_normal(mu.shape)
-    z = mu + np.exp(0.5 * logvar) * gamma
-    y = model.decode_np(z)
-    recon = recon_loglik_np(y, x, model.likelihood, model.normalize_recon)
-    kl = gaussian_kl_np(mu, logvar, per_example=True)
-    vals = recon - kl
+    with no_grad():
+        mu, logvar = model.encode(x)
+        gamma = noise if noise is not None else rng.standard_normal(mu.shape)
+        y = model.decode(reparameterize(mu, logvar, gamma))
+        kl = _gaussian_kl_pe(mu, logvar)
+    recon = recon_loglik_np(y.data, x, model.likelihood, model.normalize_recon)
+    vals = recon - kl.data
     return vals if per_example else float(vals.mean())

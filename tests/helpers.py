@@ -1,15 +1,19 @@
 """Shared test oracles: finite differences, gradient comparison, stacked pools,
-out-of-place copies of the evaluation kernels, the serial importance-weighted
-log-likelihood, and the importance-weighted mixture objective as it was
-written before Specific nodes became models."""
+out-of-place copies of the evaluation kernels, the models' encode and decode
+built only from those copies, the serial importance-weighted log-likelihood,
+and the importance-weighted mixture objective as it was written before
+Specific nodes became models."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 
 from degm import nn
 from degm import vae as vae_mod
 from degm.bounds import HypothesisPool
+from degm.graph import SpecificNode
 from degm import rng as rng_mod
 from degm.nn import as_tensor
 from degm.vae import BERNOULLI_CLAMP
@@ -74,11 +78,50 @@ _ORACLE_ACTS = {
 }
 
 
-def oracle_forward_np(mlp, x):
+def oracle_forward_np(mlp, x, outputs=None):
     x = np.asarray(x, dtype=np.float64)
     for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
         x = _ORACLE_ACTS[act](x @ w.data + b.data)
+        if outputs is not None:
+            outputs.append(x)
     return x
+
+
+def _weighted_sum(pi, terms):
+    """sum_i pi_i * term_i, added left to right as the Specific node does."""
+    return functools.reduce(operator.add, (w * t for w, t in zip(pi, terms)))
+
+
+def oracle_encode(model, x):
+    """(mu, logvar) of a ``VaeModel``, Basic or Specific node, from
+    ``oracle_forward_np`` on its sub-models."""
+    if isinstance(model, SpecificNode):
+        hs = [oracle_forward_np(parent.f_tilde, x) for parent in model.parents]
+        mu = _weighted_sum(model.pi, [oracle_forward_np(model.f_mu, h) for h in hs])
+        sd = _weighted_sum(model.pi, [np.exp(0.5 * oracle_forward_np(model.f_logvar, h)) for h in hs])
+        return mu, 2.0 * np.log(sd)
+    if isinstance(model, vae_mod.VaeModel):
+        trunk, mu_head, logvar_head = model.trunk, model.mu_head, model.logvar_head
+    else:
+        trunk, mu_head, logvar_head = model.f_tilde, model.f_mu, model.f_logvar
+    h = oracle_forward_np(trunk, x)
+    return oracle_forward_np(mu_head, h), oracle_forward_np(logvar_head, h)
+
+
+def oracle_decode(model, z):
+    """Decoder mean of a ``VaeModel``, Basic or Specific node, from
+    ``oracle_forward_np`` on its sub-models."""
+    if isinstance(model, vae_mod.VaeModel):
+        return oracle_forward_np(model.decoder, z)
+    if isinstance(model, SpecificNode):
+        feat = _weighted_sum(model.pi, [oracle_forward_np(p.g_tilde, z) for p in model.parents])
+        return oracle_forward_np(model.g_prime, feat)
+    return oracle_forward_np(model.g_prime, oracle_forward_np(model.g_tilde, z))
+
+
+def oracle_gaussian_kl(mu, logvar):
+    """Per-example analytic KL(N(mu, exp(logvar)) || N(0, I))."""
+    return 0.5 * (mu * mu + np.exp(logvar) - logvar - 1.0).sum(axis=-1)
 
 
 def oracle_recon_loglik_np(y, x, likelihood, normalize=False):
@@ -101,7 +144,8 @@ def oracle_recon_loglik_np(y, x, likelihood, normalize=False):
 
 def oracle_iw_logpx_np(model, x, k_prime, rng=None, noise=None, batch_chunk=64, k_chunk=250):
     """``vae.iw_logpx_np`` as it was before noise blocks were split across CPUs:
-    one thread, each (kc, nc, latent) block decoded in one piece."""
+    one thread, each (kc, nc, latent) block decoded in one piece, through
+    ``oracle_encode``/``oracle_decode``."""
     x = np.asarray(x, dtype=np.float64)
     if rng is None and noise is None:
         rng = rng_mod.stream(0, "vae/iw-eval")
@@ -113,7 +157,7 @@ def oracle_iw_logpx_np(model, x, k_prime, rng=None, noise=None, batch_chunk=64, 
     for start in range(0, x.shape[0], batch_chunk):
         xc = x[start : start + batch_chunk]
         nc = xc.shape[0]
-        mu, logvar = model.encode_np(xc)
+        mu, logvar = oracle_encode(model, xc)
         sd = np.exp(0.5 * logvar)
         blocks = []
         done = 0
@@ -124,7 +168,7 @@ def oracle_iw_logpx_np(model, x, k_prime, rng=None, noise=None, batch_chunk=64, 
             else:
                 gamma = rng.standard_normal((kc, nc, latent))
             z = mu[None] + sd[None] * gamma
-            y = model.decode_np(z.reshape(-1, latent)).reshape(kc, nc, -1)
+            y = oracle_decode(model, z.reshape(-1, latent)).reshape(kc, nc, -1)
             recon = vae_mod.recon_loglik_np(y, xc[None], model.likelihood, model.normalize_recon)
             log_p = -0.5 * (z * z).sum(axis=-1) - (latent / 2.0) * log_2pi
             log_q = -0.5 * ((gamma * gamma).sum(axis=-1) + logvar.sum(axis=-1)[None] + latent * log_2pi)

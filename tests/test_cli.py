@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from degm import bounds, cli, rng
+from degm import graph as cli_graph
 from degm.checkpoint import load_model
 from degm.cli import (
     ConfigError,
@@ -149,13 +150,13 @@ class TestCmdTrain:
 
 
 class TestSplitStream:
-    def _write_idx(self, tmp_path):
+    def _write_idx(self, tmp_path, test_labels=(0, 1, 2, 3)):
         import struct
 
         g = np.random.default_rng(5)
 
-        def dump(prefix, n_per_label):
-            labels = np.repeat([0, 1, 2, 3], n_per_label)
+        def dump(prefix, n_per_label, label_set=(0, 1, 2, 3)):
+            labels = np.repeat(label_set, n_per_label)
             imgs = (g.random((len(labels), 4, 4)) * 255).astype(np.uint8)
             ip = tmp_path / f"{prefix}-images.idx"
             lp = tmp_path / f"{prefix}-labels.idx"
@@ -167,10 +168,10 @@ class TestSplitStream:
                 f.write(labels.astype(np.uint8).tobytes())
             return str(ip), str(lp)
 
-        return dump("train", 40), dump("test", 10)
+        return dump("train", 40), dump("test", 10, test_labels)
 
-    def _split_cfg(self, tmp_path, groups=((0, 1), (2, 3))):
-        (tri, trl), (tei, tel) = self._write_idx(tmp_path)
+    def _split_cfg(self, tmp_path, groups=((0, 1), (2, 3)), test_labels=(0, 1, 2, 3)):
+        (tri, trl), (tei, tel) = self._write_idx(tmp_path, test_labels)
         return parse_config(
             {
                 "method": "elbo_gr",
@@ -230,6 +231,25 @@ class TestSplitStream:
             from degm.cli import build_stream
 
             build_stream(cfg)
+
+    @pytest.mark.parametrize(
+        "groups, test_labels, message",
+        [
+            # the test file holds no label 2 or 3: group (2, 3) has no test example
+            (((0, 1), (2, 3)), (0, 1), "label group [2, 3] selects no test example"),
+            # label 7 occurs nowhere
+            (((0, 1), (2, 3), (7,)), (0, 1, 2, 3), "label group [7] selects no train example"),
+        ],
+    )
+    def test_empty_label_group_exit_3(self, tmp_path, capsys, monkeypatch, groups, test_labels, message):
+        cfg = self._split_cfg(tmp_path, groups=groups, test_labels=test_labels)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        trained = []
+        monkeypatch.setattr(cli, "run_gr_sequence", lambda *a, **k: trained.append(1))
+        assert main(["train", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {message}")
+        assert trained == []
 
     @pytest.mark.parametrize("victim", ["train_images", "test_labels"])
     def test_trailing_idx_bytes_exit_3(self, tmp_path, capsys, victim):
@@ -556,7 +576,8 @@ class TestStrictNumericConfig:
 
 
 class TestNonFiniteRun:
-    """A run whose loss or NLL is not finite exits 4 and writes no metrics."""
+    """A run whose loss or NLL is not finite exits 4 and writes no metrics
+    and no checkpoint."""
 
     def test_diverging_training_exits_4(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -569,6 +590,7 @@ class TestNonFiniteRun:
         err = capsys.readouterr().err
         assert "NonFiniteError: gr/task1: loss nan in epoch 1, batch " in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not (tmp_path / "run" / "model.bin").exists()
 
     def test_non_finite_nll_exits_4(self, tmp_path, capsys, monkeypatch):
         real = cli.vae_mod.nll_estimate
@@ -586,6 +608,23 @@ class TestNonFiniteRun:
         assert code == 4
         assert "NonFiniteError: NLL nan on test task 2 after task 2" in capsys.readouterr().err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not (tmp_path / "run" / "model.bin").exists()
+
+    def test_non_finite_degm_nll_exits_4_without_graph(self, tmp_path, capsys, monkeypatch):
+        real = cli_graph.evaluate_task
+
+        def nan_on_task_2(*args, **kwargs):
+            record = real(*args, **kwargs)
+            return {**record, "nll": float("nan")} if kwargs["true_task"] == 2 else record
+
+        monkeypatch.setattr(cli_graph, "evaluate_task", nan_on_task_2)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAST, "method": "degm_elbo", "tau": 35.0, "epochs": 1}))
+        code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 4
+        assert "NonFiniteError: NLL nan on test task 2 after task 2" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not (tmp_path / "run" / "graph.bin").exists()
 
 
 class TestExportPlots:

@@ -2,6 +2,7 @@
 untouched, no block-sized temporaries beyond the ones they return, and the
 same bits however many CPUs share an importance-weighted chunk."""
 
+import contextlib
 import threading
 import tracemalloc
 from concurrent import futures
@@ -20,12 +21,17 @@ from degm.graph import (
 from degm.vae import (
     DomainError,
     build_vae,
-    gaussian_kl_np,
+    elbo_parts,
     iw_logpx_np,
     mean_elbo_np,
     recon_loglik_np,
 )
-from helpers import oracle_forward_np, oracle_iw_logpx_np, oracle_recon_loglik_np
+from helpers import (
+    oracle_forward_np,
+    oracle_gaussian_kl,
+    oracle_iw_logpx_np,
+    oracle_recon_loglik_np,
+)
 
 
 def same_bits(a, b):
@@ -57,6 +63,22 @@ class TestForwardNp:
         mlp.forward_np(x)
         assert same_bits(x, before)
         assert all(same_bits(p.data, w) for p, w in zip(mlp.parameters(), weights))
+
+    @pytest.mark.parametrize("act", nn.ACTIVATIONS)
+    @pytest.mark.parametrize("rows", [64, 12800])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_tape_forward_bitwise_equal_to_oracle(self, act, rows, record):
+        """The tape forward runs the eval kernel: same bits recorded or under
+        no_grad, including the sign of zero (ReLU gives +0.0)."""
+        mlp = nn.build_mlp(nn.MlpSpec.make((9, 30, 20, 7), hidden=act, output=act, seed=4))
+        x = np.random.default_rng(1).standard_normal((rows, 9)) * 6.0
+        with contextlib.nullcontext() if record else nn.no_grad():
+            out = mlp.forward(nn.Tensor(x))
+        assert out.requires_grad == record
+        want = oracle_forward_np(mlp, x)
+        assert same_bits(out.data, want)
+        if act == "relu":
+            assert (want == 0.0).any() and not np.signbit(out.data).any()
 
 
 class TestReconLoglikNp:
@@ -153,7 +175,8 @@ class TestSpecificNodeAccumulation:
         graph, node = graph_and_node
         z = np.random.default_rng(8).standard_normal((3, 50, 4))
         want = oracle_forward_np(node.g_prime, self.oracle_features(node, graph.basic_nodes, z))
-        assert same_bits(node.decode_np(z), want)
+        with nn.no_grad():
+            assert same_bits(node.decode(z).data, want)
 
     def test_mean_melbo(self, graph_and_node):
         graph, node = graph_and_node
@@ -166,7 +189,7 @@ class TestSpecificNodeAccumulation:
             h = oracle_forward_np(basic.f_tilde, x)
             mu, logvar = oracle_forward_np(node.f_mu, h), oracle_forward_np(node.f_logvar, h)
             z += weight * (mu + np.exp(0.5 * logvar) * gamma)
-            kl += weight * gaussian_kl_np(mu, logvar, per_example=True)
+            kl += weight * oracle_gaussian_kl(mu, logvar)
         feat = self.oracle_features(node, graph.basic_nodes, z, feat=np.zeros((50, 12)))
         y = oracle_forward_np(node.g_prime, feat)
         want = oracle_recon_loglik_np(y, x, "bernoulli") - kl
@@ -239,6 +262,21 @@ class TestSplitAcrossCpus:
         monkeypatch.setattr(vae, "recon_loglik_np", fails_off_the_calling_thread)
         with pytest.raises(DomainError, match="raised in a worker"):
             iw_logpx_np(model, x, 8)
+
+    def test_grad_mode_restored_after_threaded_eval(self, monkeypatch):
+        """Pool threads never switch grad recording: after many 3-part
+        evaluations of a trainable model, the tape records and fills every
+        parameter's gradient."""
+        model = build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)
+        x = (np.random.default_rng(5).random((10, 36)) > 0.5).astype(np.float64)
+        monkeypatch.setattr(vae, "_eval_cpus", lambda: 3)
+        assert vae._part_count(3, 9, 10) == 3
+        for _ in range(20):
+            iw_logpx_np(model, x, 9)
+        assert nn._GRAD_ENABLED
+        recon, kl = elbo_parts(model, x, rng=np.random.default_rng(0))
+        nn.backward(recon - kl)
+        assert all(p.grad is not None for p in model.parameters())
 
     def test_threads_only_inside_the_call(self, monkeypatch):
         model = build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)

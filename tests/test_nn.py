@@ -21,7 +21,7 @@ from degm.nn import (
     no_grad,
     zero_grad,
 )
-from helpers import max_grad_error
+from helpers import max_grad_error, oracle_forward_np
 
 
 class TestBuildMlp:
@@ -173,6 +173,48 @@ class TestBackward:
                 return (out * out).sum()
 
             assert max_grad_error(value, loss, params) < 1e-4
+
+
+    @pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", "identity"])
+    def test_fused_backward_matches_layer_formulas(self, act):
+        # the whole MLP is one tape op; its backward must give each layer's
+        # textbook gradients, bit for bit, in numpy from the oracle's outputs
+        mlp = build_mlp(MlpSpec.make((5, 7, 6, 3), hidden=act, output=act, seed=2))
+        x = Tensor(rng.stream(3, "x").standard_normal((11, 5)) * 3.0, requires_grad=True)
+        c = rng.stream(4, "c").standard_normal((11, 3))
+        backward((mlp.forward(x) * Tensor(c)).sum())
+        outputs = []
+        oracle_forward_np(mlp, x.data, outputs)
+        through_activation = {
+            "tanh": lambda g, y: g * (1.0 - y * y),
+            "relu": lambda g, y: g * (y > 0.0),
+            "sigmoid": lambda g, y: g * y * (1.0 - y),
+            "identity": lambda g, y: g,
+        }[act]
+        g = c
+        for i in reversed(range(3)):
+            g = through_activation(g, outputs[i])
+            inp = outputs[i - 1] if i else x.data
+            assert mlp.weights[i].grad.tobytes() == (inp.T @ g).tobytes()
+            assert mlp.biases[i].grad.tobytes() == g.sum(axis=0).tobytes()
+            g = g @ mlp.weights[i].data.T
+        assert x.grad.tobytes() == g.tobytes()
+
+    def test_frozen_layers_pass_gradient_to_the_input(self):
+        mlp = build_mlp(MlpSpec.make((4, 6, 2), seed=3))
+        mlp.set_requires_grad(False)
+        x = Tensor(rng.stream(1, "x").random((5, 4)), requires_grad=True)
+        out = mlp.forward(x)
+        backward((out * out).sum())
+        assert x.grad is not None and x.grad.shape == (5, 4)
+        assert all(p.grad is None for p in mlp.parameters())
+
+    def test_recorded_forward_needs_2d_input(self):
+        mlp = build_mlp(MlpSpec.make((4, 2), seed=3))
+        with pytest.raises(ShapeError):
+            mlp.forward(Tensor(np.zeros((2, 3, 4))))
+        with no_grad():
+            assert mlp.forward(Tensor(np.zeros((2, 3, 4)))).shape == (2, 3, 2)
 
 
 class TestAdam:
