@@ -308,11 +308,11 @@ def lelbo_breakdown(
     if rng is None:
         rng = rng_mod.stream(0, "bounds/lelbo")
     xm = np.asarray(getattr(mixed_set, "images", mixed_set), dtype=np.float64)
-    source = -vae_mod.mean_elbo_np(model, xm, rng=rng)
+    source = -vae_mod.elbo(model, xm, rng=rng).total
     per_task = []
     for ts in target_sets:
         x = np.asarray(getattr(ts, "images", ts), dtype=np.float64)
-        per_task.append(-vae_mod.mean_elbo_np(model, x, rng=rng))
+        per_task.append(-vae_mod.elbo(model, x, rng=rng).total)
     target = float(np.mean(per_task))
     gap = kl_gap(model, target_sets, mixed_set)
 

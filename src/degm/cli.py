@@ -98,7 +98,6 @@ CONFIG_DEFAULTS = {
         "snapshot_every": 1,
         "pool_size": 64,
         "sample_size": 1000,
-        "eval_k_prime": 200,
     },
 }
 
@@ -301,7 +300,8 @@ def _model_factory(cfg: dict):
 
 
 class _SnapshotRecorder:
-    """Writes per-epoch model snapshots plus the task's mixed training sample."""
+    """Writes per-epoch model snapshots plus the task's mixed training sample,
+    and remembers every file it wrote."""
 
     def __init__(self, out_dir: str, cfg: dict):
         self.dir = os.path.join(out_dir, "snapshots")
@@ -312,10 +312,15 @@ class _SnapshotRecorder:
         self.entries: list[dict] = []
         self.epochs_per_task = cfg["epochs"]
         self._saved_mixed: set[int] = set()
+        self.written: list[str] = []
+
+    def _save_model(self, path: str, model) -> None:
+        ckpt_mod.save_model(path, model)
+        self.written.append(path)
 
     def record_initial(self, model) -> None:
         path = os.path.join(self.dir, "snap_t00_e00.bin")
-        ckpt_mod.save_model(path, model)
+        self._save_model(path, model)
         self.entries.append({"task": 0, "epoch": 0, "global_epoch": 0, "snapshot": path})
 
     def hook(self, task: int, epoch: int, model, mixed, record) -> None:
@@ -330,9 +335,10 @@ class _SnapshotRecorder:
                 )
                 samples = samples[idx]
             np.save(mixed_path, samples)
+            self.written.append(mixed_path)
             self._saved_mixed.add(task)
         path = os.path.join(self.dir, f"snap_t{task:02d}_e{epoch:02d}.bin")
-        ckpt_mod.save_model(path, model)
+        self._save_model(path, model)
         self.entries.append(
             {
                 "task": task,
@@ -352,6 +358,14 @@ class _SnapshotRecorder:
         ]
         with open(meta, "w") as f:
             json.dump({"entries": entries, "epochs_per_task": self.epochs_per_task}, f, indent=1)
+        self.written.append(meta)
+
+    def discard(self) -> None:
+        """Remove every file written so far, and the directory if that empties it."""
+        for path in self.written:
+            os.remove(path)
+        if not os.listdir(self.dir):
+            os.rmdir(self.dir)
 
 
 def _task_end_breakdowns(recorder: "_SnapshotRecorder", stream, cfg: dict) -> dict:
@@ -413,42 +427,46 @@ def cmd_train(cfg: dict) -> dict:
     recorder = None
     is_graph_method = cfg["method"].startswith("degm")
 
-    if is_graph_method:
-        force = "basic" if cfg["method"] == "degm2" else None
-        tau = cfg["tau"] if cfg["tau"] is not None else float("inf")
-        graph, task_records, train_metrics = train_degm_sequence(
-            stream,
-            _arch(cfg),
-            train_cfg,
-            tau=tau,
-            force=force,
-            eval_k_prime=cfg["eval_k_prime"],
-        )
-        expansion_log = graph.expansion_log
-    else:
-        factory = _model_factory(cfg)
-        hook = None
-        if cfg["diagnostics"]["enabled"]:
-            recorder = _SnapshotRecorder(out_dir, cfg)
-            recorder.record_initial(factory(cfg["seed"]))
-            hook = recorder.hook
-        model, task_records, train_metrics = run_gr_sequence(
-            stream,
-            factory,
-            train_cfg,
-            eval_k_prime=cfg["eval_k_prime"],
-            epoch_hook=hook,
-        )
-        expansion_log = None
+    try:
+        if is_graph_method:
+            force = "basic" if cfg["method"] == "degm2" else None
+            tau = cfg["tau"] if cfg["tau"] is not None else float("inf")
+            graph, task_records, train_metrics = train_degm_sequence(
+                stream,
+                _arch(cfg),
+                train_cfg,
+                tau=tau,
+                force=force,
+                eval_k_prime=cfg["eval_k_prime"],
+            )
+            expansion_log = graph.expansion_log
+        else:
+            factory = _model_factory(cfg)
+            hook = None
+            if cfg["diagnostics"]["enabled"]:
+                recorder = _SnapshotRecorder(out_dir, cfg)
+                recorder.record_initial(factory(cfg["seed"]))
+                hook = recorder.hook
+            model, task_records, train_metrics = run_gr_sequence(
+                stream,
+                factory,
+                train_cfg,
+                eval_k_prime=cfg["eval_k_prime"],
+                epoch_hook=hook,
+            )
+            expansion_log = None
+        nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
+        for record, nlls in zip(task_records, nll_matrix):
+            for j, nll in enumerate(nlls, 1):
+                if not math.isfinite(nll):
+                    raise NonFiniteError(f"NLL {nll} on test task {j} after task {record['task']}")
+    except NonFiniteError:
+        # a diverged run leaves no checkpoint and no snapshots behind
         if recorder is not None:
-            recorder.finish()
-
-    # a diverged run leaves no checkpoint behind
-    nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
-    for record, nlls in zip(task_records, nll_matrix):
-        for j, nll in enumerate(nlls, 1):
-            if not math.isfinite(nll):
-                raise NonFiniteError(f"NLL {nll} on test task {j} after task {record['task']}")
+            recorder.discard()
+        raise
+    if recorder is not None:
+        recorder.finish()
     if is_graph_method:
         checkpoint_path = os.path.join(out_dir, "graph.bin")
         ckpt_mod.save_graph(checkpoint_path, graph)

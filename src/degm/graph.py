@@ -72,6 +72,15 @@ class ArchSpec:
         return MlpSpec(widths, (act,), rng_mod.derive_seed(seed, name))
 
 
+def _pi_sum(pi, terms):
+    """sum_i pi_i * term_i over tensors, added in pi order."""
+    total = None
+    for weight, term in zip(pi, terms):
+        term = term * float(weight)
+        total = term if total is None else total + term
+    return total
+
+
 class _Node:
     """What every node shares: the model protocol, read from ``arch``, and the
     parameters of the sub-models named in ``SUB_MODELS``.
@@ -165,22 +174,13 @@ class SpecificNode(_Node):
         super().__init__(node_id, task_id, arch, seed, nets)
 
     def encode(self, x: Tensor):
-        mu_bar = None
-        sd_bar = None
-        for weight, parent in zip(self.pi, self.parents):
-            h = parent.f_tilde.forward(x)
-            mu_i = self.f_mu.forward(h) * float(weight)
-            sd_i = (self.f_logvar.forward(h) * 0.5).exp() * float(weight)
-            mu_bar = mu_i if mu_bar is None else mu_bar + mu_i
-            sd_bar = sd_i if sd_bar is None else sd_bar + sd_i
+        hs = [parent.f_tilde.forward(x) for parent in self.parents]
+        mu_bar = _pi_sum(self.pi, (self.f_mu.forward(h) for h in hs))
+        sd_bar = _pi_sum(self.pi, ((self.f_logvar.forward(h) * 0.5).exp() for h in hs))
         return mu_bar, sd_bar.log() * 2.0
 
     def decode(self, z: Tensor) -> Tensor:
-        feat = None
-        for weight, parent in zip(self.pi, self.parents):
-            f_i = parent.g_tilde.forward(z) * float(weight)
-            feat = f_i if feat is None else feat + f_i
-        return self.g_prime.forward(feat)
+        return self.g_prime.forward(_pi_sum(self.pi, (p.g_tilde.forward(z) for p in self.parents)))
 
 
 @dataclass
@@ -261,7 +261,7 @@ def knowledge_novelty(graph: GraphState, probe: np.ndarray) -> np.ndarray:
     for i, node in enumerate(sorted(graph.basic_nodes, key=lambda n: n.id)):
         if node.best_elbo is None:
             raise ContractError(f"Basic node {node.id} has no recorded best bound")
-        mean_bound = vae_mod.mean_elbo_np(node, probe, noise=noise)
+        mean_bound = vae_mod.elbo(node, probe, noise=noise).total
         ks[i] = abs(node.best_elbo - mean_bound)
     return ks
 
@@ -341,76 +341,39 @@ def specific_forward(node: SpecificNode, x, noise) -> dict:
     x = as_tensor(x)
     noise = as_tensor(noise)
     branch_stats = []
-    z = None
-    for weight, parent in zip(node.pi, node.parents):
+    for parent in node.parents:
         h = parent.f_tilde.forward(x)
-        mu_i = node.f_mu.forward(h)
-        logvar_i = node.f_logvar.forward(h)
-        z_i = vae_mod.reparameterize(mu_i, logvar_i, noise)
-        branch_stats.append((mu_i, logvar_i))
-        contrib = z_i * float(weight)
-        z = contrib if z is None else z + contrib
+        branch_stats.append((node.f_mu.forward(h), node.f_logvar.forward(h)))
+    z = _pi_sum(node.pi, (vae_mod.reparameterize(mu, logvar, noise) for mu, logvar in branch_stats))
     return {"z": z, "branch_stats": branch_stats, "recon": node.decode(z)}
 
 
-def melbo_parts(node: SpecificNode, batch, mc_samples: int = 1, noise=None, rng=None):
-    """Differentiable (recon, kl) of the mixture bound: reconstruction under the
-    single composite decoder minus the pi-weighted sum of branch KLs."""
-    if mc_samples < 1:
-        raise InvalidSpecError(f"mc_samples must be >= 1, got {mc_samples}")
+def _melbo_pe(node: SpecificNode, batch, noise=None, rng=None):
+    """Per-example reconstruction term of the mixture bound under the single
+    composite decoder, and each branch's per-example KL in pi order."""
     x = as_tensor(batch)
-    n = x.shape[0] if x.ndim > 1 else 1
     if rng is None and noise is None:
         rng = rng_mod.stream(0, "degm/melbo")
-    recon = None
-    kl = None
-    for s in range(mc_samples):
-        eps = noise if noise is not None else rng.standard_normal((n, node.latent_dim))
-        out = specific_forward(node, x, eps)
-        r = vae_mod.recon_loglik(out["recon"], x, node.likelihood, node.normalize_recon)
-        recon = r if recon is None else recon + r
-        if kl is None:
-            kl_acc = None
-            for weight, (mu_i, logvar_i) in zip(node.pi, out["branch_stats"]):
-                term = vae_mod.gaussian_kl(mu_i, logvar_i) * float(weight)
-                kl_acc = term if kl_acc is None else kl_acc + term
-            kl = kl_acc
-    if mc_samples > 1:
-        recon = recon * (1.0 / mc_samples)
-    return recon, kl
+    eps = vae_mod._noise_block(rng, 1, x.shape[0], node.latent_dim, noise)[0]
+    out = specific_forward(node, x, eps)
+    recon = vae_mod._recon_loglik_pe(out["recon"], x, node.likelihood, node.normalize_recon)
+    return recon, [vae_mod._gaussian_kl_pe(mu_i, logvar_i) for mu_i, logvar_i in out["branch_stats"]]
 
 
-def melbo(node: SpecificNode, batch, mc_samples: int = 1, noise=None, rng=None):
-    """Mixture bound estimate for a Specific node."""
+def melbo_parts(node: SpecificNode, batch, noise=None, rng=None):
+    """Differentiable (recon, kl) of the mixture bound: the batch-mean
+    reconstruction minus the pi-weighted sum of batch-mean branch KLs."""
+    recon, kls = _melbo_pe(node, batch, noise, rng)
+    return recon.mean(), _pi_sum(node.pi, [kl.mean() for kl in kls])
+
+
+def melbo(node: SpecificNode, batch, noise=None, rng=None) -> vae_mod.ElboEstimate:
+    """Mixture bound estimate for a Specific node: ``_melbo_pe`` under
+    ``no_grad``, with the branch KLs weighted per example."""
     with no_grad():
-        recon, kl = melbo_parts(node, batch, mc_samples, noise, rng)
-    arr = np.asarray(batch, dtype=np.float64)
-    n = arr.shape[0] if arr.ndim > 1 else 1
-    return vae_mod.ElboEstimate(
-        total=float(recon) - float(kl),
-        recon_term=float(recon),
-        kl_term=float(kl),
-        k_prime=1,
-        n_data=n,
-    )
-
-
-def mean_melbo_np(node: SpecificNode, x: np.ndarray, rng=None, noise=None, per_example: bool = False):
-    """Evaluation-only mixture bound: ``specific_forward`` under no_grad, with
-    the pi-weighted branch KLs kept per example."""
-    x = np.asarray(x, dtype=np.float64)
-    if rng is None:
-        rng = rng_mod.stream(0, "degm/melbo-eval")
-    gamma = noise if noise is not None else rng.standard_normal((x.shape[0], node.latent_dim))
-    with no_grad():
-        out = specific_forward(node, x, gamma)
-        kl = None
-        for weight, (mu_i, logvar_i) in zip(node.pi, out["branch_stats"]):
-            term = vae_mod._gaussian_kl_pe(mu_i, logvar_i) * float(weight)
-            kl = term if kl is None else kl + term
-    recon = vae_mod.recon_loglik_np(out["recon"].data, x, node.likelihood, node.normalize_recon)
-    vals = recon - kl.data
-    return vals if per_example else float(vals.mean())
+        recon, kls = _melbo_pe(node, batch, noise, rng)
+        kl = _pi_sum(node.pi, kls)
+    return vae_mod.bound_estimate(recon.data, kl.data)
 
 
 def select_node(graph: GraphState, x, rng=None, k_prime: int = 1):
@@ -431,12 +394,10 @@ def select_node(graph: GraphState, x, rng=None, k_prime: int = 1):
     scores: dict[int, float] = {}
     for node in nodes:
         if k_prime > 1:
-            logpx = vae_mod.iw_logpx_np(node, x, k_prime, noise=noise)
-            scores[node.id] = float(logpx.mean())
-        elif isinstance(node, BasicNode):
-            scores[node.id] = vae_mod.mean_elbo_np(node, x, noise=noise)
+            scores[node.id] = float(vae_mod.iw_logpx_np(node, x, k_prime, noise=noise).mean())
         else:
-            scores[node.id] = mean_melbo_np(node, x, noise=noise)
+            bound = vae_mod.elbo if isinstance(node, BasicNode) else melbo
+            scores[node.id] = bound(node, x, noise=noise).total
     best_id = max(sorted(scores), key=lambda nid: scores[nid])
     return best_id, scores
 
@@ -453,7 +414,7 @@ def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label
         nonlocal best
         # same content-keyed noise as novelty probes, so the recorded best
         # bound and later probe bounds are directly comparable
-        mean_bound = vae_mod.mean_elbo_np(node, images, noise=score_noise)
+        mean_bound = vae_mod.elbo(node, images, noise=score_noise).total
         best = max(best, mean_bound)
         record["train_elbo"] = mean_bound
 
@@ -469,7 +430,7 @@ def _train_specific(node: SpecificNode, images: np.ndarray, config: TrainConfig,
     the node's shared-noise proposal, like any other model."""
     if config.k_prime == 1:
         def objective(batch, noise_rng):
-            recon, kl = melbo_parts(node, batch, config.mc_samples, rng=noise_rng)
+            recon, kl = melbo_parts(node, batch, rng=noise_rng)
             return recon - kl
     else:
         objective = _bound_objective(node, config)

@@ -190,15 +190,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (a,), grad_fn)
 
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        a = self
-        mask = (a.data >= lo) & (a.data <= hi)
-
-        def grad_fn(g):
-            return (g * mask,)
-
-        return Tensor._from_op(np.clip(a.data, lo, hi), (a,), grad_fn)
-
     # -- reductions and shape --------------------------------------------
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         a = self

@@ -62,15 +62,14 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     k_prime: int = 1  # 1 trains on the plain bound, >1 on the importance-weighted one
-    mc_samples: int = 1
     replay_ratio: float = 1.0
     seed: int = 0
     warm_start: bool = True
     binarize_pseudo: bool | None = None  # None: binarize exactly for bernoulli models
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.k_prime < 1 or self.mc_samples < 1:
-            raise InvalidSpecError("epochs, batch_size, k_prime and mc_samples must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.k_prime < 1:
+            raise InvalidSpecError("epochs, batch_size and k_prime must be >= 1")
         if self.learning_rate <= 0 or self.replay_ratio < 0:
             raise InvalidSpecError("learning_rate must be > 0 and replay_ratio >= 0")
 
@@ -175,7 +174,7 @@ def run_training(
 def _bound_objective(model, config: TrainConfig):
     if config.k_prime == 1:
         def objective(batch, noise_rng):
-            recon, kl = vae_mod.elbo_parts(model, batch, config.mc_samples, rng=noise_rng)
+            recon, kl = vae_mod.elbo_parts(model, batch, rng=noise_rng)
             return recon - kl
     else:
         def objective(batch, noise_rng):

@@ -9,8 +9,12 @@ that identity exact by sharing the single-sample code path.
 Any object with tape ``encode``/``decode`` plus ``latent_dim``,
 ``data_dim``, ``likelihood`` and ``normalize_recon`` attributes can be
 scored by these functions; the expansion-graph nodes reuse them unchanged.
-Evaluation runs the same ``encode``/``decode`` under ``no_grad``, so
-training and evaluation share one forward pass per model.
+Evaluation runs the training code under ``no_grad``: one forward pass per
+model, one likelihood kernel (``recon_loglik_np``, which the tape op
+``_recon_loglik_pe`` wraps) and one per-example implementation of each
+bound (``_elbo_pe`` for the single-sample bound, ``_log_w_rows`` for the
+importance weights). Only the reductions differ: training averages the
+terms separately, scoring averages the per-example bounds.
 """
 
 from __future__ import annotations
@@ -193,29 +197,37 @@ def gaussian_kl(mu, logvar) -> Tensor:
     return _gaussian_kl_pe(mu, logvar).mean()
 
 
-def _recon_loglik_pe(decoder_output: Tensor, x: Tensor, likelihood: str, normalize: bool) -> Tensor:
-    """Per-example reconstruction log-likelihood, shape (n,)."""
-    y = _promote_2d(as_tensor(decoder_output))
-    x = _promote_2d(as_tensor(x))
-    if y.shape != x.shape:
-        raise ShapeError(f"decoder output {y.shape} and data {x.shape} must match")
+def _recon_loglik_pe(decoder_output, x, likelihood: str, normalize: bool) -> Tensor:
+    """Per-example reconstruction log-likelihood as one tape op.
+
+    The forward is ``recon_loglik_np`` (``x`` broadcasts against the decoder
+    output); the backward is its closed-form gradient with respect to the
+    decoder output, with the ufuncs in the order a tape composed of the
+    elementwise ops would apply them. The data gets no gradient.
+    """
+    y = as_tensor(decoder_output)
+    x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    try:
+        shape = np.broadcast_shapes(y.shape, x.shape)
+    except ValueError:
+        shape = None
+    if shape != y.shape:
+        raise ShapeError(f"data {x.shape} does not broadcast to decoder output {y.shape}")
     d = x.shape[-1]
-    if likelihood == "bernoulli":
-        if np.any(x.data < 0.0) or np.any(x.data > 1.0):
-            raise DomainError("bernoulli likelihood needs data in [0, 1]")
-        p = y.clip(BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
-        ll = (x * p.log() + (1.0 - x) * (1.0 - p).log()).sum(axis=1)
-    elif likelihood == "gaussian_half":
-        diff = x - y
-        ll = -(diff * diff).sum(axis=1) - (d / 2.0) * _LOG_PI
-    elif likelihood == "gaussian_identity":
-        diff = x - y
-        ll = (diff * diff).sum(axis=1) * -0.5 - (d / 2.0) * _LOG_2PI
-    else:
-        raise InvalidSpecError(f"unknown likelihood {likelihood!r}")
-    if normalize:
-        ll = ll * (1.0 / d)
-    return ll
+
+    def grad_fn(g):
+        if normalize:
+            g = g * (1.0 / d)
+        if likelihood == "bernoulli":
+            g = g[..., None]
+            p = np.clip(y.data, BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
+            inside = (y.data >= BERNOULLI_CLAMP) & (y.data <= 1.0 - BERNOULLI_CLAMP)
+            return (((g * x) / p - (g * (1.0 - x)) / (1.0 - p)) * inside,)
+        g = g * -0.5 if likelihood == "gaussian_identity" else -g
+        t = g[..., None] * (x - y.data)
+        return (-(t + t),)
+
+    return Tensor._from_op(recon_loglik_np(y.data, x, likelihood, normalize), (y,), grad_fn)
 
 
 def recon_loglik(decoder_output, x, likelihood: str, normalize: bool = False) -> Tensor:
@@ -268,60 +280,52 @@ def recon_loglik_np(
 # Bounds
 
 
-def _batch_len(batch) -> int:
-    arr = batch.data if isinstance(batch, Tensor) else np.asarray(batch)
-    return arr.shape[0] if arr.ndim > 1 else 1
-
-
-def _noise_block(rng, mc: int, n: int, latent: int, noise) -> np.ndarray:
+def _noise_block(rng, k: int, n: int, latent: int, noise) -> np.ndarray:
     if noise is not None:
         noise = np.asarray(noise, dtype=np.float64)
         if noise.ndim == 2:
             noise = noise[None]
-        if noise.shape != (mc, n, latent):
-            raise ShapeError(f"noise shape {noise.shape} != {(mc, n, latent)}")
+        if noise.shape != (k, n, latent):
+            raise ShapeError(f"noise shape {noise.shape} != {(k, n, latent)}")
         return noise
     if rng is None:
         rng = rng_mod.stream(0, "vae/default-noise")
-    return rng.standard_normal((mc, n, latent))
+    return rng.standard_normal((k, n, latent))
 
 
-def elbo_parts(model, batch, mc_samples: int = 1, noise=None, rng=None) -> tuple[Tensor, Tensor]:
-    """Differentiable (recon, kl) pair; the bound is recon - kl."""
-    if mc_samples < 1:
-        raise InvalidSpecError(f"mc_samples must be >= 1, got {mc_samples}")
+def _elbo_pe(model, batch, noise=None, rng=None) -> tuple[Tensor, Tensor]:
+    """Per-example (recon, kl) of the single-sample bound, shape (n,) each."""
     x = as_tensor(batch)
-    n = x.shape[0]
     mu, logvar = model.encode(x)
-    kl = gaussian_kl(mu, logvar)
-    eps = _noise_block(rng, mc_samples, n, model.latent_dim, noise)
-    recon = None
-    for s in range(mc_samples):
-        z = reparameterize(mu, logvar, eps[s])
-        y = model.decode(z)
-        r = recon_loglik(y, x, model.likelihood, model.normalize_recon)
-        recon = r if recon is None else recon + r
-    if mc_samples > 1:
-        recon = recon * (1.0 / mc_samples)
-    return recon, kl
+    eps = _noise_block(rng, 1, x.shape[0], model.latent_dim, noise)[0]
+    y = model.decode(reparameterize(mu, logvar, eps))
+    return _recon_loglik_pe(y, x, model.likelihood, model.normalize_recon), _gaussian_kl_pe(mu, logvar)
 
 
-def elbo(model, batch, mc_samples: int = 1, noise=None, rng=None) -> ElboEstimate:
-    """Single-model evidence lower bound estimate on a batch."""
-    with no_grad():
-        recon, kl = elbo_parts(model, batch, mc_samples, noise, rng)
-    n = _batch_len(batch)
+def elbo_parts(model, batch, noise=None, rng=None) -> tuple[Tensor, Tensor]:
+    """Differentiable batch-mean (recon, kl) pair; the bound is recon - kl."""
+    recon, kl = _elbo_pe(model, batch, noise, rng)
+    return recon.mean(), kl.mean()
+
+
+def bound_estimate(recon: np.ndarray, kl: np.ndarray) -> ElboEstimate:
+    """Single-sample estimate from per-example terms: ``total`` is the mean of
+    the per-example bounds recon - kl."""
     return ElboEstimate(
-        total=float(recon) - float(kl),
-        recon_term=float(recon),
-        kl_term=float(kl),
+        total=float((recon - kl).mean()),
+        recon_term=float(recon.mean()),
+        kl_term=float(kl.mean()),
         k_prime=1,
-        n_data=n,
+        n_data=recon.size,
     )
 
 
-def _log_prior_pe(z: Tensor, latent: int) -> Tensor:
-    return (z * z).sum(axis=1) * -0.5 - (latent / 2.0) * _LOG_2PI
+def elbo(model, batch, noise=None, rng=None) -> ElboEstimate:
+    """Single-model evidence lower bound estimate on a batch: the training
+    bound's per-example terms, run under ``no_grad``."""
+    with no_grad():
+        recon, kl = _elbo_pe(model, batch, noise, rng)
+    return bound_estimate(recon.data, kl.data)
 
 
 def iwelbo_parts(model, batch, k_prime: int, noise=None, rng=None):
@@ -334,58 +338,38 @@ def iwelbo_parts(model, batch, k_prime: int, noise=None, rng=None):
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
     if k_prime == 1:
-        recon, kl = elbo_parts(model, batch, 1, noise, rng)
+        recon, kl = elbo_parts(model, batch, noise, rng)
         return recon - kl, float(recon), float(kl)
 
     x = as_tensor(batch)
-    n = x.shape[0]
-    latent = model.latent_dim
     mu, logvar = model.encode(x)
-    eps = _noise_block(rng, k_prime, n, latent, noise)
-
-    log_ws: list[Tensor] = []
-    recon_running = 0.0
-    for k in range(k_prime):
-        gamma = eps[k]
-        z = reparameterize(mu, logvar, gamma)
-        y = model.decode(z)
-        recon_pe = _recon_loglik_pe(y, x, model.likelihood, model.normalize_recon)
-        # log q(z|x) at the reparameterized sample: the quadratic term is
-        # exactly the (constant) noise, so only logvar stays in the graph.
-        gamma_sq = (gamma * gamma).sum(axis=1)
-        log_q = (logvar.sum(axis=1) + gamma_sq + latent * _LOG_2PI) * -0.5
-        log_p = _log_prior_pe(z, latent)
-        log_ws.append(recon_pe + log_p - log_q)
-        recon_running += float(recon_pe.mean())
-
-    shift = np.maximum.reduce([w.data for w in log_ws])  # constant max-shift
-    total_exp = None
-    for w in log_ws:
-        e = (w - shift).exp()
-        total_exp = e if total_exp is None else total_exp + e
-    log_mean_w = total_exp.log() + shift - math.log(k_prime)
-    total = log_mean_w.mean()
+    eps = _noise_block(rng, k_prime, x.shape[0], model.latent_dim, noise)
+    log_w, recon = _log_w_rows(model, x, mu, logvar, eps)
+    shift = log_w.data.max(axis=0)  # constant max-shift
+    log_mean_w = (log_w - shift).exp().sum(axis=0).log() + shift - math.log(k_prime)
     with no_grad():
         kl_report = float(gaussian_kl(mu, logvar))
-    return total, recon_running / k_prime, kl_report
+    return log_mean_w.mean(), float(recon.data.mean()), kl_report
 
 
 def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> ElboEstimate:
-    """Importance-weighted bound estimate with K' samples per example."""
+    """Importance-weighted bound estimate with K' samples per example; K' = 1
+    is ``elbo``."""
+    if k_prime == 1:
+        return elbo(model, batch, noise, rng)
     with no_grad():
         total, recon_report, kl_report = iwelbo_parts(model, batch, k_prime, noise, rng)
-    n = _batch_len(batch)
     return ElboEstimate(
         total=float(total),
         recon_term=recon_report,
         kl_term=kl_report,
         k_prime=k_prime,
-        n_data=n,
+        n_data=as_tensor(batch).shape[0],
     )
 
 
 # ---------------------------------------------------------------------------
-# Evaluation-only paths (the models' forward under no_grad, chunked)
+# Importance-weighted evaluation (the bound's log weights under no_grad, chunked)
 
 
 def _eval_cpus() -> int:
@@ -406,18 +390,21 @@ def _part_count(cpus: int, kc: int, nc: int) -> int:
     return max(1, min(cpus, kc if nc > 1 else kc // 2))
 
 
-def _log_w_rows(model, xc, mu, sd, logvar_sum, gamma) -> np.ndarray:
-    """log p(x, z) - log q(z | x) for each sample of one noise part, shape (k, n).
+def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> tuple[Tensor, Tensor]:
+    """log p(x, z) - log q(z | x) for each sample of a (k, n, latent) noise
+    block, shape (k, n), and its reconstruction term alone; tape ops.
 
-    Runs on pool threads: the caller has switched grad recording off, and
-    this must not switch it (the flag is process-wide)."""
-    latent = model.latent_dim
-    z = mu[None] + sd[None] * gamma
-    y = model.decode(z.reshape(-1, latent)).data.reshape(gamma.shape[0], xc.shape[0], -1)
-    recon = recon_loglik_np(y, xc[None], model.likelihood, model.normalize_recon)
-    log_p = -0.5 * (z * z).sum(axis=-1) - (latent / 2.0) * _LOG_2PI
-    log_q = -0.5 * ((gamma * gamma).sum(axis=-1) + logvar_sum[None] + latent * _LOG_2PI)
-    return recon + log_p - log_q
+    On the pool threads of ``iw_logpx_np`` the caller has switched grad
+    recording off, and this must not switch it (the flag is process-wide)."""
+    k, n, latent = gamma.shape
+    z = mu + (logvar * 0.5).exp() * gamma
+    y = model.decode(z.reshape(k * n, latent)).reshape(k, n, -1)
+    recon = _recon_loglik_pe(y, x, model.likelihood, model.normalize_recon)
+    log_p = (z * z).sum(axis=-1) * -0.5 - (latent / 2.0) * _LOG_2PI
+    # log q(z|x) at the reparameterized sample: the quadratic term is exactly
+    # the (constant) noise, so only logvar stays in the graph
+    log_q = (logvar.sum(axis=-1) + (gamma * gamma).sum(axis=-1) + latent * _LOG_2PI) * -0.5
+    return recon + log_p - log_q, recon
 
 
 def iw_logpx_np(
@@ -473,9 +460,7 @@ def iw_logpx_np(
         for start in range(0, x.shape[0], batch_chunk):
             xc = x[start : start + batch_chunk]
             nc = xc.shape[0]
-            mu, logvar = (t.data for t in model.encode(xc))
-            sd = np.exp(0.5 * logvar)
-            logvar_sum = logvar.sum(axis=-1)
+            mu, logvar = model.encode(xc)
             blocks = []
             done = 0
             while done < k_prime:
@@ -485,9 +470,9 @@ def iw_logpx_np(
                 else:
                     gamma = rng.standard_normal((kc, nc, latent))
                 first, *rest = np.array_split(gamma, _part_count(cpus, kc, nc))
-                futures = [pool.submit(_log_w_rows, model, xc, mu, sd, logvar_sum, g) for g in rest]
-                blocks.append(_log_w_rows(model, xc, mu, sd, logvar_sum, first))
-                blocks.extend(f.result() for f in futures)
+                futures = [pool.submit(_log_w_rows, model, xc, mu, logvar, g) for g in rest]
+                blocks.append(_log_w_rows(model, xc, mu, logvar, first)[0].data)
+                blocks.extend(f.result()[0].data for f in futures)
                 done += kc
             log_w = np.concatenate(blocks, axis=0)
             shift = log_w.max(axis=0)
@@ -507,18 +492,3 @@ def nll_estimate(model, data, k_prime: int = 5000, rng=None, return_se: bool = F
         se = float(logpx.std(ddof=1) / math.sqrt(len(logpx))) if len(logpx) > 1 else 0.0
         return nll, se
     return nll
-
-
-def mean_elbo_np(model, x: np.ndarray, rng=None, noise=None, per_example: bool = False):
-    """Single-sample bound per example (plain arrays), batch-averaged by default."""
-    x = np.asarray(x, dtype=np.float64)
-    if rng is None:
-        rng = rng_mod.stream(0, "vae/elbo-eval")
-    with no_grad():
-        mu, logvar = model.encode(x)
-        gamma = noise if noise is not None else rng.standard_normal(mu.shape)
-        y = model.decode(reparameterize(mu, logvar, gamma))
-        kl = _gaussian_kl_pe(mu, logvar)
-    recon = recon_loglik_np(y.data, x, model.likelihood, model.normalize_recon)
-    vals = recon - kl.data
-    return vals if per_example else float(vals.mean())

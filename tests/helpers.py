@@ -1,8 +1,9 @@
 """Shared test oracles: finite differences, gradient comparison, stacked pools,
 out-of-place copies of the evaluation kernels, the models' encode and decode
-built only from those copies, the serial importance-weighted log-likelihood,
-and the importance-weighted mixture objective as it was written before
-Specific nodes became models."""
+built only from those copies, the reconstruction log-likelihood composed of
+elementwise tape ops as it was before it became one op, the serial
+importance-weighted log-likelihood, and the importance-weighted mixture
+objective as it was written before Specific nodes became models."""
 
 import functools
 import math
@@ -139,6 +140,32 @@ def oracle_recon_loglik_np(y, x, likelihood, normalize=False):
         ll = -0.5 * (diff * diff).sum(axis=-1) - (d / 2.0) * math.log(2.0 * math.pi)
     if normalize:
         ll = ll / d
+    return ll
+
+
+def _oracle_clip(t, lo, hi):
+    """Clamp to [lo, hi]; the gradient passes only where the input lies inside."""
+    mask = (t.data >= lo) & (t.data <= hi)
+    return nn.Tensor._from_op(np.clip(t.data, lo, hi), (t,), lambda g: (g * mask,))
+
+
+def oracle_recon_loglik_tape(y, x, likelihood, normalize=False):
+    """Per-example reconstruction log-likelihood composed of elementwise tape
+    ops (frozen): the Bernoulli term is x*log(p) + (1-x)*log(1-p)."""
+    y = as_tensor(y)
+    x = as_tensor(x)
+    d = x.shape[-1]
+    if likelihood == "bernoulli":
+        p = _oracle_clip(y, BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
+        ll = (x * p.log() + (1.0 - x) * (1.0 - p).log()).sum(axis=-1)
+    elif likelihood == "gaussian_half":
+        diff = x - y
+        ll = -(diff * diff).sum(axis=-1) - (d / 2.0) * math.log(math.pi)
+    else:
+        diff = x - y
+        ll = (diff * diff).sum(axis=-1) * -0.5 - (d / 2.0) * math.log(2.0 * math.pi)
+    if normalize:
+        ll = ll * (1.0 / d)
     return ll
 
 

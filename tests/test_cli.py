@@ -332,7 +332,7 @@ class TestCmdDiagnose:
             binarize="none",
             normalize_recon=True,
             epochs=3,
-            diagnostics={"enabled": True, "sample_size": 120, "eval_k_prime": 10},
+            diagnostics={"enabled": True, "sample_size": 120},
         )
 
     def test_missing_snapshots_actionable(self, tmp_path):
@@ -590,6 +590,20 @@ class TestNonFiniteRun:
         err = capsys.readouterr().err
         assert "NonFiniteError: gr/task1: loss nan in epoch 1, batch " in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
+        assert not (tmp_path / "run" / "model.bin").exists()
+
+    def test_diverging_training_leaves_no_snapshots(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "method": "elbo_gr", "stream": ["bars", "blobs"], "learning_rate": 1e6,
+            "epochs": 1, "train_per_task": 200, "test_per_task": 50,
+            "diagnostics": {"enabled": True},
+        }))
+        code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        assert code == 4
+        assert "NonFiniteError" in capsys.readouterr().err
+        snapshots = tmp_path / "run" / "snapshots"
+        assert not list(snapshots.glob("*.bin")) and not (snapshots / "meta.json").exists()
         assert not (tmp_path / "run" / "model.bin").exists()
 
     def test_non_finite_nll_exits_4(self, tmp_path, capsys, monkeypatch):

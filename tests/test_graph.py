@@ -19,14 +19,13 @@ from degm.graph import (
     knowledge_novelty,
     melbo,
     melbo_parts,
-    mean_melbo_np,
     select_node,
     specific_forward,
     train_degm_sequence,
 )
 from degm.nn import ContractError, InvalidSpecError, Tensor, backward, zero_grad
 from degm.replay import TrainConfig, _bound_objective
-from degm.vae import iw_logpx_np, mean_elbo_np
+from degm.vae import elbo, iw_logpx_np
 from helpers import iw_melbo_objective, max_grad_error
 
 MICRO_ARCH = ArchSpec(
@@ -247,9 +246,9 @@ class TestMelbo:
         if len(graph.basic_nodes) != 1:
             pytest.skip("expansion produced extra basic nodes")
         x = stream.tasks[1].test.images[:32]
-        a = mean_melbo_np(node, x, rng=rng.stream(8, "shared"))
-        b = mean_elbo_np(node, x, rng=rng.stream(8, "shared"))
-        assert a == pytest.approx(b, rel=1e-12)
+        a = melbo(node, x, rng=rng.stream(8, "shared"))
+        b = elbo(node, x, rng=rng.stream(8, "shared"))
+        assert a.total == pytest.approx(b.total, rel=1e-12)
 
     def test_kl_term_non_negative(self):
         stream, graph, _ = trained_micro_graph(seed=6, tau=1e9)
@@ -335,7 +334,7 @@ class TestSpecificNodeIsAModel:
         def scores():
             return (
                 melbo(node, x, rng=rng.stream(1, "m")).total,
-                mean_melbo_np(node, x, rng=rng.stream(2, "m"), per_example=True),
+                melbo(node, x, noise=rng.stream(2, "m").standard_normal((24, MICRO_ARCH.latent_dim))).total,
                 iw_logpx_np(node, x, 20, rng=rng.stream(3, "iw")),
             )
 
