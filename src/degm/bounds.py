@@ -16,10 +16,11 @@ against brute-force enumeration.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,82 +75,52 @@ def _freeze_params(model):
     return copy(requires_grad=False)
 
 
-@dataclass
-class HypothesisPool:
-    """Finite stand-in for the hypothesis class: model snapshots with labels."""
-
-    hypotheses: list[HypothesisSnapshot] = field(default_factory=list)
-
-    def add(self, model, label: dict | None = None) -> HypothesisSnapshot:
-        snap = HypothesisSnapshot(model, label)
-        self.hypotheses.append(snap)
-        return snap
-
-    def __len__(self) -> int:
-        return len(self.hypotheses)
-
-    def labels(self) -> list[dict]:
-        return [h.label for h in self.hypotheses]
-
-    def reconstructions(self, x: np.ndarray) -> np.ndarray:
-        """(n_hypotheses, m, d): every hypothesis's reconstruction of x, made now."""
-        return _stack_reconstructions(self.hypotheses, x)
-
-
-def _stack_reconstructions(hypotheses, x: np.ndarray) -> np.ndarray:
-    """Each hypothesis reconstructs x once, straight into its slot of one exact-size array."""
-    out = None
-    for i, h in enumerate(hypotheses):
-        rec = h.reconstruct(x)
-        if out is None:
-            out = np.empty((len(hypotheses), *np.shape(rec)))
-        out[i] = rec
-    return out
-
-
 class ReconstructionTable:
     """Every snapshot's reconstruction of a few fixed sample sets, computed once.
 
-    Holds one exact-size ``(n_snapshots, m, d)`` array per sample set, so it
-    takes ``n_snapshots * sum(m) * d * 8`` bytes; keep one alive only while its
-    sample sets are in use. ``window(lo, hi)`` stands in for a pool of
-    snapshots ``lo..hi-1``: its reconstructions are the contiguous row slice
-    ``[lo:hi]`` of those arrays, so sliding a pool over the snapshots never
-    reconstructs a (snapshot, sample set) pair twice.
+    The one pool type: a finite stand-in for the hypothesis class. Holds one
+    exact-size ``(n_snapshots, m, d)`` array per sample set, so it takes
+    ``n_snapshots * sum(m) * d * 8`` bytes; keep one alive only while its
+    sample sets are in use. ``window(lo, hi)`` is the pool of snapshots
+    ``lo..hi-1``: a table over the row slices ``[lo:hi]`` of the same arrays,
+    so sliding a pool over the snapshots never reconstructs a (snapshot,
+    sample set) pair twice.
     """
 
     def __init__(self, hypotheses, sample_sets):
         self.size = len(hypotheses)
         self.samples = [np.asarray(getattr(s, "images", s), dtype=np.float64) for s in sample_sets]
-        self.recons = [_stack_reconstructions(hypotheses, x) for x in self.samples]
+        self.recons = []
+        for x in self.samples:
+            out = None
+            for i, h in enumerate(hypotheses):
+                rec = h.reconstruct(x)  # straight into its slot: no list plus np.stack
+                if out is None:
+                    out = np.empty((self.size, *np.shape(rec)))
+                out[i] = rec
+            self.recons.append(out)
 
     @classmethod
     def for_breakdown(cls, hypotheses, target_sets, mixed_set) -> "ReconstructionTable":
         """The two sample sets ``lelbo_breakdown`` reads: pooled targets and the mixed set."""
         return cls(hypotheses, [_equal_size_pool(target_sets), mixed_set])
 
-    def window(self, lo: int = 0, hi: int | None = None) -> "PoolWindow":
+    def window(self, lo: int = 0, hi: int | None = None) -> "ReconstructionTable":
         hi = self.size if hi is None else hi
         if not 0 <= lo <= hi <= self.size:
             raise InvalidSpecError(f"window [{lo}:{hi}] outside a table of {self.size} snapshots")
-        return PoolWindow(self, lo, hi)
-
-
-@dataclass
-class PoolWindow:
-    """Snapshots ``lo..hi-1`` of a ReconstructionTable, accepted wherever a pool is."""
-
-    table: ReconstructionTable
-    lo: int
-    hi: int
+        view = copy.copy(self)
+        view.size = hi - lo
+        view.recons = [rec[lo:hi] for rec in self.recons]
+        return view
 
     def __len__(self) -> int:
-        return self.hi - self.lo
+        return self.size
 
     def reconstructions(self, x: np.ndarray) -> np.ndarray:
-        for xs, rec in zip(self.table.samples, self.table.recons):
+        for xs, rec in zip(self.samples, self.recons):
             if x is xs or (x.shape == xs.shape and np.array_equal(x, xs)):
-                return rec[self.lo : self.hi]
+                return rec
         raise InvalidSpecError("sample set is not one the reconstruction table was built on")
 
 
@@ -196,13 +167,12 @@ def _pair_loss_means(samples: np.ndarray, recons: np.ndarray) -> np.ndarray:
 
 
 def empirical_discrepancy(
-    set_p, set_q, pool: HypothesisPool | PoolWindow, normalize: bool = False
+    set_p, set_q, pool: ReconstructionTable, normalize: bool = False
 ) -> float:
     """Largest absolute gap, over hypothesis pairs, between the two sets'
     expected pair losses. Non-negative, symmetric, zero on identical sets.
 
-    ``pool`` is a HypothesisPool, which reconstructs both sets now, or a
-    PoolWindow, which reads its table's stored reconstructions."""
+    ``pool`` is a table built on both sets (or a window of one)."""
     if len(pool) < 2:
         raise InvalidSpecError("discrepancy needs a pool of at least 2 hypotheses")
     xp = np.asarray(getattr(set_p, "images", set_p), dtype=np.float64)
@@ -234,7 +204,7 @@ def discrepancy_slack(
 
 
 def rademacher_estimate(
-    dataset, pool: HypothesisPool | PoolWindow, n_sign_draws: int = 64, rng=None
+    dataset, pool: ReconstructionTable, n_sign_draws: int = 64, rng=None
 ) -> float:
     """Finite-pool surrogate for the complexity of the loss-composed class.
 
@@ -287,7 +257,7 @@ def lelbo_breakdown(
     model,
     target_sets,
     mixed_set,
-    pool: HypothesisPool | PoolWindow,
+    pool: ReconstructionTable,
     rng=None,
     delta: float = 0.05,
     loss_bound: float | None = None,
@@ -302,7 +272,7 @@ def lelbo_breakdown(
     terms account for; the optimal combined risk is not estimable and is
     reported as a zero lower bound with a flag. With ``rademacher_draws`` > 0
     the slack includes finite-pool complexity estimates for both sample sets.
-    ``pool`` is a HypothesisPool or a window of a table built with
+    ``pool`` is a window of a table built with
     ``ReconstructionTable.for_breakdown(hypotheses, target_sets, mixed_set)``.
     """
     if rng is None:

@@ -21,6 +21,7 @@ import argparse
 import copy
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -63,6 +64,14 @@ METRICS_COLUMNS = [
 ]
 
 SCHEMA_VERSION = 1
+
+# diagnose.csv's bound-term columns and the lelbo_breakdown keys they hold
+_DIAGNOSE_TERMS = {
+    "source_risk": "source_risk_elbo",
+    "discrepancy": "empirical_discrepancy",
+    "kl_gap": "kl_gap",
+    "target_risk": "target_risk_elbo",
+}
 
 
 class ConfigError(ValueError):
@@ -301,7 +310,8 @@ def _model_factory(cfg: dict):
 
 class _SnapshotRecorder:
     """Writes per-epoch model snapshots plus the task's mixed training sample,
-    and remembers every file it wrote."""
+    and remembers every file it wrote. ``entries`` is ``meta.json``'s list:
+    file names are relative to ``dir``."""
 
     def __init__(self, out_dir: str, cfg: dict):
         self.dir = os.path.join(out_dir, "snapshots")
@@ -314,19 +324,19 @@ class _SnapshotRecorder:
         self._saved_mixed: set[int] = set()
         self.written: list[str] = []
 
-    def _save_model(self, path: str, model) -> None:
-        ckpt_mod.save_model(path, model)
+    def _write(self, name: str, save, obj) -> None:
+        path = os.path.join(self.dir, name)
+        save(path, obj)
         self.written.append(path)
 
     def record_initial(self, model) -> None:
-        path = os.path.join(self.dir, "snap_t00_e00.bin")
-        self._save_model(path, model)
-        self.entries.append({"task": 0, "epoch": 0, "global_epoch": 0, "snapshot": path})
+        self._write("snap_t00_e00.bin", ckpt_mod.save_model, model)
+        self.entries.append({"task": 0, "epoch": 0, "global_epoch": 0, "snapshot": "snap_t00_e00.bin"})
 
     def hook(self, task: int, epoch: int, model, mixed, record) -> None:
         if epoch % self.every != 0 and epoch != self.epochs_per_task:
             return
-        mixed_path = os.path.join(self.dir, f"mixed_t{task:02d}.npy")
+        mixed_name = f"mixed_t{task:02d}.npy"
         if task not in self._saved_mixed:
             samples = mixed.samples
             if len(samples) > self.sample_size:
@@ -334,31 +344,25 @@ class _SnapshotRecorder:
                     len(samples), size=self.sample_size, replace=False
                 )
                 samples = samples[idx]
-            np.save(mixed_path, samples)
-            self.written.append(mixed_path)
+            self._write(mixed_name, np.save, samples)
             self._saved_mixed.add(task)
-        path = os.path.join(self.dir, f"snap_t{task:02d}_e{epoch:02d}.bin")
-        self._save_model(path, model)
+        name = f"snap_t{task:02d}_e{epoch:02d}.bin"
+        self._write(name, ckpt_mod.save_model, model)
         self.entries.append(
             {
                 "task": task,
                 "epoch": epoch,
                 "global_epoch": (task - 1) * self.epochs_per_task + epoch,
-                "snapshot": path,
-                "mixed": mixed_path,
+                "snapshot": name,
+                "mixed": mixed_name,
             }
         )
 
     def finish(self) -> None:
-        meta = os.path.join(self.dir, "meta.json")
-        entries = [
-            {**e, "snapshot": os.path.basename(e["snapshot"]),
-             **({"mixed": os.path.basename(e["mixed"])} if "mixed" in e else {})}
-            for e in self.entries
-        ]
-        with open(meta, "w") as f:
-            json.dump({"entries": entries, "epochs_per_task": self.epochs_per_task}, f, indent=1)
-        self.written.append(meta)
+        path = os.path.join(self.dir, "meta.json")
+        with open(path, "w") as f:
+            json.dump({"entries": self.entries, "epochs_per_task": self.epochs_per_task}, f, indent=1)
+        self.written.append(path)
 
     def discard(self) -> None:
         """Remove every file written so far, and the directory if that empties it."""
@@ -368,36 +372,82 @@ class _SnapshotRecorder:
             os.rmdir(self.dir)
 
 
-def _task_end_breakdowns(recorder: "_SnapshotRecorder", stream, cfg: dict) -> dict:
-    """Bound-term breakdown at each task boundary from the recorded snapshots.
+_ENTRY_FIELDS = {"task": int, "epoch": int, "global_epoch": int, "snapshot": str}
 
-    Each snapshot file is loaded once: one list of the last ``pool_size``
-    snapshots slides across the entries, and a task's last entry is both its
-    breakdown's model and the newest member of its pool.
+
+def _breakdowns(snap_dir: str, entries, stream: TaskStream, pool_size: int, seed: int,
+                rng_label: str, task_end_only: bool = False, normalize_risks: bool = False):
+    """Yield ``(entry, lelbo_breakdown)`` for every recorded entry of task >= 1,
+    or for each task's last entry only.
+
+    ``entries`` is ``meta.json``'s list, walked by task, then epoch. An
+    entry's pool is the last ``pool_size`` snapshots up to and including its
+    own, and its noise is keyed by ``rng_label.format(**entry)``. Each
+    snapshot file is loaded once and each task's mixed sample read once; per
+    task one ``ReconstructionTable`` covers just the snapshots the task's rows
+    reach, built after the previous task's table is freed. A malformed entry
+    list or mixed sample is a DataFormatError before anything is computed on
+    it.
     """
-    breakdowns = {}
-    pool_size = cfg["diagnostics"]["pool_size"]
-    entries = recorder.entries
-    snapshots = []
-    for i, e in enumerate(entries):
-        model = ckpt_mod.load_model(e["snapshot"])
-        snapshots = snapshots[-(pool_size - 1):] + [
-            bounds_mod.HypothesisSnapshot(model, {"task": e["task"], "epoch": e["epoch"]})
-        ]
-        task = e["task"]
-        if task == 0 or (i + 1 < len(entries) and entries[i + 1]["task"] == task):
-            continue
-        mixed = np.load(e["mixed"])
-        targets = [stream.tasks[j].test.images for j in range(task)]
-        table = bounds_mod.ReconstructionTable.for_breakdown(snapshots, targets, mixed)
-        breakdowns[task] = bounds_mod.lelbo_breakdown(
-            model,
-            targets,
-            mixed,
-            table.window(),
-            rng=rng_mod.stream(cfg["seed"], f"ledger/breakdown/t{task}"),
+    n_tasks = len(stream.tasks)
+    if not isinstance(entries, list) or not all(_entry_ok(e, n_tasks) for e in entries):
+        raise DataFormatError(
+            f"{snap_dir}: snapshot entries must be a list of objects with integer task "
+            f"(0..{n_tasks}), epoch and global_epoch, a snapshot name and, from task 1 on, "
+            "a mixed sample name"
         )
-    return breakdowns
+    snapshots = []
+    entries = sorted(entries, key=lambda e: (e["task"], e["epoch"]))
+    for task, group in itertools.groupby(entries, key=lambda e: e["task"]):
+        group = list(group)
+        models = [ckpt_mod.load_model(os.path.join(snap_dir, e["snapshot"])) for e in group]
+        # a task's first row still reaches pool_size - 1 snapshots back
+        snapshots = snapshots[-(pool_size - 1):] + [
+            bounds_mod.HypothesisSnapshot(m, {"task": task, "epoch": e["epoch"]})
+            for e, m in zip(group, models)
+        ]
+        if task == 0:
+            continue
+        mixed = _load_mixed(os.path.join(snap_dir, group[0]["mixed"]), stream.dim)
+        targets = [stream.tasks[i].test.images for i in range(task)]
+        rows = range(len(group) - 1 if task_end_only else 0, len(group))
+        # row j's pool ends at snapshot `first + j + 1`; the table starts at
+        # the first requested row's pool
+        first = len(snapshots) - len(group)
+        lo = max(0, first + rows[0] + 1 - pool_size)
+        table = None  # free the previous task's arrays before allocating these
+        table = bounds_mod.ReconstructionTable.for_breakdown(snapshots[lo:], targets, mixed)
+        for j in rows:
+            hi = first + j + 1
+            yield group[j], bounds_mod.lelbo_breakdown(
+                models[j],
+                targets,
+                mixed,
+                table.window(max(lo, hi - pool_size) - lo, hi - lo),
+                rng=rng_mod.stream(seed, rng_label.format(**group[j])),
+                normalize_risks=normalize_risks,
+            )
+
+
+def _entry_ok(e, n_tasks: int) -> bool:
+    return (
+        isinstance(e, dict)
+        and all(type(e.get(k)) is kind for k, kind in _ENTRY_FIELDS.items())
+        and 0 <= e["task"] <= n_tasks
+        and (e["task"] == 0 or type(e.get("mixed")) is str)
+    )
+
+
+def _load_mixed(path: str, dim: int) -> np.ndarray:
+    """A task's recorded mixed sample: a non-empty (n, dim) array, else a data error."""
+    try:
+        mixed = np.load(path)
+    except (OSError, ValueError) as err:
+        raise DataFormatError(f"{path}: cannot read a mixed sample: {err}")
+    if not (isinstance(mixed, np.ndarray) and mixed.ndim == 2 and len(mixed) and mixed.shape[1] == dim):
+        raise DataFormatError(f"{path}: mixed samples must be a non-empty 2-D array with "
+                              f"{dim} columns, got shape {np.shape(mixed)}")
+    return mixed
 
 
 def _fmt_cell(value) -> str:
@@ -477,9 +527,11 @@ def cmd_train(cfg: dict) -> dict:
     # ledger: one record per task with every seen test NLL; with diagnostics
     # enabled the bound-term breakdown at each task boundary fills the rest
     ledger = bounds_mod.DiagnosticsLedger()
-    breakdowns = (
-        _task_end_breakdowns(recorder, stream, cfg) if recorder is not None else {}
-    )
+    breakdowns = {}
+    if recorder is not None:
+        walk = _breakdowns(recorder.dir, recorder.entries, stream, cfg["diagnostics"]["pool_size"],
+                           cfg["seed"], "ledger/breakdown/t{task}", task_end_only=True)
+        breakdowns = {e["task"]: b for e, b in walk}
     for record, nlls in zip(task_records, nll_matrix):
         if is_graph_method:
             partition = [{i} for i in range(1, record["task"] + 1)]
@@ -684,7 +736,8 @@ def cmd_diagnose(run_dir: str, pool_size: int | None = None, normalize_risks: bo
     if pool_size is not None:
         _require_int(pool_size, "pool_size", 2)
     report_path = os.path.join(run_dir, "report.json")
-    meta_path = os.path.join(run_dir, "snapshots", "meta.json")
+    snap_dir = os.path.join(run_dir, "snapshots")
+    meta_path = os.path.join(snap_dir, "meta.json")
     if not os.path.exists(meta_path):
         raise DataFormatError(
             f"no snapshots under {run_dir}; re-run train with diagnostics.enabled = true"
@@ -693,82 +746,21 @@ def cmd_diagnose(run_dir: str, pool_size: int | None = None, normalize_risks: bo
     meta = _read_run_json(meta_path)
     if not isinstance(report, dict) or "config" not in report:
         raise DataFormatError(f"{report_path} has no 'config' object")
-    if not isinstance(meta, dict) or "entries" not in meta:
-        raise DataFormatError(f"{meta_path} has no 'entries' list")
     cfg = parse_config(report["config"])
     if pool_size is None:
         pool_size = cfg["diagnostics"]["pool_size"]
-    stream = build_stream(cfg)
-    snap_dir = os.path.join(run_dir, "snapshots")
-
-    entries = [e for e in meta["entries"] if e["task"] > 0]
-    initial = [e for e in meta["entries"] if e["task"] == 0]
-    snapshots = []
-    if initial:
-        snapshots.append(
-            bounds_mod.HypothesisSnapshot(
-                ckpt_mod.load_model(os.path.join(snap_dir, initial[0]["snapshot"])),
-                {"task": 0, "epoch": 0},
-            )
-        )
-    rows = []
-    breakdown = None
-    by_task: dict[int, list[dict]] = {}
-    for e in entries:
-        by_task.setdefault(e["task"], []).append(e)
-
-    for task in sorted(by_task):
-        task_entries = sorted(by_task[task], key=lambda e: e["epoch"])
-        models = [ckpt_mod.load_model(os.path.join(snap_dir, e["snapshot"])) for e in task_entries]
-        # the task's first row still reaches pool_size - 1 snapshots back
-        snapshots = snapshots[-(pool_size - 1):] + [
-            bounds_mod.HypothesisSnapshot(m, {"task": task, "epoch": e["epoch"]})
-            for e, m in zip(task_entries, models)
-        ]
-        mixed = np.load(os.path.join(snap_dir, task_entries[0]["mixed"]))
-        target_sets = [stream.tasks[i].test.images for i in range(task)]
-        # Both sample sets are fixed within a task: reconstruct each snapshot
-        # once per set and give every row a window of the table as its pool.
-        table = None  # free the previous task's arrays before allocating these
-        table = bounds_mod.ReconstructionTable.for_breakdown(snapshots, target_sets, mixed)
-        first = len(snapshots) - len(task_entries)
-        for j, (e, model) in enumerate(zip(task_entries, models)):
-            hi = first + j + 1
-            breakdown = bounds_mod.lelbo_breakdown(
-                model,
-                target_sets,
-                mixed,
-                table.window(max(0, hi - pool_size), hi),
-                rng=rng_mod.stream(cfg["seed"], f"diag/elbo/g{e['global_epoch']}"),
-                normalize_risks=normalize_risks,
-            )
-            rows.append(
-                {
-                    "epoch": e["global_epoch"],
-                    "source_risk": breakdown["source_risk_elbo"],
-                    "discrepancy": breakdown["empirical_discrepancy"],
-                    "kl_gap": breakdown["kl_gap"],
-                    "target_risk": breakdown["target_risk_elbo"],
-                }
-            )
-
+    entries = meta.get("entries") if isinstance(meta, dict) else None
+    rows = list(_breakdowns(snap_dir, entries, build_stream(cfg), pool_size, cfg["seed"],
+                            "diag/elbo/g{global_epoch}", normalize_risks=normalize_risks))
     csv_path = os.path.join(run_dir, "diagnose.csv")
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["epoch", "source_risk", "discrepancy", "kl_gap", "target_risk"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["epoch"],
-                    repr(row["source_risk"]),
-                    repr(row["discrepancy"]),
-                    repr(row["kl_gap"]),
-                    repr(row["target_risk"]),
-                ]
-            )
+        writer.writerow(["epoch", *_DIAGNOSE_TERMS])
+        for e, b in rows:
+            writer.writerow([e["global_epoch"], *(repr(b[k]) for k in _DIAGNOSE_TERMS.values())])
     summary = {
         "rows": len(rows),
-        "final_breakdown": breakdown,
+        "final_breakdown": rows[-1][1] if rows else None,
         "csv": csv_path,
         "pool_size": pool_size,
     }
@@ -785,6 +777,9 @@ def cmd_export_plots(run_dir: str) -> list[str]:
         with open(diag_path) as f:
             reader = csv.DictReader(f)
             rows = list(reader)
+        missing = {"epoch", *_DIAGNOSE_TERMS} - set(reader.fieldnames or ())
+        if missing:
+            raise DataFormatError(f"{diag_path} has no {sorted(missing)} columns")
         fig3a = os.path.join(run_dir, "fig3a.dat")
         with open(fig3a, "w") as f:
             f.write("# epoch target_risk\n")
@@ -792,21 +787,22 @@ def cmd_export_plots(run_dir: str) -> list[str]:
                 f.write(f"{row['epoch']} {row['target_risk']}\n")
         written.append(fig3a)
         fig3b = os.path.join(run_dir, "fig3b.dat")
+        columns = ("epoch", *_DIAGNOSE_TERMS)
         with open(fig3b, "w") as f:
-            f.write("# epoch source_risk discrepancy kl_gap target_risk\n")
+            f.write(f"# {' '.join(columns)}\n")
             for row in rows:
-                f.write(
-                    f"{row['epoch']} {row['source_risk']} {row['discrepancy']} "
-                    f"{row['kl_gap']} {row['target_risk']}\n"
-                )
+                f.write(" ".join(str(row[c]) for c in columns) + "\n")
         written.append(fig3b)
     report_path = os.path.join(run_dir, "report.json")
     if os.path.exists(report_path):
         report = _read_run_json(report_path)
+        nlls = report.get("nll_matrix") if isinstance(report, dict) else None
+        if not isinstance(nlls, list) or not nlls or not isinstance(nlls[-1], list):
+            raise DataFormatError(f"{report_path} has no 'nll_matrix' list of per-task NLL rows")
         bars = os.path.join(run_dir, "nll_bars.dat")
         with open(bars, "w") as f:
             f.write("# task nll_after_final_task\n")
-            for task, nll in enumerate(report["nll_matrix"][-1], start=1):
+            for task, nll in enumerate(nlls[-1], start=1):
                 f.write(f"{task} {nll!r}\n")
         written.append(bars)
     if not written:
@@ -840,23 +836,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    keys = (
-        "method",
-        "seed",
-        "k_prime",
-        "tau",
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "replay_ratio",
-        "eval_k_prime",
-        "output_dir",
-        "binarize",
-        "likelihood",
-        "train_per_task",
-        "test_per_task",
-    )
-    overrides = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    overrides = {
+        k: v
+        for k, v in vars(args).items()
+        if k in CONFIG_DEFAULTS and k not in ("stream", "diagnostics") and v is not None
+    }
     if getattr(args, "stream", None):
         overrides["stream"] = [s.strip() for s in args.stream.split(",") if s.strip()]
     if getattr(args, "diagnostics", None):

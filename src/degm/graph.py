@@ -240,8 +240,8 @@ class GraphState:
 SCORE_NOISE_LABEL = "degm/score"
 
 
-def _score_noise(x: np.ndarray, latent_dim: int, draws: int = 1) -> np.ndarray:
-    return rng_mod.content_keyed_normal(x, latent_dim, SCORE_NOISE_LABEL, draws=draws)
+def _score_noise(x: np.ndarray, latent_dim: int) -> np.ndarray:
+    return rng_mod.content_keyed_normal(x, latent_dim, SCORE_NOISE_LABEL)
 
 
 def knowledge_novelty(graph: GraphState, probe: np.ndarray) -> np.ndarray:
@@ -376,13 +376,13 @@ def melbo(node: SpecificNode, batch, noise=None, rng=None) -> vae_mod.ElboEstima
     return vae_mod.bound_estimate(recon.data, kl.data)
 
 
-def select_node(graph: GraphState, x, rng=None, k_prime: int = 1):
+def select_node(graph: GraphState, x):
     """Pick the node with the highest mean bound on ``x``.
 
     Basic nodes are scored with the single-model bound, Specific nodes with
-    the mixture bound (or importance-weighted estimates when k_prime > 1).
-    Noise is content-keyed, so scores ignore sample ordering. Ties break
-    toward the lowest node id. Returns ``(node_id, scores)``.
+    the mixture bound. Noise is content-keyed, so scores ignore sample
+    ordering. Ties break toward the lowest node id. Returns
+    ``(node_id, scores)``.
     """
     nodes = graph.all_nodes()
     if not nodes:
@@ -390,20 +390,20 @@ def select_node(graph: GraphState, x, rng=None, k_prime: int = 1):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    noise = _score_noise(x, graph.arch.latent_dim, draws=max(1, k_prime))
+    noise = _score_noise(x, graph.arch.latent_dim)
     scores: dict[int, float] = {}
     for node in nodes:
-        if k_prime > 1:
-            scores[node.id] = float(vae_mod.iw_logpx_np(node, x, k_prime, noise=noise).mean())
-        else:
-            bound = vae_mod.elbo if isinstance(node, BasicNode) else melbo
-            scores[node.id] = bound(node, x, noise=noise).total
+        bound = vae_mod.elbo if isinstance(node, BasicNode) else melbo
+        scores[node.id] = bound(node, x, noise=noise).total
     best_id = max(sorted(scores), key=lambda nid: scores[nid])
     return best_id, scores
 
 
 # ---------------------------------------------------------------------------
 # Sequence training
+
+NOVELTY_PROBE_SIZE = 1000  # training examples a task's novelty is scored on
+SELECT_BATCH = 100  # test examples routed to one node together in evaluation
 
 
 def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label: str):
@@ -443,9 +443,7 @@ def train_degm_sequence(
     config: TrainConfig,
     tau: float,
     force: str | None = None,
-    novelty_probe_size: int = 1000,
     eval_k_prime: int = 200,
-    select_batch: int = 100,
 ):
     """Grow and train the graph over a task stream.
 
@@ -471,7 +469,7 @@ def train_degm_sequence(
             ks = np.array([])
             decision = expansion_decision(ks, tau, force=force, first_task=True)
         else:
-            probe_n = min(novelty_probe_size, len(images))
+            probe_n = min(NOVELTY_PROBE_SIZE, len(images))
             probe_idx = rng_mod.stream(config.seed, f"degm/probe/task{t}").choice(
                 len(images), size=probe_n, replace=False
             )
@@ -499,7 +497,6 @@ def train_degm_sequence(
                 seen.test.images,
                 true_task=seen.task_id,
                 eval_k_prime=eval_k_prime,
-                select_batch=select_batch,
                 rng_seed=config.seed,
                 rng_label=f"degm/eval/after{t}/task{seen.task_id}",
             )
@@ -514,7 +511,6 @@ def evaluate_task(
     images: np.ndarray,
     true_task: int | None = None,
     eval_k_prime: int = 200,
-    select_batch: int = 100,
     rng_seed: int = 0,
     rng_label: str = "degm/eval",
 ):
@@ -525,8 +521,8 @@ def evaluate_task(
     correct = 0
     batches = 0
     selections = []
-    for start in range(0, n, select_batch):
-        xb = images[start : start + select_batch]
+    for start in range(0, n, SELECT_BATCH):
+        xb = images[start : start + SELECT_BATCH]
         node_id, _ = select_node(graph, xb)
         node = graph.node_by_id(node_id)
         nll_rng = rng_mod.stream(rng_seed, f"{rng_label}/nll/{start}")

@@ -65,7 +65,6 @@ class TrainConfig:
     replay_ratio: float = 1.0
     seed: int = 0
     warm_start: bool = True
-    binarize_pseudo: bool | None = None  # None: binarize exactly for bernoulli models
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.k_prime < 1:
@@ -191,7 +190,6 @@ def _mix_for_task(generator, new_data, config: TrainConfig, task_index: int, pri
         generator,
         replay_n,
         seed=rng_mod.derive_seed(config.seed, f"gr/pseudo/task{task_index}"),
-        binarize=config.binarize_pseudo,
     )
     pseudo.source_task_count = task_index - 1
     return mix_datasets(

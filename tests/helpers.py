@@ -13,15 +13,27 @@ import numpy as np
 
 from degm import nn
 from degm import vae as vae_mod
-from degm.bounds import HypothesisPool
+from degm.bounds import HypothesisSnapshot
 from degm.graph import SpecificNode
 from degm import rng as rng_mod
 from degm.nn import as_tensor
 from degm.vae import BERNOULLI_CLAMP
 
 
-class StackPool(HypothesisPool):
-    """Reconstruction oracle: every use reconstructs into a list and stacks it."""
+class StackPool:
+    """Reconstruction oracle: a list of snapshots that, on every use,
+    reconstructs into a list and stacks it."""
+
+    def __init__(self, hypotheses=()):
+        self.hypotheses = list(hypotheses)
+
+    def add(self, model, label=None):
+        snap = HypothesisSnapshot(model, label)
+        self.hypotheses.append(snap)
+        return snap
+
+    def __len__(self):
+        return len(self.hypotheses)
 
     def reconstructions(self, x):
         return np.stack([h.reconstruct(x) for h in self.hypotheses])

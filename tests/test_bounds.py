@@ -10,7 +10,6 @@ from degm.bounds import (
     AssignmentLog,
     ComponentEntry,
     DiagnosticsLedger,
-    HypothesisPool,
     HypothesisSnapshot,
     IncompleteInputError,
     InvalidLogError,
@@ -48,7 +47,7 @@ class _AffineHypothesis:
 
 
 def affine_pool(*params):
-    pool = HypothesisPool()
+    pool = StackPool()
     for scale, shift in params:
         h = _AffineHypothesis(scale, shift)
         snap = HypothesisSnapshot.__new__(HypothesisSnapshot)
@@ -276,7 +275,7 @@ class TestRademacherEstimate:
     def test_constant_pool_matches_walk_oracle(self):
         m = 400
         x = rng.stream(10, "x").random((m, 1))
-        pool = HypothesisPool()
+        pool = StackPool()
         snap = HypothesisSnapshot.__new__(HypothesisSnapshot)
         snap.label = {}
         snap.reconstruct = _ConstantHypothesis(0.0, 1).reconstruct
@@ -348,7 +347,7 @@ class TestLelboBreakdown:
         from degm.data import binarize
 
         test = binarize(test, "threshold_0.5")
-        pool = HypothesisPool()
+        pool = StackPool()
         pool.add(m, {"task": 1, "epoch": "final"})
         pool.add(build_vae(36, 4, (16,), (16,), "bernoulli", seed=99), {"task": 0, "epoch": 0})
         out = lelbo_breakdown(m, [test.images], train.images, pool, rng=rng.stream(0, "b"))
@@ -359,7 +358,7 @@ class TestLelboBreakdown:
     def test_decomposition_identity_exact(self):
         m, train = _trained_small_vae(seed=6)
         test = train.images[:120]
-        pool = HypothesisPool()
+        pool = StackPool()
         pool.add(m, {"task": 1, "epoch": 1})
         pool.add(build_vae(36, 4, (16,), (16,), "bernoulli", seed=98), {})
         out = lelbo_breakdown(m, [test], train.images, pool, rng=rng.stream(1, "b"))
@@ -373,7 +372,7 @@ class TestLelboBreakdown:
     def test_rademacher_terms_widen_slack(self):
         m, train = _trained_small_vae(seed=6)
         test = train.images[:120]
-        pool = HypothesisPool()
+        pool = StackPool()
         pool.add(m, {"task": 1, "epoch": 1})
         pool.add(build_vae(36, 4, (16,), (16,), "bernoulli", seed=98), {})
         plain = lelbo_breakdown(m, [test], train.images, pool, rng=rng.stream(1, "b"))

@@ -9,7 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
-import types
+import weakref
 
 import numpy as np
 import pytest
@@ -456,21 +456,24 @@ def _oracle_task_end_breakdowns(entries, stream, cfg):
     return breakdowns
 
 
+def _ledger_walk(diag_run, pool_size):
+    """The run's config and stream, and the ledger's task-end walk over its snapshots."""
+    with open(os.path.join(diag_run, "report.json")) as f:
+        cfg = parse_config(json.load(f)["config"])
+    snap_dir = os.path.join(diag_run, "snapshots")
+    with open(os.path.join(snap_dir, "meta.json")) as f:
+        entries = json.load(f)["entries"]
+    stream = build_stream(cfg)
+    walk = cli._breakdowns(
+        snap_dir, entries, stream, pool_size, cfg["seed"], "ledger/breakdown/t{task}",
+        task_end_only=True,
+    )
+    return cfg, stream, walk
+
+
 class TestTaskEndBreakdowns:
     @pytest.mark.parametrize("pool_size", [64, 3])
     def test_each_snapshot_loaded_once_same_values(self, diag_run, pool_size, monkeypatch):
-        with open(os.path.join(diag_run, "report.json")) as f:
-            cfg = parse_config(json.load(f)["config"])
-        cfg["diagnostics"]["pool_size"] = pool_size
-        snap_dir = os.path.join(diag_run, "snapshots")
-        with open(os.path.join(snap_dir, "meta.json")) as f:
-            entries = [
-                {**e, **{k: os.path.join(snap_dir, e[k]) for k in ("snapshot", "mixed") if k in e}}
-                for e in json.load(f)["entries"]
-            ]
-        stream = build_stream(cfg)
-        expected = _oracle_task_end_breakdowns(entries, stream, cfg)
-
         loads = []
 
         def counting_load(path):
@@ -478,11 +481,66 @@ class TestTaskEndBreakdowns:
             return load_model(path)
 
         monkeypatch.setattr(cli.ckpt_mod, "load_model", counting_load)
-        got = cli._task_end_breakdowns(types.SimpleNamespace(entries=entries), stream, cfg)
-        assert got == expected
+        cfg, stream, walk = _ledger_walk(diag_run, pool_size)
+        got = {e["task"]: b for e, b in walk}
+        cfg["diagnostics"]["pool_size"] = pool_size
+        snap_dir = os.path.join(diag_run, "snapshots")
+        with open(os.path.join(snap_dir, "meta.json")) as f:
+            entries = [
+                {**e, **{k: os.path.join(snap_dir, e[k]) for k in ("snapshot", "mixed") if k in e}}
+                for e in json.load(f)["entries"]
+            ]
+        assert got == _oracle_task_end_breakdowns(entries, stream, cfg)
         snapshot_files = len([n for n in os.listdir(snap_dir) if n.endswith(".bin")])
         assert len(loads) <= snapshot_files + len(stream.tasks)
         assert len(loads) == len(set(loads))
+
+    @pytest.mark.parametrize("pool_size, per_set", [(64, 4 + 7), (3, 3 + 3)])
+    def test_each_snapshot_sample_pair_reconstructed_once(
+        self, diag_run, pool_size, per_set, monkeypatch
+    ):
+        # per task: the pool of its last entry only (all 4 then all 7
+        # snapshots, or the last 3 each time), each on two sample sets
+        seen = collections.Counter()
+        inner = bounds.HypothesisSnapshot.reconstruct
+
+        def counting(snap, x):
+            sample = hashlib.sha256(x.tobytes()).hexdigest()
+            seen[(snap.label["task"], snap.label["epoch"], sample)] += 1
+            return inner(snap, x)
+
+        monkeypatch.setattr(bounds.HypothesisSnapshot, "reconstruct", counting)
+        _, _, walk = _ledger_walk(diag_run, pool_size)
+        assert [e["task"] for e, _ in walk] == [1, 2]
+        assert set(seen.values()) == {1}
+        assert sum(seen.values()) == 2 * per_set
+
+
+class TestOneReconstructionTableAlive:
+    """A task's reconstructions are freed before the next task's are made."""
+
+    @staticmethod
+    def _alive_at_each_build(monkeypatch):
+        arrays, alive = [], []
+        inner = bounds.ReconstructionTable.__init__
+
+        def tracking(table, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in arrays))
+            inner(table, *args, **kwargs)
+            arrays.extend(weakref.ref(r) for r in table.recons)
+
+        monkeypatch.setattr(bounds.ReconstructionTable, "__init__", tracking)
+        return alive
+
+    def test_train_with_diagnostics(self, tmp_path, monkeypatch):
+        alive = self._alive_at_each_build(monkeypatch)
+        cmd_train(parse_config({**DIAG_CFG, "output_dir": str(tmp_path / "run")}))
+        assert alive == [0, 0]
+
+    def test_diagnose(self, diag_run, monkeypatch):
+        alive = self._alive_at_each_build(monkeypatch)
+        cmd_diagnose(diag_run)
+        assert alive == [0, 0]
 
 
 class TestDiagnosticsValidation:
@@ -539,6 +597,52 @@ class TestBrokenRunDirectory:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert not (run / "diagnose.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, fault",
+        [
+            ("diagnose", lambda run: (run / "snapshots" / "mixed_t02.npy").unlink()),
+            ("diagnose", lambda run: (run / "snapshots" / "mixed_t02.npy").write_bytes(b"garbage")),
+            ("diagnose", lambda run: np.save(run / "snapshots" / "mixed_t02.npy", np.zeros((5, 7)))),
+            ("diagnose", lambda run: _edit_json(run / "snapshots" / "meta.json", entries=5)),
+            ("diagnose", lambda run: _edit_entry(run, 1, task="1")),
+            ("diagnose", lambda run: _edit_entry(run, -1, task=3)),
+            ("export-plots", lambda run: _edit_json(run / "report.json", nll_matrix=None)),
+            ("export-plots", lambda run: (run / "diagnose.csv").write_text(
+                "epoch,source_risk,discrepancy,kl_gap\n1,0.5,0.25,0.125\n")),
+        ],
+        ids=[
+            "mixed-missing", "mixed-garbage", "mixed-5x7", "entries-not-list", "task-string",
+            "task-above-stream", "report-without-nll-matrix", "diagnose-csv-without-target-risk",
+        ],
+    )
+    def test_malformed_input_exits_3(self, diag_run, tmp_path, capsys, command, fault):
+        run = tmp_path / "run"
+        shutil.copytree(diag_run, run, ignore=shutil.ignore_patterns("diagnose.csv"))
+        fault(run)
+        code = main([command, "--run-dir", str(run)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        if command == "diagnose":
+            assert not (run / "diagnose.csv").exists()
+
+
+def _edit_json(path, **changes):
+    """Rewrite a JSON object file with keys set (or, for None, removed)."""
+    obj = json.loads(path.read_text())
+    for key, value in changes.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    path.write_text(json.dumps(obj))
+
+
+def _edit_entry(run, index, **changes):
+    path = run / "snapshots" / "meta.json"
+    meta = json.loads(path.read_text())
+    meta["entries"][index].update(changes)
+    path.write_text(json.dumps(meta))
 
 
 class TestStrictNumericConfig:
