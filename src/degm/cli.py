@@ -777,9 +777,9 @@ def cmd_export_plots(run_dir: str) -> list[str]:
         with open(diag_path) as f:
             reader = csv.DictReader(f)
             rows = list(reader)
-        missing = {"epoch", *_DIAGNOSE_TERMS} - set(reader.fieldnames or ())
-        if missing:
-            raise DataFormatError(f"{diag_path} has no {sorted(missing)} columns")
+        columns = ("epoch", *_DIAGNOSE_TERMS)
+        if set(columns) - set(reader.fieldnames or ()) or any(None in r.values() for r in rows):
+            raise DataFormatError(f"{diag_path}: every row needs the columns {', '.join(columns)}")
         fig3a = os.path.join(run_dir, "fig3a.dat")
         with open(fig3a, "w") as f:
             f.write("# epoch target_risk\n")
@@ -787,11 +787,10 @@ def cmd_export_plots(run_dir: str) -> list[str]:
                 f.write(f"{row['epoch']} {row['target_risk']}\n")
         written.append(fig3a)
         fig3b = os.path.join(run_dir, "fig3b.dat")
-        columns = ("epoch", *_DIAGNOSE_TERMS)
         with open(fig3b, "w") as f:
             f.write(f"# {' '.join(columns)}\n")
             for row in rows:
-                f.write(" ".join(str(row[c]) for c in columns) + "\n")
+                f.write(" ".join(row[c] for c in columns) + "\n")
         written.append(fig3b)
     report_path = os.path.join(run_dir, "report.json")
     if os.path.exists(report_path):

@@ -610,10 +610,13 @@ class TestBrokenRunDirectory:
             ("export-plots", lambda run: _edit_json(run / "report.json", nll_matrix=None)),
             ("export-plots", lambda run: (run / "diagnose.csv").write_text(
                 "epoch,source_risk,discrepancy,kl_gap\n1,0.5,0.25,0.125\n")),
+            ("export-plots", lambda run: (run / "diagnose.csv").write_text(
+                "epoch,source_risk,discrepancy,kl_gap,target_risk\n1,0.5,0.25\n")),
         ],
         ids=[
             "mixed-missing", "mixed-garbage", "mixed-5x7", "entries-not-list", "task-string",
             "task-above-stream", "report-without-nll-matrix", "diagnose-csv-without-target-risk",
+            "diagnose-csv-short-row",
         ],
     )
     def test_malformed_input_exits_3(self, diag_run, tmp_path, capsys, command, fault):
