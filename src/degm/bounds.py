@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from . import vae as vae_mod
-from .nn import InvalidSpecError, ShapeError, no_grad
+from .nn import InvalidSpecError, no_grad
 
 
 class IncompleteInputError(ValueError):
@@ -122,16 +122,6 @@ class ReconstructionTable:
             if x is xs or (x.shape == xs.shape and np.array_equal(x, xs)):
                 return rec
         raise InvalidSpecError("sample set is not one the reconstruction table was built on")
-
-
-def squared_loss(x, x_prime) -> float:
-    """Sum of squared per-dimension differences; bounded by d on [0,1]^d."""
-    x = np.asarray(x, dtype=np.float64)
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    if x.shape != x_prime.shape:
-        raise ShapeError(f"shapes {x.shape} and {x_prime.shape} differ")
-    diff = x - x_prime
-    return float((diff * diff).sum())
 
 
 def risk(h, dataset, reference="identity", normalize: bool = False) -> float:

@@ -382,12 +382,12 @@ def _breakdowns(snap_dir: str, entries, stream: TaskStream, pool_size: int, seed
 
     ``entries`` is ``meta.json``'s list, walked by task, then epoch. An
     entry's pool is the last ``pool_size`` snapshots up to and including its
-    own, and its noise is keyed by ``rng_label.format(**entry)``. Each
-    snapshot file is loaded once and each task's mixed sample read once; per
-    task one ``ReconstructionTable`` covers just the snapshots the task's rows
-    reach, built after the previous task's table is freed. A malformed entry
-    list or mixed sample is a DataFormatError before anything is computed on
-    it.
+    own, and its noise is keyed by ``rng_label.format(**entry)``. Only the
+    snapshots some pool reaches are loaded, each once, and each task's mixed
+    sample is read once; per task one ``ReconstructionTable`` covers just the
+    snapshots the task's rows reach, built after the previous task's table is
+    freed. A malformed entry list or mixed sample is a DataFormatError before
+    anything is computed on it.
     """
     n_tasks = len(stream.tasks)
     if not isinstance(entries, list) or not all(_entry_ok(e, n_tasks) for e in entries):
@@ -398,6 +398,10 @@ def _breakdowns(snap_dir: str, entries, stream: TaskStream, pool_size: int, seed
         )
     snapshots = []
     entries = sorted(entries, key=lambda e: (e["task"], e["epoch"]))
+    last = {e["task"]: i for i, e in enumerate(entries)}
+    row_at = [i for i, e in enumerate(entries) if e["task"] and (last[e["task"]] == i or not task_end_only)]
+    reached = {j for i in row_at for j in range(i + 1 - pool_size, i + 1)}
+    entries = [e for i, e in enumerate(entries) if i in reached]
     for task, group in itertools.groupby(entries, key=lambda e: e["task"]):
         group = list(group)
         models = [ckpt_mod.load_model(os.path.join(snap_dir, e["snapshot"])) for e in group]
@@ -665,7 +669,11 @@ def cmd_train_multi(cfg: dict, seeds: list[int]) -> dict:
 
 
 def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dict:
-    """Score a checkpoint on the configured stream; per-task NLL and selection."""
+    """Score a checkpoint on the configured stream; per-task NLL and selection.
+
+    The noise is keyed like the training run's final evaluation, so at the
+    run's seed, stream and K' this reproduces its last NLL row exactly.
+    """
     k_prime = k_prime or cfg["eval_k_prime"]
     stream = build_stream(cfg)
     kind = ckpt_mod.sniff_kind(checkpoint_path)
@@ -683,7 +691,7 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
                 true_task=task.task_id,
                 eval_k_prime=k_prime,
                 rng_seed=cfg["seed"],
-                rng_label=f"eval-cmd/task{task.task_id}",
+                rng_label=f"degm/eval/after{len(stream)}/task{task.task_id}",
             )
             results.append(
                 {
@@ -701,7 +709,7 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
                 model,
                 task.test,
                 k_prime=k_prime,
-                rng=rng_mod.stream(cfg["seed"], f"eval-cmd/task{task.task_id}"),
+                rng=rng_mod.stream(cfg["seed"], f"gr/eval/after{len(stream)}/task{task.task_id}"),
                 return_se=True,
             )
             results.append({"task": task.task_id, "nll": nll, "nll_se": se})

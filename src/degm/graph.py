@@ -376,13 +376,14 @@ def melbo(node: SpecificNode, batch, noise=None, rng=None) -> vae_mod.ElboEstima
     return vae_mod.bound_estimate(recon.data, kl.data)
 
 
-def select_node(graph: GraphState, x):
+def select_node(graph: GraphState, x, scores: dict | None = None):
     """Pick the node with the highest mean bound on ``x``.
 
     Basic nodes are scored with the single-model bound, Specific nodes with
     the mixture bound. Noise is content-keyed, so scores ignore sample
     ordering. Ties break toward the lowest node id. Returns
-    ``(node_id, scores)``.
+    ``(node_id, scores)``. ``scores`` may hold scores of frozen nodes already
+    taken on this same ``x``; only the nodes it lacks are scored, into it.
     """
     nodes = graph.all_nodes()
     if not nodes:
@@ -390,9 +391,10 @@ def select_node(graph: GraphState, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    noise = _score_noise(x, graph.arch.latent_dim)
-    scores: dict[int, float] = {}
-    for node in nodes:
+    scores = {} if scores is None else scores
+    todo = [node for node in nodes if node.id not in scores]
+    noise = _score_noise(x, graph.arch.latent_dim) if todo else None
+    for node in todo:
         bound = vae_mod.elbo if isinstance(node, BasicNode) else melbo
         scores[node.id] = bound(node, x, noise=noise).total
     best_id = max(sorted(scores), key=lambda nid: scores[nid])
@@ -451,7 +453,9 @@ def train_degm_sequence(
     (``force`` overrides, e.g. "basic" reproduces the one-node-per-task
     baseline), build the node, train only its parameters, then freeze it.
     Evaluation picks a node per test batch by bound score and measures the
-    negative log-likelihood with ``eval_k_prime`` weighted samples.
+    negative log-likelihood with ``eval_k_prime`` weighted samples, keyed by
+    the final evaluation's label: frozen nodes are scored and estimated once
+    per test batch, so a batch keeps its NLL while it keeps its node.
 
     Returns ``(graph, task_records, train_metrics)``.
     """
@@ -460,6 +464,7 @@ def train_degm_sequence(
     if stream.dim != arch.data_dim:
         raise InvalidSpecError(f"stream dim {stream.dim} != arch data_dim {arch.data_dim}")
     graph = GraphState(arch=arch)
+    memo: dict[int, dict] = {}  # eval task -> evaluate_task's memo
     task_records = []
     train_metrics = []
     for task in stream.tasks:
@@ -498,7 +503,8 @@ def train_degm_sequence(
                 true_task=seen.task_id,
                 eval_k_prime=eval_k_prime,
                 rng_seed=config.seed,
-                rng_label=f"degm/eval/after{t}/task{seen.task_id}",
+                rng_label=f"degm/eval/after{len(stream)}/task{seen.task_id}",
+                memo=memo.setdefault(seen.task_id, {}),
             )
             record["eval_task"] = seen.task_id
             evals.append(record)
@@ -513,8 +519,15 @@ def evaluate_task(
     eval_k_prime: int = 200,
     rng_seed: int = 0,
     rng_label: str = "degm/eval",
+    memo: dict | None = None,
 ):
-    """Batch-wise node selection plus NLL on the selected node."""
+    """Batch-wise node selection plus NLL on the selected node.
+
+    ``memo`` maps a batch start to that batch's node scores and per-node
+    ``logpx`` sums; pass the same dict only with the same images, seed, label
+    and ``eval_k_prime``, and only while the graph's nodes stay frozen.
+    """
+    memo = {} if memo is None else memo
     images = np.asarray(images, dtype=np.float64)
     n = images.shape[0]
     total_logpx = 0.0
@@ -523,11 +536,13 @@ def evaluate_task(
     selections = []
     for start in range(0, n, SELECT_BATCH):
         xb = images[start : start + SELECT_BATCH]
-        node_id, _ = select_node(graph, xb)
+        scores, logpx_sums = memo.setdefault(start, ({}, {}))
+        node_id, _ = select_node(graph, xb, scores)
         node = graph.node_by_id(node_id)
-        nll_rng = rng_mod.stream(rng_seed, f"{rng_label}/nll/{start}")
-        logpx = vae_mod.iw_logpx_np(node, xb, eval_k_prime, rng=nll_rng)
-        total_logpx += float(logpx.sum())
+        if node_id not in logpx_sums:
+            nll_rng = rng_mod.stream(rng_seed, f"{rng_label}/nll/{start}")
+            logpx_sums[node_id] = float(vae_mod.iw_logpx_np(node, xb, eval_k_prime, rng=nll_rng).sum())
+        total_logpx += logpx_sums[node_id]
         selections.append(node_id)
         batches += 1
         if true_task is not None and node.task_id == true_task:

@@ -230,11 +230,6 @@ def _recon_loglik_pe(decoder_output, x, likelihood: str, normalize: bool) -> Ten
     return Tensor._from_op(recon_loglik_np(y.data, x, likelihood, normalize), (y,), grad_fn)
 
 
-def recon_loglik(decoder_output, x, likelihood: str, normalize: bool = False) -> Tensor:
-    """Batch-mean reconstruction log-likelihood (nats)."""
-    return _recon_loglik_pe(decoder_output, x, likelihood, normalize).mean()
-
-
 def recon_loglik_np(
     y: np.ndarray, x: np.ndarray, likelihood: str, normalize: bool = False
 ) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Shared test oracles: finite differences, gradient comparison, stacked pools,
 out-of-place copies of the evaluation kernels, the models' encode and decode
 built only from those copies, the reconstruction log-likelihood composed of
-elementwise tape ops as it was before it became one op, the serial
-importance-weighted log-likelihood, and the importance-weighted mixture
-objective as it was written before Specific nodes became models."""
+elementwise tape ops as it was before it became one op, the batch mean of
+the real one-op kernel, the serial importance-weighted log-likelihood, and
+the importance-weighted mixture objective as it was written before Specific
+nodes became models."""
 
 import functools
 import math
@@ -153,6 +154,11 @@ def oracle_recon_loglik_np(y, x, likelihood, normalize=False):
     if normalize:
         ll = ll / d
     return ll
+
+
+def recon_loglik(y, x, likelihood, normalize=False):
+    """Batch-mean reconstruction log-likelihood through the tape's one-op kernel."""
+    return vae_mod._recon_loglik_pe(as_tensor(y), x, likelihood, normalize).mean()
 
 
 def _oracle_clip(t, lo, hi):

@@ -22,11 +22,10 @@ from degm.bounds import (
     mixture_bound_report,
     rademacher_estimate,
     risk,
-    squared_loss,
 )
 from degm.checkpoint import load_model, save_model
 from degm.data import synth_generate
-from degm.nn import InvalidSpecError, ShapeError
+from degm.nn import InvalidSpecError
 from degm.replay import TrainConfig, train_task_gr
 from degm.vae import build_vae
 from helpers import StackPool
@@ -77,27 +76,6 @@ class TestSnapshotFreezing:
         assert snap._frozen is not model
         assert snap.reconstruct(x).tobytes() == before.tobytes()
         assert not np.array_equal(HypothesisSnapshot(model).reconstruct(x), before)
-
-
-class TestSquaredLoss:
-    def test_identity_is_zero(self):
-        x = rng.stream(0, "x").random(7)
-        assert squared_loss(x, x) == 0.0
-
-    def test_hand_value(self):
-        assert squared_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 2.0
-
-    def test_bounded_by_dimension_on_unit_cube(self):
-        g = rng.stream(1, "x")
-        for _ in range(50):
-            d = int(g.integers(1, 20))
-            a = g.random(d)
-            b = g.random(d)
-            assert squared_loss(a, b) <= d
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            squared_loss(np.zeros(2), np.zeros(3))
 
 
 class TestRisk:

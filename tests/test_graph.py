@@ -1,14 +1,17 @@
 """Expansion graph: novelty, decisions, weights, wiring, bounds, selection."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from degm import graph as graph_mod
 from degm import rng
 from degm.checkpoint import load_graph, save_graph
 from degm.data import make_cross_domain_stream
 from degm.graph import (
+    SELECT_BATCH,
     ArchSpec,
     GraphState,
     build_basic_node,
@@ -450,6 +453,97 @@ class TestTrainDegmSequence:
         )
         accs = [e["selection_accuracy"] for e in records[-1]["evals"]]
         assert np.mean(accs) >= 0.9
+
+
+@pytest.fixture(scope="module")
+def memo_run():
+    """A 3-task micro run (two test batches per task, Specific nodes after the
+    first) that records every IW estimate and every bound taken on a test
+    batch, keyed by (node id, eval task, batch start)."""
+    stream = micro_stream(seed=101)
+    batches = {
+        task.test.images[start : start + SELECT_BATCH].tobytes(): (task.task_id, start)
+        for task in stream.tasks
+        for start in range(0, len(task.test), SELECT_BATCH)
+    }
+    calls = {"iw": collections.Counter(), "score": collections.Counter()}
+
+    def counting(kind, inner):
+        def fn(node, x, *args, **kwargs):
+            key = batches.get(np.asarray(x).tobytes())
+            if key is not None:
+                calls[kind][(node.id, *key)] += 1
+            return inner(node, x, *args, **kwargs)
+
+        return fn
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod.vae_mod, "iw_logpx_np", counting("iw", iw_logpx_np))
+        mp.setattr(graph_mod.vae_mod, "elbo", counting("score", elbo))
+        mp.setattr(graph_mod, "melbo", counting("score", melbo))
+        graph, records, _ = train_degm_sequence(
+            stream, MICRO_ARCH, micro_config(seed=1), tau=1e12, eval_k_prime=20
+        )
+    return stream, graph, records, calls
+
+
+class TestEvalMemo:
+    def test_one_iw_estimate_per_selected_node_and_batch(self, memo_run):
+        _, _, records, calls = memo_run
+        selected = {
+            (node_id, ev["eval_task"], i * SELECT_BATCH)
+            for record in records
+            for ev in record["evals"]
+            for i, node_id in enumerate(ev["selections"])
+        }
+        assert set(calls["iw"]) == selected
+        assert set(calls["iw"].values()) == {1}
+        # 12 batch evaluations over the three rows; each task's batches keep
+        # their node here, so 6 distinct (node, task, batch) estimates
+        assert sum(len(ev["selections"]) for r in records for ev in r["evals"]) == 12
+        assert sum(calls["iw"].values()) == len(selected) == 6
+
+    def test_one_score_per_node_and_batch(self, memo_run):
+        _, graph, _, calls = memo_run
+        kinds = [type(n).__name__ for n in graph.all_nodes()]
+        assert kinds == ["BasicNode", "SpecificNode", "SpecificNode"]
+        # every node meets every task's 2 batches once: 3 x 3 x 2, not (1 + 4 + 9) x 2
+        assert len(calls["score"]) == 18
+        assert set(calls["score"].values()) == {1}
+
+    def test_final_row_matches_memo_free_evaluation(self, memo_run):
+        stream, graph, records, _ = memo_run
+        for ev, task in zip(records[-1]["evals"], stream.tasks):
+            fresh = evaluate_task(
+                graph,
+                task.test.images,
+                true_task=task.task_id,
+                eval_k_prime=20,
+                rng_seed=1,
+                rng_label=f"degm/eval/after3/task{task.task_id}",
+            )
+            assert fresh["selections"] == ev["selections"]
+            assert fresh["nll"].hex() == ev["nll"].hex()
+            assert fresh["selection_accuracy"] == ev["selection_accuracy"]
+
+    def test_nll_constant_while_selection_is(self, memo_run):
+        _, _, records, _ = memo_run
+        kept = 0
+        for j in range(1, 4):
+            rows = [ev for r in records for ev in r["evals"] if ev["eval_task"] == j]
+            if all(ev["selections"] == rows[0]["selections"] for ev in rows):
+                assert len({ev["nll"] for ev in rows}) == 1
+                kept += len(rows) > 1
+        assert kept > 0
+
+    def test_select_node_scores_only_missing_nodes(self, memo_run, monkeypatch):
+        stream, graph, _, _ = memo_run
+        x = stream.tasks[0].test.images[:SELECT_BATCH]
+        node_id, scores = select_node(graph, x)
+        drawn = []
+        monkeypatch.setattr(graph_mod, "_score_noise", lambda *a: drawn.append(a))
+        assert select_node(graph, x, dict(scores)) == (node_id, scores)
+        assert drawn == []
 
 
 class TestCheckpointRoundtrip:

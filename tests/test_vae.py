@@ -18,10 +18,9 @@ from degm.vae import (
     iwelbo,
     iwelbo_parts,
     nll_estimate,
-    recon_loglik,
     reparameterize,
 )
-from helpers import max_grad_error, oracle_encode, oracle_gaussian_kl
+from helpers import max_grad_error, oracle_encode, oracle_gaussian_kl, recon_loglik
 
 
 def tiny_model(likelihood="bernoulli", seed=3, normalize=False):
