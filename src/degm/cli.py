@@ -42,8 +42,9 @@ from .data import (
     make_cross_domain_stream,
     make_split_stream,
 )
-from .graph import ArchSpec, evaluate_task, train_degm_sequence
-from .replay import NonFiniteError, TrainConfig, run_gr_sequence
+from .graph import ArchSpec, evaluate_task, final_eval_label, train_degm_sequence
+from .nn import InvalidSpecError
+from .replay import NonFiniteError, TrainConfig, eval_label, run_gr_sequence
 from .vae import build_vae
 
 METHODS = ("elbo_gr", "iwelbo_gr", "degm_elbo", "degm_iwelbo", "degm2")
@@ -203,13 +204,28 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"unknown binarize mode {cfg['binarize']!r}")
     if cfg["likelihood"] not in vae_mod.LIKELIHOODS:
         raise ConfigError(f"unknown likelihood {cfg['likelihood']!r}")
-    if cfg["method"].startswith("degm"):
-        if len(cfg["trunk_widths"]) != 1 or len(cfg["decoder_widths"]) != 1:
-            raise ConfigError(
-                "graph methods use single-hidden-layer sub-models: trunk_widths and "
-                "decoder_widths must each hold exactly one width"
-            )
+    if cfg["output_dir"] is not None and not isinstance(cfg["output_dir"], str):
+        raise ConfigError(f"field 'output_dir' must be a path string, got {cfg['output_dir']!r}")
     diag = cfg["diagnostics"]
+    for name, value in (("warm_start", cfg["warm_start"]), ("normalize_recon", cfg["normalize_recon"]),
+                        ("diagnostics.enabled", diag["enabled"])):
+        if not isinstance(value, bool):
+            raise ConfigError(f"field {name!r} must be true or false, got {value!r}")
+    widths = cfg["trunk_widths"], cfg["decoder_widths"]
+    if not all(isinstance(w, list) for w in widths):
+        raise ConfigError("trunk_widths and decoder_widths must be lists of layer widths")
+    if cfg["method"].startswith("degm") and [len(w) for w in widths] != [1, 1]:
+        raise ConfigError(
+            "graph methods use single-hidden-layer sub-models: trunk_widths and "
+            "decoder_widths must each hold exactly one width"
+        )
+    try:  # the geometry checks of the model's own specs; no weights are built
+        if cfg["method"].startswith("degm"):
+            _arch(cfg)
+        else:
+            vae_mod.vae_specs(*_vae_geometry(cfg))
+    except InvalidSpecError as err:
+        raise ConfigError(f"widths, latent_dim and hidden_activation give no valid model: {err}")
     _require_int(diag["pool_size"], "diagnostics.pool_size", 2)
     _require_int(diag["snapshot_every"], "diagnostics.snapshot_every", 1)
     _require_int(diag["sample_size"], "diagnostics.sample_size", 1)
@@ -292,20 +308,15 @@ def _arch(cfg: dict) -> ArchSpec:
     )
 
 
-def _model_factory(cfg: dict):
-    def factory(seed: int):
-        return build_vae(
-            data_dim=cfg["width"] * cfg["height"],
-            latent_dim=cfg["latent_dim"],
-            trunk_widths=tuple(cfg["trunk_widths"]),
-            decoder_widths=tuple(cfg["decoder_widths"]),
-            likelihood=cfg["likelihood"],
-            hidden_activation=cfg["hidden_activation"],
-            normalize_recon=cfg["normalize_recon"],
-            seed=seed,
-        )
+def _vae_geometry(cfg: dict) -> tuple:
+    """The leading arguments of ``vae.vae_specs`` and ``build_vae`` for a replay run."""
+    return (cfg["width"] * cfg["height"], cfg["latent_dim"], tuple(cfg["trunk_widths"]),
+            tuple(cfg["decoder_widths"]), cfg["likelihood"], cfg["hidden_activation"])
 
-    return factory
+
+def _model_factory(cfg: dict):
+    geometry = _vae_geometry(cfg)
+    return lambda seed: build_vae(*geometry, normalize_recon=cfg["normalize_recon"], seed=seed)
 
 
 class _SnapshotRecorder:
@@ -570,13 +581,12 @@ def cmd_train(cfg: dict) -> dict:
         f.write(ledger.to_json())
 
     rows = []
+    base = {"run_id": run_id, "seed": cfg["seed"], "method": cfg["method"], "wall_ms": 0}
     for tm in train_metrics:
         for rec in tm["epochs"]:
             rows.append(
                 {
-                    "run_id": run_id,
-                    "seed": cfg["seed"],
-                    "method": cfg["method"],
+                    **base,
                     "task_index": tm["task"],
                     "eval_task": "",
                     "nll": "",
@@ -585,16 +595,13 @@ def cmd_train(cfg: dict) -> dict:
                     "recon_term": "",
                     "k_prime": train_cfg.k_prime,
                     "epoch": (tm["task"] - 1) * cfg["epochs"] + rec["epoch"],
-                    "wall_ms": 0,
                 }
             )
     for record in task_records:
         for ev in record["evals"]:
             rows.append(
                 {
-                    "run_id": run_id,
-                    "seed": cfg["seed"],
-                    "method": cfg["method"],
+                    **base,
                     "task_index": record["task"],
                     "eval_task": ev["eval_task"],
                     "nll": ev["nll"],
@@ -603,7 +610,6 @@ def cmd_train(cfg: dict) -> dict:
                     "recon_term": ev.get("recon_term", ""),
                     "k_prime": cfg["eval_k_prime"],
                     "epoch": record["task"] * cfg["epochs"],
-                    "wall_ms": 0,
                 }
             )
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -691,7 +697,7 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
                 true_task=task.task_id,
                 eval_k_prime=k_prime,
                 rng_seed=cfg["seed"],
-                rng_label=f"degm/eval/after{len(stream)}/task{task.task_id}",
+                rng_label=final_eval_label(len(stream), task.task_id),
             )
             results.append(
                 {
@@ -709,7 +715,7 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
                 model,
                 task.test,
                 k_prime=k_prime,
-                rng=rng_mod.stream(cfg["seed"], f"gr/eval/after{len(stream)}/task{task.task_id}"),
+                rng=rng_mod.stream(cfg["seed"], eval_label(len(stream), task.task_id)),
                 return_se=True,
             )
             results.append({"task": task.task_id, "nll": nll, "nll_se": se})

@@ -117,10 +117,10 @@ def _gen_bars(g: np.random.Generator, n: int, width: int, height: int) -> np.nda
     for i in range(n):
         k = int(g.integers(1, 4))
         if g.integers(2) == 0:
-            rows = g.choice(height, size=k, replace=False)
+            rows = g.choice(height, size=min(k, height), replace=False)
             imgs[i, rows, :] = 1.0
         else:
-            cols = g.choice(width, size=k, replace=False)
+            cols = g.choice(width, size=min(k, width), replace=False)
             imgs[i, :, cols] = 1.0
     return imgs
 

@@ -28,9 +28,7 @@ from .nn import (
     Mlp,
     MlpSpec,
     Tensor,
-    as_tensor,
     build_mlp,
-    no_grad,
 )
 from .replay import TrainConfig, _bound_objective, run_training
 
@@ -49,6 +47,8 @@ class ArchSpec:
     normalize_recon: bool = False
 
     def __post_init__(self):
+        for name in BasicNode.SUB_MODELS:  # widths and activations
+            self.sub_model_spec(name, 0)
         if self.inter_dim <= self.latent_dim:
             raise InvalidSpecError("encoder intermediate width must exceed latent_dim")
         if self.feat_dim >= self.data_dim:
@@ -147,17 +147,21 @@ class BasicNode(_Node):
     def decode(self, z: Tensor) -> Tensor:
         return self.g_prime.forward(self.g_tilde.forward(z))
 
+    latent = vae_mod.VaeModel.latent  # a Basic node is a VAE in sub-models
+
 
 class SpecificNode(_Node):
     """Two fresh heads and an output head, wired through the trunks and latent
     expanders of its ``parents`` (the Basic nodes it weights by ``pi``, in id
     order).
 
-    As a model it encodes with the shared-noise proposal: with one noise draw
-    shared by all branches the combined latent is Gaussian with mean
-    sum_i pi_i mu_i and standard deviation sum_i pi_i sd_i. It decodes by
-    weighting the parents' latent expanders by pi and finishing with its own
-    output head. Only its own parameters can receive gradients.
+    A model like any other, whose bound is the mixture bound: ``latent``
+    draws each branch's z_i (the i-th parent's trunk, this node's heads) with
+    one shared noise and returns sum_i pi_i z_i and the KL sum_i pi_i KL_i.
+    That z is Gaussian with mean sum_i pi_i mu_i and standard deviation
+    sum_i pi_i sd_i, the IW bound's proposal ``encode`` returns. It decodes
+    through the parents' latent expanders weighted by pi, then its own output
+    head. Only its own parameters can receive gradients.
     """
 
     SUB_MODELS = ("f_mu", "f_logvar", "g_prime")
@@ -173,11 +177,20 @@ class SpecificNode(_Node):
             raise ContractError(f"pi has {self.pi.shape[0]} entries for {len(self.parents)} parents")
         super().__init__(node_id, task_id, arch, seed, nets)
 
-    def encode(self, x: Tensor):
+    def _branch_stats(self, x: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """(mu_i, logvar_i) of every branch, in parent order."""
         hs = [parent.f_tilde.forward(x) for parent in self.parents]
-        mu_bar = _pi_sum(self.pi, (self.f_mu.forward(h) for h in hs))
-        sd_bar = _pi_sum(self.pi, ((self.f_logvar.forward(h) * 0.5).exp() for h in hs))
+        return [(self.f_mu.forward(h), self.f_logvar.forward(h)) for h in hs]
+
+    def encode(self, x: Tensor):
+        stats = self._branch_stats(x)
+        mu_bar = _pi_sum(self.pi, (mu for mu, _ in stats))
+        sd_bar = _pi_sum(self.pi, ((logvar * 0.5).exp() for _, logvar in stats))
         return mu_bar, sd_bar.log() * 2.0
+
+    def latent(self, x: Tensor, eps):
+        branches = [vae_mod._latent_and_kl(mu, logvar, eps) for mu, logvar in self._branch_stats(x)]
+        return _pi_sum(self.pi, (z for z, _ in branches)), _pi_sum(self.pi, (kl for _, kl in branches))
 
     def decode(self, z: Tensor) -> Tensor:
         return self.g_prime.forward(_pi_sum(self.pi, (p.g_tilde.forward(z) for p in self.parents)))
@@ -327,61 +340,20 @@ def build_specific_node(graph: GraphState, task_id: int, pi, seed: int) -> Speci
 
 
 # ---------------------------------------------------------------------------
-# Specific-node forward, bound, and scoring
-
-
-def specific_forward(node: SpecificNode, x, noise) -> dict:
-    """Composite pass through the parents' trunks.
-
-    Per branch i: h_i from the i-th parent's trunk, (mu_i, logvar_i) from the
-    Specific head, z_i reparameterized with the shared noise. The combined
-    latent is z = sum_i pi_i z_i, which ``node.decode`` turns into the
-    reconstruction. Only the Specific node's parameters can receive gradients.
-    """
-    x = as_tensor(x)
-    noise = as_tensor(noise)
-    branch_stats = []
-    for parent in node.parents:
-        h = parent.f_tilde.forward(x)
-        branch_stats.append((node.f_mu.forward(h), node.f_logvar.forward(h)))
-    z = _pi_sum(node.pi, (vae_mod.reparameterize(mu, logvar, noise) for mu, logvar in branch_stats))
-    return {"z": z, "branch_stats": branch_stats, "recon": node.decode(z)}
-
-
-def _melbo_pe(node: SpecificNode, batch, noise=None, rng=None):
-    """Per-example reconstruction term of the mixture bound under the single
-    composite decoder, and each branch's per-example KL in pi order."""
-    x = as_tensor(batch)
-    if rng is None and noise is None:
-        rng = rng_mod.stream(0, "degm/melbo")
-    eps = vae_mod._noise_block(rng, 1, x.shape[0], node.latent_dim, noise)[0]
-    out = specific_forward(node, x, eps)
-    recon = vae_mod._recon_loglik_pe(out["recon"], x, node.likelihood, node.normalize_recon)
-    return recon, [vae_mod._gaussian_kl_pe(mu_i, logvar_i) for mu_i, logvar_i in out["branch_stats"]]
-
-
-def melbo_parts(node: SpecificNode, batch, noise=None, rng=None):
-    """Differentiable (recon, kl) of the mixture bound: the batch-mean
-    reconstruction minus the pi-weighted sum of batch-mean branch KLs."""
-    recon, kls = _melbo_pe(node, batch, noise, rng)
-    return recon.mean(), _pi_sum(node.pi, [kl.mean() for kl in kls])
+# Scoring
 
 
 def melbo(node: SpecificNode, batch, noise=None, rng=None) -> vae_mod.ElboEstimate:
-    """Mixture bound estimate for a Specific node: ``_melbo_pe`` under
-    ``no_grad``, with the branch KLs weighted per example."""
-    with no_grad():
-        recon, kls = _melbo_pe(node, batch, noise, rng)
-        kl = _pi_sum(node.pi, kls)
-    return vae_mod.bound_estimate(recon.data, kl.data)
+    """Mixture bound estimate of a Specific node: ``vae.elbo``, as for any model."""
+    return vae_mod.elbo(node, batch, noise, rng)
 
 
 def select_node(graph: GraphState, x, scores: dict | None = None):
     """Pick the node with the highest mean bound on ``x``.
 
-    Basic nodes are scored with the single-model bound, Specific nodes with
-    the mixture bound. Noise is content-keyed, so scores ignore sample
-    ordering. Ties break toward the lowest node id. Returns
+    Every node is scored by ``vae.elbo``, its own training bound (a Specific
+    node's is the mixture bound). Noise is content-keyed, so scores ignore
+    sample ordering. Ties break toward the lowest node id. Returns
     ``(node_id, scores)``. ``scores`` may hold scores of frozen nodes already
     taken on this same ``x``; only the nodes it lacks are scored, into it.
     """
@@ -395,8 +367,7 @@ def select_node(graph: GraphState, x, scores: dict | None = None):
     todo = [node for node in nodes if node.id not in scores]
     noise = _score_noise(x, graph.arch.latent_dim) if todo else None
     for node in todo:
-        bound = vae_mod.elbo if isinstance(node, BasicNode) else melbo
-        scores[node.id] = bound(node, x, noise=noise).total
+        scores[node.id] = vae_mod.elbo(node, x, noise=noise).total
     best_id = max(sorted(scores), key=lambda nid: scores[nid])
     return best_id, scores
 
@@ -406,6 +377,12 @@ def select_node(graph: GraphState, x, scores: dict | None = None):
 
 NOVELTY_PROBE_SIZE = 1000  # training examples a task's novelty is scored on
 SELECT_BATCH = 100  # test examples routed to one node together in evaluation
+
+
+def final_eval_label(n_tasks: int, task_id: int) -> str:
+    """Noise label of task ``task_id``'s NLL estimates in a run over ``n_tasks``
+    tasks: the final evaluation's, which every task end reuses."""
+    return f"degm/eval/after{n_tasks}/task{task_id}"
 
 
 def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label: str):
@@ -425,18 +402,6 @@ def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label
     )
     node.best_elbo = float(best)
     return history
-
-
-def _train_specific(node: SpecificNode, images: np.ndarray, config: TrainConfig, label: str):
-    """K' = 1 trains the mixture bound; K' > 1 the importance-weighted bound of
-    the node's shared-noise proposal, like any other model."""
-    if config.k_prime == 1:
-        def objective(batch, noise_rng):
-            recon, kl = melbo_parts(node, batch, rng=noise_rng)
-            return recon - kl
-    else:
-        objective = _bound_objective(node, config)
-    return run_training(node.parameters(), objective, images, config, label, None)
 
 
 def train_degm_sequence(
@@ -488,7 +453,7 @@ def train_degm_sequence(
         else:
             pi = importance_weights(ks)
             node = build_specific_node(graph, t, pi, node_seed)
-            history = _train_specific(node, images, config, label)
+            history = run_training(node.parameters(), _bound_objective(node, config), images, config, label)
         node.freeze()
         graph.expansion_log.append(
             {"task_id": t, "decision": decision, "ks": [float(v) for v in ks], "tau": tau}
@@ -503,7 +468,7 @@ def train_degm_sequence(
                 true_task=seen.task_id,
                 eval_k_prime=eval_k_prime,
                 rng_seed=config.seed,
-                rng_label=f"degm/eval/after{len(stream)}/task{seen.task_id}",
+                rng_label=final_eval_label(len(stream), seen.task_id),
                 memo=memo.setdefault(seen.task_id, {}),
             )
             record["eval_task"] = seen.task_id

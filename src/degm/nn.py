@@ -320,6 +320,8 @@ class MlpSpec:
     seed: int
 
     def __post_init__(self):
+        if not all(isinstance(w, (int, np.integer)) for w in self.layer_widths):
+            raise InvalidSpecError(f"layer widths must be integers, got {self.layer_widths!r}")
         widths = tuple(int(w) for w in self.layer_widths)
         acts = tuple(str(a) for a in self.activations)
         object.__setattr__(self, "layer_widths", widths)

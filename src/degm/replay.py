@@ -171,15 +171,15 @@ def run_training(
 
 
 def _bound_objective(model, config: TrainConfig):
-    if config.k_prime == 1:
-        def objective(batch, noise_rng):
-            recon, kl = vae_mod.elbo_parts(model, batch, rng=noise_rng)
-            return recon - kl
-    else:
-        def objective(batch, noise_rng):
-            total, _, _ = vae_mod.iwelbo_parts(model, batch, config.k_prime, rng=noise_rng)
-            return total
+    """The training bound with ``config.k_prime`` samples (K' = 1 is the plain bound)."""
+    def objective(batch, noise_rng):
+        return vae_mod.iwelbo_parts(model, batch, config.k_prime, rng=noise_rng)[0]
     return objective
+
+
+def eval_label(after: int, task_id: int) -> str:
+    """Noise label of task ``task_id``'s NLL estimate after training task ``after``."""
+    return f"gr/eval/after{after}/task{task_id}"
 
 
 def _mix_for_task(generator, new_data, config: TrainConfig, task_index: int, prior_count: int):
@@ -263,9 +263,7 @@ def run_gr_sequence(
 
         evals = []
         for seen in stream.tasks[: task.task_id]:
-            eval_rng = rng_mod.stream(
-                config.seed, f"gr/eval/after{task.task_id}/task{seen.task_id}"
-            )
+            eval_rng = rng_mod.stream(config.seed, eval_label(task.task_id, seen.task_id))
             nll, se = vae_mod.nll_estimate(
                 model, seen.test, k_prime=eval_k_prime, rng=eval_rng, return_se=True
             )

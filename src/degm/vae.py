@@ -6,9 +6,11 @@ the unit Gaussian prior. The importance-weighted bound tightens it with
 K' weighted samples; with K' = 1 the two coincide and this module makes
 that identity exact by sharing the single-sample code path.
 
-Any object with tape ``encode``/``decode`` plus ``latent_dim``,
-``data_dim``, ``likelihood`` and ``normalize_recon`` attributes can be
-scored by these functions; the expansion-graph nodes reuse them unchanged.
+A model is tape ``encode``/``decode``, ``latent(x, eps)`` (the latent under
+noise ``eps`` and its per-example KL to the prior) and ``latent_dim``,
+``data_dim``, ``likelihood``, ``normalize_recon``. These functions train
+and score any model, the graph's nodes too (a Specific node's ``latent``
+makes its bound the mixture bound).
 Evaluation runs the training code under ``no_grad``: one forward pass per
 model, one likelihood kernel (``recon_loglik_np``, which the tape op
 ``_recon_loglik_pe`` wraps) and one per-example implementation of each
@@ -99,6 +101,10 @@ class VaeModel:
     def decode(self, z: Tensor) -> Tensor:
         return self.decoder.forward(z)
 
+    def latent(self, x: Tensor, eps) -> tuple[Tensor, Tensor]:
+        """(z, per-example KL to the prior) of the encoding of ``x`` under noise ``eps``."""
+        return _latent_and_kl(*self.encode(x), eps)
+
     def parameters(self) -> list[Tensor]:
         params = []
         for net in (self.trunk, self.mu_head, self.logvar_head, self.decoder):
@@ -122,6 +128,31 @@ class VaeModel:
         )
 
 
+def vae_specs(
+    data_dim: int = 144,
+    latent_dim: int = 16,
+    trunk_widths=(128,),
+    decoder_widths=(128,),
+    likelihood: str = "bernoulli",
+    hidden_activation: str = "tanh",
+    seed: int = 0,
+) -> tuple[MlpSpec, MlpSpec, MlpSpec, MlpSpec]:
+    """Trunk, mu head, logvar head and decoder geometry of ``build_vae``, each
+    with its own init stream; builds no weights. Raises ``InvalidSpecError``."""
+    if likelihood not in LIKELIHOODS:
+        raise InvalidSpecError(f"unknown likelihood {likelihood!r}")
+    out_act = "sigmoid" if likelihood == "bernoulli" else "identity"
+    seeds = {name: rng_mod.derive_seed(seed, f"vae/{name}") for name in ("trunk", "mu", "logvar", "decoder")}
+    trunk = MlpSpec.make((data_dim, *trunk_widths), hidden_activation, hidden_activation, seeds["trunk"])
+    head = (trunk.layer_widths[-1], latent_dim)
+    return (
+        trunk,
+        MlpSpec(head, ("identity",), seeds["mu"]),
+        MlpSpec(head, ("identity",), seeds["logvar"]),
+        MlpSpec.make((latent_dim, *decoder_widths, data_dim), hidden_activation, out_act, seeds["decoder"]),
+    )
+
+
 def build_vae(
     data_dim: int = 144,
     latent_dim: int = 16,
@@ -132,35 +163,10 @@ def build_vae(
     normalize_recon: bool = False,
     seed: int = 0,
 ) -> VaeModel:
-    """Assemble the desk-scale VAE; every sub-network gets its own init stream."""
-    if likelihood not in LIKELIHOODS:
-        raise InvalidSpecError(f"unknown likelihood {likelihood!r}")
-    out_act = "sigmoid" if likelihood == "bernoulli" else "identity"
-    trunk_spec = MlpSpec(
-        (data_dim, *trunk_widths),
-        (hidden_activation,) * len(trunk_widths),
-        rng_mod.derive_seed(seed, "vae/trunk"),
-    )
-    head_in = trunk_spec.layer_widths[-1]
-    mu_spec = MlpSpec((head_in, latent_dim), ("identity",), rng_mod.derive_seed(seed, "vae/mu"))
-    logvar_spec = MlpSpec(
-        (head_in, latent_dim), ("identity",), rng_mod.derive_seed(seed, "vae/logvar")
-    )
-    dec_spec = MlpSpec.make(
-        (latent_dim, *decoder_widths, data_dim),
-        hidden=hidden_activation,
-        output=out_act,
-        seed=rng_mod.derive_seed(seed, "vae/decoder"),
-    )
-    return VaeModel(
-        trunk=build_mlp(trunk_spec),
-        mu_head=build_mlp(mu_spec),
-        logvar_head=build_mlp(logvar_spec),
-        decoder=build_mlp(dec_spec),
-        latent_dim=latent_dim,
-        likelihood=likelihood,
-        normalize_recon=normalize_recon,
-    )
+    """Assemble the desk-scale VAE from ``vae_specs``."""
+    specs = vae_specs(data_dim, latent_dim, trunk_widths, decoder_widths, likelihood, hidden_activation, seed)
+    trunk, mu_head, logvar_head, decoder = (build_mlp(spec) for spec in specs)
+    return VaeModel(trunk, mu_head, logvar_head, decoder, latent_dim, likelihood, normalize_recon)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +183,12 @@ def reparameterize(mu: Tensor, logvar: Tensor, noise) -> Tensor:
             f"mu {mu.shape}, logvar {logvar.shape}, noise {noise.shape} must match"
         )
     return mu + (logvar * 0.5).exp() * noise
+
+
+def _latent_and_kl(mu, logvar, eps) -> tuple[Tensor, Tensor]:
+    """The one Gaussian latent: ``reparameterize`` under ``eps`` and the
+    per-example KL of N(mu, exp(logvar)) to the prior."""
+    return reparameterize(mu, logvar, eps), _gaussian_kl_pe(mu, logvar)
 
 
 def _promote_2d(t: Tensor) -> Tensor:
@@ -291,10 +303,8 @@ def _noise_block(rng, k: int, n: int, latent: int, noise) -> np.ndarray:
 def _elbo_pe(model, batch, noise=None, rng=None) -> tuple[Tensor, Tensor]:
     """Per-example (recon, kl) of the single-sample bound, shape (n,) each."""
     x = as_tensor(batch)
-    mu, logvar = model.encode(x)
-    eps = _noise_block(rng, 1, x.shape[0], model.latent_dim, noise)[0]
-    y = model.decode(reparameterize(mu, logvar, eps))
-    return _recon_loglik_pe(y, x, model.likelihood, model.normalize_recon), _gaussian_kl_pe(mu, logvar)
+    z, kl = model.latent(x, _noise_block(rng, 1, x.shape[0], model.latent_dim, noise)[0])
+    return _recon_loglik_pe(model.decode(z), x, model.likelihood, model.normalize_recon), kl
 
 
 def elbo_parts(model, batch, noise=None, rng=None) -> tuple[Tensor, Tensor]:
@@ -431,14 +441,10 @@ def iw_logpx_np(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise InvalidSpecError("need a non-empty (n, d) sample matrix")
-    if rng is None and noise is None:
-        rng = rng_mod.stream(0, "vae/iw-eval")
     if noise is not None:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != (k_prime, x.shape[0], model.latent_dim):
-            raise ShapeError(
-                f"noise shape {noise.shape} != {(k_prime, x.shape[0], model.latent_dim)}"
-            )
+        noise = _noise_block(None, k_prime, x.shape[0], model.latent_dim, noise)
+    elif rng is None:
+        rng = rng_mod.stream(0, "vae/iw-eval")
     latent = model.latent_dim
     cpus = _eval_cpus()
     # the first chunk has the most samples and rows, so the most parts

@@ -2,9 +2,9 @@
 out-of-place copies of the evaluation kernels, the models' encode and decode
 built only from those copies, the reconstruction log-likelihood composed of
 elementwise tape ops as it was before it became one op, the batch mean of
-the real one-op kernel, the serial importance-weighted log-likelihood, and
-the importance-weighted mixture objective as it was written before Specific
-nodes became models."""
+the real one-op kernel, the serial importance-weighted log-likelihood, a
+Specific node's mixture bound, and the importance-weighted mixture objective
+as it was written before Specific nodes became models."""
 
 import functools
 import math
@@ -136,6 +136,21 @@ def oracle_decode(model, z):
 def oracle_gaussian_kl(mu, logvar):
     """Per-example analytic KL(N(mu, exp(logvar)) || N(0, I))."""
     return 0.5 * (mu * mu + np.exp(logvar) - logvar - 1.0).sum(axis=-1)
+
+
+def oracle_mixture_bound(node, x, eps):
+    """Per-example (recon, kl) of a Specific node's mixture bound: each branch
+    reparameterized with the same noise ``eps``, decoded at z = sum_i pi_i z_i,
+    and the KL term sum_i pi_i KL_i."""
+    zs, kls = [], []
+    for parent in node.parents:
+        h = oracle_forward_np(parent.f_tilde, x)
+        mu, logvar = oracle_forward_np(node.f_mu, h), oracle_forward_np(node.f_logvar, h)
+        zs.append(mu + np.exp(0.5 * logvar) * eps)
+        kls.append(oracle_gaussian_kl(mu, logvar))
+    y = oracle_decode(node, _weighted_sum(node.pi, zs))
+    recon = oracle_recon_loglik_np(y, x, node.likelihood, node.normalize_recon)
+    return recon, _weighted_sum(node.pi, kls)
 
 
 def oracle_recon_loglik_np(y, x, likelihood, normalize=False):

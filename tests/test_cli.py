@@ -879,3 +879,35 @@ class TestMainExitCodes:
         )
         assert proc.returncode == 2
         assert "stream" in proc.stderr
+
+
+class TestMalformedModelConfig:
+    @pytest.mark.parametrize(
+        "method, extra",
+        [
+            (method, {key: value})
+            for method in ("elbo_gr", "degm_elbo")
+            for key in ("trunk_widths", "decoder_widths")
+            for value in ([], [0], "x", [-3], [1.5])
+            if (method, key, value) != ("elbo_gr", "decoder_widths", [])  # a linear decoder
+        ]
+        + [(method, {"hidden_activation": "foo"}) for method in ("elbo_gr", "degm_elbo")]
+        + [(method, {"output_dir": 5}) for method in ("elbo_gr", "degm_elbo")]
+        + [
+            ("degm_elbo", {"latent_dim": 128}),
+            ("elbo_gr", {"warm_start": "no"}),
+            ("elbo_gr", {"normalize_recon": "no"}),
+            ("elbo_gr", {"diagnostics": {"enabled": "no"}}),
+        ],
+        ids=str,
+    )
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, method, extra):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAST, "method": method, "tau": 30.0, **extra}))
+        assert main(["train", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_linear_decoder_accepted_for_replay(self):
+        assert parse_config({**FAST, "decoder_widths": []})["decoder_widths"] == []

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from degm import rng
 from degm.data import (
     Dataset,
     DataFormatError,
@@ -37,6 +38,29 @@ class TestSynthGenerate:
             k = max(full_rows, full_cols)
             assert 1 <= k <= 3
             assert img.sum() in {k * 12, 144}
+
+    @pytest.mark.parametrize("width, height", [(2, 2), (1, 5), (5, 2)])
+    def test_bars_on_short_axes(self, width, height):
+        imgs = synth_generate("bars", 100, width=width, height=height, seed=4).images.reshape(100, height, width)
+        for img in imgs:
+            full_rows = int((img.sum(axis=1) == width).sum())
+            full_cols = int((img.sum(axis=0) == height).sum())
+            assert img.sum() in {full_rows * width, full_cols * height}
+            assert 1 <= max(full_rows, full_cols)
+
+    def test_bars_draws_unchanged_on_long_axes(self):
+        # up to three distinct lines, drawn without replacement: the rule the
+        # cap on short axes must leave bit for bit where both axes hold three
+        g = rng.stream(6, "synth/bars")
+        want = np.zeros((40, 3, 7))
+        for img in want:
+            k = int(g.integers(1, 4))
+            if g.integers(2) == 0:
+                img[g.choice(3, size=k, replace=False), :] = 1.0
+            else:
+                img[:, g.choice(7, size=k, replace=False)] = 1.0
+        got = synth_generate("bars", 40, width=7, height=3, seed=6).images
+        np.testing.assert_array_equal(got, want.reshape(40, 21))
 
     def test_deterministic(self):
         a = synth_generate("blobs", 50, seed=9)

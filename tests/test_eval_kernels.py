@@ -16,7 +16,6 @@ from degm.graph import (
     GraphState,
     build_basic_node,
     build_specific_node,
-    melbo,
 )
 from degm.vae import (
     DomainError,
@@ -29,8 +28,8 @@ from degm.vae import (
 )
 from helpers import (
     oracle_forward_np,
-    oracle_gaussian_kl,
     oracle_iw_logpx_np,
+    oracle_mixture_bound,
     oracle_recon_loglik_np,
     oracle_recon_loglik_tape,
 )
@@ -216,7 +215,8 @@ class TestSpecificNodeAccumulation:
         return graph, build_specific_node(graph, 4, [0.2, 0.5, 0.3], seed=9)
 
     @staticmethod
-    def oracle_features(node, basics, z, feat=None):
+    def oracle_features(node, basics, z):
+        feat = None
         for weight, basic in zip(node.pi, basics):
             f_i = weight * oracle_forward_np(basic.g_tilde, z)
             feat = f_i if feat is None else feat + f_i
@@ -229,24 +229,24 @@ class TestSpecificNodeAccumulation:
         with nn.no_grad():
             assert same_bits(node.decode(z).data, want)
 
-    def test_melbo(self, graph_and_node):
-        graph, node = graph_and_node
+    @staticmethod
+    def assert_mixture_bound(node):
         g = np.random.default_rng(9)
         x = (g.random((50, 36)) > 0.5).astype(np.float64)
         gamma = g.standard_normal((50, 4))
-        z = np.zeros((50, 4))
-        kl = np.zeros(50)
-        for weight, basic in zip(node.pi, graph.basic_nodes):
-            h = oracle_forward_np(basic.f_tilde, x)
-            mu, logvar = oracle_forward_np(node.f_mu, h), oracle_forward_np(node.f_logvar, h)
-            z += weight * (mu + np.exp(0.5 * logvar) * gamma)
-            kl += weight * oracle_gaussian_kl(mu, logvar)
-        feat = self.oracle_features(node, graph.basic_nodes, z, feat=np.zeros((50, 12)))
-        y = oracle_forward_np(node.g_prime, feat)
-        recon = oracle_recon_loglik_np(y, x, "bernoulli")
-        est = melbo(node, x, noise=gamma)
+        recon, kl = oracle_mixture_bound(node, x, gamma)
+        est = elbo(node, x, noise=gamma)
         assert est.total == (recon - kl).mean()
         assert est.recon_term == recon.mean() and est.kl_term == kl.mean()
+
+    def test_melbo(self, graph_and_node):
+        self.assert_mixture_bound(graph_and_node[1])
+
+    def test_two_parent_mixture_bound(self):
+        graph = GraphState(arch=ArchSpec(data_dim=36, inter_dim=12, latent_dim=4, feat_dim=12))
+        for task in (1, 2):
+            build_basic_node(graph, task, seed=task)
+        self.assert_mixture_bound(build_specific_node(graph, 3, [0.35, 0.65], seed=9))
 
 
 class TestSplitAcrossCpus:

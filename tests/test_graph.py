@@ -20,15 +20,12 @@ from degm.graph import (
     expansion_decision,
     importance_weights,
     knowledge_novelty,
-    melbo,
-    melbo_parts,
     select_node,
-    specific_forward,
     train_degm_sequence,
 )
-from degm.nn import ContractError, InvalidSpecError, Tensor, backward, zero_grad
-from degm.replay import TrainConfig, _bound_objective
-from degm.vae import elbo, iw_logpx_np
+from degm.nn import ContractError, InvalidSpecError, Mlp, Tensor, backward, zero_grad
+from degm.replay import TrainConfig, _bound_objective, run_training
+from degm.vae import VaeModel, elbo, elbo_parts, iw_logpx_np
 from helpers import iw_melbo_objective, max_grad_error
 
 MICRO_ARCH = ArchSpec(
@@ -207,19 +204,19 @@ class TestSpecificForward:
         basic = graph.basic_nodes[0]
         x = stream.tasks[1].train.images[:16]
         noise = rng.stream(3, "n").standard_normal((16, MICRO_ARCH.latent_dim))
-        out = specific_forward(node, Tensor(x), noise)
+        z, _ = node.latent(Tensor(x), noise)
         h = basic.f_tilde.forward_np(x)
         mu = node.f_mu.forward_np(h)
         lv = node.f_logvar.forward_np(h)
-        z = mu + np.exp(0.5 * lv) * noise
-        manual = node.g_prime.forward_np(basic.g_tilde.forward_np(z))
-        np.testing.assert_allclose(out["recon"].data, manual, atol=1e-12)
+        manual_z = mu + np.exp(0.5 * lv) * noise
+        manual = node.g_prime.forward_np(basic.g_tilde.forward_np(manual_z))
+        np.testing.assert_allclose(node.decode(z).data, manual, atol=1e-12)
 
     def test_combined_latent_is_weighted_branch_sum(self):
         stream, graph, node = self._graph_with_specific()
         x = stream.tasks[1].train.images[:8]
         noise = rng.stream(5, "n").standard_normal((8, MICRO_ARCH.latent_dim))
-        out = specific_forward(node, Tensor(x), noise)
+        z, _ = node.latent(Tensor(x), noise)
         # recompute branches outside the graph machinery
         expected = np.zeros((8, MICRO_ARCH.latent_dim))
         for w, basic in zip(node.pi, sorted(graph.basic_nodes, key=lambda b: b.id)):
@@ -227,14 +224,14 @@ class TestSpecificForward:
             mu = node.f_mu.forward_np(h)
             lv = node.f_logvar.forward_np(h)
             expected += w * (mu + np.exp(0.5 * lv) * noise)
-        np.testing.assert_allclose(out["z"].data, expected, atol=1e-12)
+        np.testing.assert_allclose(z.data, expected, atol=1e-12)
 
     def test_frozen_basics_get_no_gradient(self):
         stream, graph, node = self._graph_with_specific()
         for p in node.parameters():
             p.requires_grad = True  # the trained node comes back frozen
         x = stream.tasks[1].train.images[:8]
-        recon, kl = melbo_parts(node, x, rng=rng.stream(1, "m"))
+        recon, kl = elbo_parts(node, x, rng=rng.stream(1, "m"))
         backward(recon - kl)
         for basic in graph.basic_nodes:
             for p in basic.parameters():
@@ -243,27 +240,37 @@ class TestSpecificForward:
 
 
 class TestMelbo:
-    def test_k1_mixture_equals_single_path_bound(self):
+    def test_one_parent_mixture_bound_is_the_chain_bound(self):
+        # with pi = (1,) the node is the VAE chained through its parent
         stream, graph, _ = trained_micro_graph(seed=5, families=("bars", "blobs"), tau=1e9)
         node = graph.specific_nodes[0]
         if len(graph.basic_nodes) != 1:
             pytest.skip("expansion produced extra basic nodes")
+        parent = node.parents[0]
+        decoder = Mlp(
+            parent.g_tilde.weights + node.g_prime.weights,
+            parent.g_tilde.biases + node.g_prime.biases,
+            parent.g_tilde.activations + node.g_prime.activations,
+        )
+        chain = VaeModel(
+            parent.f_tilde, node.f_mu, node.f_logvar, decoder, MICRO_ARCH.latent_dim, MICRO_ARCH.likelihood
+        )
         x = stream.tasks[1].test.images[:32]
-        a = melbo(node, x, rng=rng.stream(8, "shared"))
-        b = elbo(node, x, rng=rng.stream(8, "shared"))
-        assert a.total == pytest.approx(b.total, rel=1e-12)
+        a = elbo(node, x, rng=rng.stream(8, "shared"))
+        b = elbo(chain, x, rng=rng.stream(8, "shared"))
+        assert vars(a) == vars(b)
 
     def test_kl_term_non_negative(self):
         stream, graph, _ = trained_micro_graph(seed=6, tau=1e9)
         for node in graph.specific_nodes:
-            est = melbo(node, stream.tasks[0].test.images[:16], rng=rng.stream(1, "m"))
+            est = elbo(node, stream.tasks[0].test.images[:16], rng=rng.stream(1, "m"))
             assert est.kl_term >= 0.0
 
     def test_valid_lower_bound(self):
         stream, graph, _ = trained_micro_graph(seed=7, families=("bars", "blobs"), tau=1e9)
         node = graph.specific_nodes[0]
         x = stream.tasks[1].test.images[:64]
-        est = melbo(node, x, rng=rng.stream(2, "m"))
+        est = elbo(node, x, rng=rng.stream(2, "m"))
         logpx = iw_logpx_np(node, x, 1000, rng=rng.stream(3, "iw"))
         se = logpx.std(ddof=1) / math.sqrt(len(logpx))
         assert est.total <= logpx.mean() + 3 * se
@@ -278,11 +285,11 @@ class TestMelbo:
             p.requires_grad = True
 
         def value():
-            recon, kl = melbo_parts(node, x, noise=noise)
+            recon, kl = elbo_parts(node, x, noise=noise)
             return float(recon) - float(kl)
 
         def loss():
-            recon, kl = melbo_parts(node, x, noise=noise)
+            recon, kl = elbo_parts(node, x, noise=noise)
             return recon - kl
 
         assert max_grad_error(value, loss, params) < 1e-4
@@ -336,8 +343,8 @@ class TestSpecificNodeIsAModel:
 
         def scores():
             return (
-                melbo(node, x, rng=rng.stream(1, "m")).total,
-                melbo(node, x, noise=rng.stream(2, "m").standard_normal((24, MICRO_ARCH.latent_dim))).total,
+                elbo(node, x, rng=rng.stream(1, "m")).total,
+                elbo(node, x, noise=rng.stream(2, "m").standard_normal((24, MICRO_ARCH.latent_dim))).total,
                 iw_logpx_np(node, x, 20, rng=rng.stream(3, "iw")),
             )
 
@@ -414,13 +421,13 @@ class TestTrainDegmSequence:
         )
         before = graph.basic_param_hash()
         # manually extend with a specific node trained on task 2
-        from degm.graph import _train_specific
-
         pi = importance_weights(
             knowledge_novelty(graph, stream.tasks[1].train.images)
         )
         node = build_specific_node(graph, 2, pi, seed=11)
-        _train_specific(node, stream.tasks[1].train.images, micro_config(seed=3), "t2")
+        config = micro_config(seed=3)
+        images = stream.tasks[1].train.images
+        run_training(node.parameters(), _bound_objective(node, config), images, config, "t2")
         node.freeze()
         assert graph.basic_param_hash() == before
 
@@ -480,7 +487,6 @@ def memo_run():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_mod.vae_mod, "iw_logpx_np", counting("iw", iw_logpx_np))
         mp.setattr(graph_mod.vae_mod, "elbo", counting("score", elbo))
-        mp.setattr(graph_mod, "melbo", counting("score", melbo))
         graph, records, _ = train_degm_sequence(
             stream, MICRO_ARCH, micro_config(seed=1), tau=1e12, eval_k_prime=20
         )
