@@ -716,7 +716,6 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
                 task.test,
                 k_prime=k_prime,
                 rng=rng_mod.stream(cfg["seed"], eval_label(len(stream), task.task_id)),
-                return_se=True,
             )
             results.append({"task": task.task_id, "nll": nll, "nll_se": se})
     accs = [r["selection_accuracy"] for r in results if "selection_accuracy" in r]

@@ -125,13 +125,21 @@ def _gen_bars(g: np.random.Generator, n: int, width: int, height: int) -> np.nda
     return imgs
 
 
+def _centre_range(extent: int) -> tuple[float, float]:
+    """Blob centres keep 1.5 pixels from the edges; an axis shorter than 4
+    pixels has only its middle."""
+    low = min(1.5, (extent - 1) / 2.0)
+    return low, max(extent - 2.5, low)
+
+
 def _gen_blobs(g: np.random.Generator, n: int, width: int, height: int) -> np.ndarray:
     ys, xs = np.mgrid[0:height, 0:width]
     imgs = np.zeros((n, height, width))
+    x_range, y_range = _centre_range(width), _centre_range(height)
     for i in range(n):
         for _ in range(int(g.integers(1, 3))):
-            cx = g.uniform(1.5, width - 2.5)
-            cy = g.uniform(1.5, height - 2.5)
+            cx = g.uniform(*x_range)
+            cy = g.uniform(*y_range)
             sigma = g.uniform(1.2, 2.2)
             r2 = (xs - cx) ** 2 + (ys - cy) ** 2
             imgs[i] += np.exp(-r2 / (2.0 * sigma * sigma))

@@ -343,11 +343,6 @@ def build_specific_node(graph: GraphState, task_id: int, pi, seed: int) -> Speci
 # Scoring
 
 
-def melbo(node: SpecificNode, batch, noise=None, rng=None) -> vae_mod.ElboEstimate:
-    """Mixture bound estimate of a Specific node: ``vae.elbo``, as for any model."""
-    return vae_mod.elbo(node, batch, noise, rng)
-
-
 def select_node(graph: GraphState, x, scores: dict | None = None):
     """Pick the node with the highest mean bound on ``x``.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,19 +31,29 @@ class ContractError(RuntimeError):
     """An operation was called outside its contract (bad tape state, missing grads)."""
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Graph recording switch, one per thread; every thread starts recording."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+def grad_enabled() -> bool:
+    """Whether operations on this thread record the graph."""
+    return _grad_mode.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (pure evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph recording on this thread inside the block (pure evaluation)."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_mode.enabled = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -101,7 +112,7 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, grad_fn) -> "Tensor":
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._grad_fn = grad_fn
@@ -380,7 +391,7 @@ class Mlp:
         if squeeze:
             x = x.reshape(1, x.shape[0])
         params = self.parameters()
-        if not (_GRAD_ENABLED and (x.requires_grad or any(p.requires_grad for p in params))):
+        if not (_grad_mode.enabled and (x.requires_grad or any(p.requires_grad for p in params))):
             out = Tensor(self.forward_np(x.data))
         else:
             if x.ndim != 2:

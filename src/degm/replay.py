@@ -173,7 +173,7 @@ def run_training(
 def _bound_objective(model, config: TrainConfig):
     """The training bound with ``config.k_prime`` samples (K' = 1 is the plain bound)."""
     def objective(batch, noise_rng):
-        return vae_mod.iwelbo_parts(model, batch, config.k_prime, rng=noise_rng)[0]
+        return vae_mod.iwelbo(model, batch, config.k_prime, rng=noise_rng)
     return objective
 
 
@@ -264,9 +264,7 @@ def run_gr_sequence(
         evals = []
         for seen in stream.tasks[: task.task_id]:
             eval_rng = rng_mod.stream(config.seed, eval_label(task.task_id, seen.task_id))
-            nll, se = vae_mod.nll_estimate(
-                model, seen.test, k_prime=eval_k_prime, rng=eval_rng, return_se=True
-            )
+            nll, se = vae_mod.nll_estimate(model, seen.test, k_prime=eval_k_prime, rng=eval_rng)
             est = vae_mod.elbo(
                 model,
                 seen.test.images,

@@ -15,8 +15,11 @@ Evaluation runs the training code under ``no_grad``: one forward pass per
 model, one likelihood kernel (``recon_loglik_np``, which the tape op
 ``_recon_loglik_pe`` wraps) and one per-example implementation of each
 bound (``_elbo_pe`` for the single-sample bound, ``_log_w_rows`` for the
-importance weights). Only the reductions differ: training averages the
-terms separately, scoring averages the per-example bounds.
+importance weights). The importance weights have one reduction,
+``_log_mean_exp``, shared by ``iwelbo`` (the training bound) and
+``iw_logpx_np`` (the NLL estimate), so both give the same bits under the
+same noise. The single-sample bound's reductions differ: training averages
+the terms separately, scoring (``elbo``) averages the per-example bounds.
 """
 
 from __future__ import annotations
@@ -55,19 +58,11 @@ class DomainError(ValueError):
 
 @dataclass
 class ElboEstimate:
-    """A scalar bound estimate in nats, with its decomposition."""
+    """A single-sample bound estimate in nats, with its decomposition."""
 
     total: float
     recon_term: float
     kl_term: float
-    k_prime: int
-    n_data: int
-
-    def __post_init__(self):
-        if self.k_prime < 1:
-            raise InvalidSpecError(f"k_prime must be >= 1, got {self.k_prime}")
-        if self.n_data < 1:
-            raise InvalidSpecError(f"n_data must be >= 1, got {self.n_data}")
 
 
 @dataclass
@@ -174,11 +169,14 @@ def build_vae(
 
 
 def reparameterize(mu: Tensor, logvar: Tensor, noise) -> Tensor:
-    """z = mu + exp(logvar/2) * noise, differentiable through mu and logvar."""
+    """z = mu + exp(logvar/2) * noise, differentiable through mu and logvar.
+
+    ``noise`` has the shape of ``mu``, or one leading axis more for K'
+    samples per example."""
     mu = as_tensor(mu)
     logvar = as_tensor(logvar)
     noise = as_tensor(noise)
-    if mu.shape != logvar.shape or mu.shape != noise.shape:
+    if mu.shape != logvar.shape or noise.shape not in (mu.shape, noise.shape[:1] + mu.shape):
         raise ShapeError(
             f"mu {mu.shape}, logvar {logvar.shape}, noise {noise.shape} must match"
         )
@@ -313,64 +311,39 @@ def elbo_parts(model, batch, noise=None, rng=None) -> tuple[Tensor, Tensor]:
     return recon.mean(), kl.mean()
 
 
-def bound_estimate(recon: np.ndarray, kl: np.ndarray) -> ElboEstimate:
-    """Single-sample estimate from per-example terms: ``total`` is the mean of
-    the per-example bounds recon - kl."""
-    return ElboEstimate(
-        total=float((recon - kl).mean()),
-        recon_term=float(recon.mean()),
-        kl_term=float(kl.mean()),
-        k_prime=1,
-        n_data=recon.size,
-    )
-
-
 def elbo(model, batch, noise=None, rng=None) -> ElboEstimate:
     """Single-model evidence lower bound estimate on a batch: the training
-    bound's per-example terms, run under ``no_grad``."""
+    bound's per-example terms, run under ``no_grad``. ``total`` is the mean
+    of the per-example bounds recon - kl."""
     with no_grad():
         recon, kl = _elbo_pe(model, batch, noise, rng)
-    return bound_estimate(recon.data, kl.data)
+    recon, kl = recon.data, kl.data
+    return ElboEstimate(float((recon - kl).mean()), float(recon.mean()), float(kl.mean()))
 
 
-def iwelbo_parts(model, batch, k_prime: int, noise=None, rng=None):
-    """Differentiable importance-weighted bound.
+def _log_mean_exp(log_w: Tensor) -> Tensor:
+    """log mean exp over the K' samples (axis 0), shifted by their constant max."""
+    shift = log_w.data.max(axis=0)
+    return (log_w - shift).exp().mean(axis=0).log() + shift
 
-    Returns ``(total, recon_report, kl_report)`` where ``total`` is a scalar
-    tensor and the report values are floats. K' = 1 shares the single-sample
-    path, so it equals the plain bound exactly under the same noise.
+
+def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> Tensor:
+    """Importance-weighted bound with K' samples per example, a scalar tensor:
+    differentiable while grad recording is on, a score under ``no_grad``.
+
+    K' = 1 shares the single-sample path, so it is exactly ``recon - kl`` of
+    ``elbo_parts`` under the same noise. K' >= 2 reduces the log weights as
+    ``iw_logpx_np`` does, so its value is the mean of that function's
+    estimates under the same noise, bit for bit.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
     if k_prime == 1:
         recon, kl = elbo_parts(model, batch, noise, rng)
-        return recon - kl, float(recon), float(kl)
-
+        return recon - kl
     x = as_tensor(batch)
-    mu, logvar = model.encode(x)
     eps = _noise_block(rng, k_prime, x.shape[0], model.latent_dim, noise)
-    log_w, recon = _log_w_rows(model, x, mu, logvar, eps)
-    shift = log_w.data.max(axis=0)  # constant max-shift
-    log_mean_w = (log_w - shift).exp().sum(axis=0).log() + shift - math.log(k_prime)
-    with no_grad():
-        kl_report = float(gaussian_kl(mu, logvar))
-    return log_mean_w.mean(), float(recon.data.mean()), kl_report
-
-
-def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> ElboEstimate:
-    """Importance-weighted bound estimate with K' samples per example; K' = 1
-    is ``elbo``."""
-    if k_prime == 1:
-        return elbo(model, batch, noise, rng)
-    with no_grad():
-        total, recon_report, kl_report = iwelbo_parts(model, batch, k_prime, noise, rng)
-    return ElboEstimate(
-        total=float(total),
-        recon_term=recon_report,
-        kl_term=kl_report,
-        k_prime=k_prime,
-        n_data=as_tensor(batch).shape[0],
-    )
+    return _log_mean_exp(_log_w_rows(model, x, *model.encode(x), eps)).mean()
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +368,25 @@ def _part_count(cpus: int, kc: int, nc: int) -> int:
     return max(1, min(cpus, kc if nc > 1 else kc // 2))
 
 
-def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> tuple[Tensor, Tensor]:
+def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> Tensor:
     """log p(x, z) - log q(z | x) for each sample of a (k, n, latent) noise
-    block, shape (k, n), and its reconstruction term alone; tape ops.
-
-    On the pool threads of ``iw_logpx_np`` the caller has switched grad
-    recording off, and this must not switch it (the flag is process-wide)."""
+    block, shape (k, n); tape ops."""
     k, n, latent = gamma.shape
-    z = mu + (logvar * 0.5).exp() * gamma
+    z = reparameterize(mu, logvar, gamma)
     y = model.decode(z.reshape(k * n, latent)).reshape(k, n, -1)
     recon = _recon_loglik_pe(y, x, model.likelihood, model.normalize_recon)
     log_p = (z * z).sum(axis=-1) * -0.5 - (latent / 2.0) * _LOG_2PI
     # log q(z|x) at the reparameterized sample: the quadratic term is exactly
     # the (constant) noise, so only logvar stays in the graph
     log_q = (logvar.sum(axis=-1) + (gamma * gamma).sum(axis=-1) + latent * _LOG_2PI) * -0.5
-    return recon + log_p - log_q, recon
+    return recon + log_p - log_q
+
+
+def _log_w_part(model, x, mu: Tensor, logvar: Tensor, gamma) -> np.ndarray:
+    """``_log_w_rows`` of one part of a noise block, with grad recording off
+    on the thread that runs it."""
+    with no_grad():
+        return _log_w_rows(model, x, mu, logvar, gamma).data
 
 
 def iw_logpx_np(
@@ -426,15 +403,17 @@ def iw_logpx_np(
     Chunked over both the batch and the K' samples; chunks are reduced in a
     fixed order so results are deterministic for a given generator. An
     explicit ``noise`` array of shape (k_prime, n, latent) overrides the
-    generator (used for order-invariant scoring).
+    generator. Each chunk's log weights are reduced by the log-mean-exp of
+    ``iwelbo``, so under the same noise the mean of these estimates is that
+    bound.
 
     Each drawn noise block is split along K' into one contiguous part per
     CPU of the process: the caller computes the first part and pool threads
     the rest, and the parts' rows are joined in order. Every row is computed
     as it would be in one piece, so the result is bitwise independent of the
     CPU count, and the parts together hold one block's temporaries. The
-    threads live only inside the call, and grad recording is off for all of
-    it, switched once on the calling thread.
+    threads live only inside the call; every part, the caller's too, runs
+    with grad recording off on its own thread.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
@@ -471,25 +450,21 @@ def iw_logpx_np(
                 else:
                     gamma = rng.standard_normal((kc, nc, latent))
                 first, *rest = np.array_split(gamma, _part_count(cpus, kc, nc))
-                futures = [pool.submit(_log_w_rows, model, xc, mu, logvar, g) for g in rest]
-                blocks.append(_log_w_rows(model, xc, mu, logvar, first)[0].data)
-                blocks.extend(f.result()[0].data for f in futures)
+                futures = [pool.submit(_log_w_part, model, xc, mu, logvar, g) for g in rest]
+                blocks.append(_log_w_part(model, xc, mu, logvar, first))
+                blocks.extend(f.result() for f in futures)
                 done += kc
-            log_w = np.concatenate(blocks, axis=0)
-            shift = log_w.max(axis=0)
-            out[start : start + nc] = shift + np.log(np.exp(log_w - shift).mean(axis=0))
+            out[start : start + nc] = _log_mean_exp(Tensor(np.concatenate(blocks, axis=0))).data
     return out
 
 
-def nll_estimate(model, data, k_prime: int = 5000, rng=None, return_se: bool = False, **chunking):
-    """Mean negative importance-weighted log-likelihood over a dataset (nats)."""
+def nll_estimate(model, data, k_prime: int = 5000, rng=None, **chunking) -> tuple[float, float]:
+    """Mean negative importance-weighted log-likelihood over a dataset (nats)
+    and its standard error."""
     x = getattr(data, "images", data)
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise InvalidSpecError("empty dataset")
     logpx = iw_logpx_np(model, x, k_prime, rng, **chunking)
-    nll = float(-logpx.mean())
-    if return_se:
-        se = float(logpx.std(ddof=1) / math.sqrt(len(logpx))) if len(logpx) > 1 else 0.0
-        return nll, se
-    return nll
+    se = float(logpx.std(ddof=1) / math.sqrt(len(logpx))) if len(logpx) > 1 else 0.0
+    return float(-logpx.mean()), se

@@ -277,11 +277,14 @@ def iw_melbo_objective(node, graph, config):
             log_q = (sd_bar.log().sum(axis=1) * 2.0 + gamma_sq + latent * log_2pi) * -0.5
             log_p = (z * z).sum(axis=1) * -0.5 - (latent / 2.0) * log_2pi
             log_ws.append(recon_pe + log_p - log_q)
-        shift = np.maximum.reduce([w.data for w in log_ws])
-        acc = None
-        for w in log_ws:
-            e = (w - shift).exp()
-            acc = e if acc is None else acc + e
-        return (acc.log() + shift - math.log(config.k_prime)).mean()
+        # stack the K' rows into one (K', n) tensor: every other row adds a
+        # signed zero, so each row keeps its bits
+        eye = np.eye(config.k_prime)
+        stacked = None
+        for k, w in enumerate(log_ws):
+            row = w * eye[k][:, None]
+            stacked = row if stacked is None else stacked + row
+        shift = stacked.data.max(axis=0)
+        return ((stacked - shift).exp().mean(axis=0).log() + shift).mean()
 
     return objective

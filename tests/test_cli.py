@@ -714,7 +714,8 @@ class TestNonFiniteRun:
             "method": "elbo_gr", "stream": ["bars", "blobs"], "learning_rate": 1e6,
             "epochs": 1, "train_per_task": 200, "test_per_task": 50,
         }))
-        code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        with pytest.warns(RuntimeWarning):
+            code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
         assert code == 4
         err = capsys.readouterr().err
         assert "NonFiniteError: gr/task1: loss nan in epoch 1, batch " in err
@@ -728,7 +729,8 @@ class TestNonFiniteRun:
             "epochs": 1, "train_per_task": 200, "test_per_task": 50,
             "diagnostics": {"enabled": True},
         }))
-        code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        with pytest.warns(RuntimeWarning):
+            code = main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
         assert code == 4
         assert "NonFiniteError" in capsys.readouterr().err
         snapshots = tmp_path / "run" / "snapshots"
@@ -840,6 +842,11 @@ class TestMainExitCodes:
             ]
         )
         assert code == 0
+
+    def test_blobs_on_3x3_trains(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAST, "stream": ["blobs", "bars"], "width": 3, "height": 3}))
+        assert main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")]) == 0
 
     def test_multi_seed_aggregate(self, tmp_path):
         code = main(

@@ -48,6 +48,12 @@ class TestSynthGenerate:
             assert img.sum() in {full_rows * width, full_cols * height}
             assert 1 <= max(full_rows, full_cols)
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_blobs_on_short_axes(self, size):
+        imgs = synth_generate("blobs", 50, width=size, height=size, seed=4).images
+        assert imgs.shape == (50, size * size)
+        assert np.all(np.isfinite(imgs)) and imgs.min() >= 0.0 and imgs.max() <= 1.0
+
     def test_bars_draws_unchanged_on_long_axes(self):
         # up to three distinct lines, drawn without replacement: the rule the
         # cap on short axes must leave bit for bit where both axes hold three

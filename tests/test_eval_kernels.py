@@ -24,6 +24,7 @@ from degm.vae import (
     elbo,
     elbo_parts,
     iw_logpx_np,
+    iwelbo,
     recon_loglik_np,
 )
 from helpers import (
@@ -317,16 +318,16 @@ class TestSplitAcrossCpus:
             iw_logpx_np(model, x, 8)
 
     def test_grad_mode_restored_after_threaded_eval(self, monkeypatch):
-        """Pool threads never switch grad recording: after many 3-part
-        evaluations of a trainable model, the tape records and fills every
-        parameter's gradient."""
+        """Each part switches grad recording off on its own thread only:
+        after many 3-part evaluations of a trainable model, the tape records
+        and fills every parameter's gradient."""
         model = build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)
         x = (np.random.default_rng(5).random((10, 36)) > 0.5).astype(np.float64)
         monkeypatch.setattr(vae, "_eval_cpus", lambda: 3)
         assert vae._part_count(3, 9, 10) == 3
         for _ in range(20):
             iw_logpx_np(model, x, 9)
-        assert nn._GRAD_ENABLED
+        assert nn.grad_enabled()
         recon, kl = elbo_parts(model, x, rng=np.random.default_rng(0))
         nn.backward(recon - kl)
         assert all(p.grad is not None for p in model.parameters())
@@ -376,3 +377,45 @@ def test_iw_eval_chunk_peak_memory(monkeypatch):
 def test_iw_eval_chunk_peak_memory_in_two_parts(monkeypatch):
     """Split across two CPUs, the parts share those three blocks."""
     assert chunk_peak_blocks(monkeypatch, cpus=2) <= 3.5
+
+
+class TestOneBound:
+    """Training's importance-weighted bound and evaluation's estimates share
+    one log-mean-exp: under the same noise the bound is the mean of the
+    estimates, bit for bit, on any CPU count and with or without the tape.
+
+    K' = 1 is left out: there evaluation's estimate is a single log weight,
+    while training's bound is the analytic-KL bound of ``elbo_parts`` that
+    criterion 3 pins to ``elbo``."""
+
+    @staticmethod
+    def model(kind):
+        if kind == "vae":
+            return build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)
+        graph = GraphState(arch=ArchSpec(data_dim=36, inter_dim=12, latent_dim=4, feat_dim=12))
+        for task in (1, 2):
+            build_basic_node(graph, task, seed=task)
+        if kind == "basic":
+            return graph.basic_nodes[0]
+        return build_specific_node(graph, 3, [0.4, 0.6], seed=9)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kind", ["vae", "basic", "specific"])
+    def test_iwelbo_is_the_mean_estimate(self, monkeypatch, kind, cpus, record):
+        model = self.model(kind)
+        for p in model.parameters():
+            p.requires_grad = True
+        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
+        g = np.random.default_rng(12)
+        mismatches = []
+        for n in (2, 17, 64):
+            x = (g.random((n, 36)) > 0.5).astype(np.float64)
+            for k_prime in (2, 3, 7, 200, 250):
+                noise = g.standard_normal((k_prime, n, 4))
+                with contextlib.nullcontext() if record else nn.no_grad():
+                    bound = iwelbo(model, x, k_prime, noise=noise)
+                assert bound.requires_grad == record
+                if float(bound) != iw_logpx_np(model, x, k_prime, noise=noise).mean():
+                    mismatches.append((n, k_prime))
+        assert mismatches == []

@@ -315,7 +315,7 @@ class TestMelbo:
 
 class TestSpecificNodeIsAModel:
     def test_iw_objective_matches_frozen_oracle(self):
-        # the K' > 1 objective is iwelbo_parts on the node's shared-noise
+        # the K' > 1 objective is iwelbo on the node's shared-noise
         # proposal; it must reproduce the former hand-written objective
         stream, graph, _ = trained_micro_graph(seed=9, families=("bars", "blobs"), tau=1e9)
         node = graph.specific_nodes[0]

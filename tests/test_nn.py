@@ -1,6 +1,7 @@
 """Autodiff substrate: construction, forward, backward, optimizer."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from degm.nn import (
     adam_step,
     backward,
     build_mlp,
+    grad_enabled,
     init_adam,
     no_grad,
     zero_grad,
@@ -154,6 +156,28 @@ class TestBackward:
         with no_grad():
             y = (x * x).sum()
         assert not y.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        # a thread holding no_grad stops recording on itself only
+        held, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold():
+            with no_grad():
+                seen["inside"] = grad_enabled()
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(30)
+            x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            assert grad_enabled() and (x * x).sum().requires_grad
+        finally:
+            release.set()
+            holder.join(30)
+        assert not holder.is_alive() and seen["inside"] is False
 
     def test_random_two_layer_net_fd(self):
         # random 2-layer nets against central finite differences
