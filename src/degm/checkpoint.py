@@ -5,10 +5,10 @@ Graph container (magic ``DEGM``, version 1):
     header:  magic 4s | version u32 | node_count u32
     arch:    data_dim u32 | inter_dim u32 | latent_dim u32 | feat_dim u32
              | activation u8 | likelihood u8 | normalize u8
-    node*:   kind u8 (0 basic, 1 specific) | task_id u32
+    node*:   kind u8 (0 basic, 1 specific) | id u32 (node i learned task i)
              | basic: best_elbo f64
              | specific: K u32 | pi f64[K]
-             | sub-model count u32, then per sub-model:
+             | sub-model count u32, then per sub-model of ``sub_models()``:
                  layer_count u32, per layer: fan_in u32 | fan_out u32
                  | activation u8 | W f64[fan_in*fan_out] | b f64[fan_out]
     tail:    adjacency V, t*t f64 row-major
@@ -17,8 +17,8 @@ Single-model container (magic ``SVAE``, version 1):
 
     header:  magic 4s | version u32 | data_dim u32 | latent_dim u32
              | likelihood u8 | normalize u8
-    body:    trunk, mu head, logvar head, decoder, each in the sub-model
-             encoding above
+    body:    the VAE's ``sub_models()`` (trunk, mu head, logvar head,
+             decoder), each in the sub-model encoding above
 
 All integers and floats are little-endian; float payloads are raw f64.
 
@@ -190,12 +190,12 @@ def _read_arch(r: _Reader) -> ArchSpec:
     )
 
 
-def _read_sub_models(r: _Reader, arch: ArchSpec, names: tuple[str, ...]) -> dict[str, Mlp]:
+def _read_sub_models(r: _Reader, arch: ArchSpec, names: tuple[str, ...]) -> list[Mlp]:
     """A node's sub-models, each checked against the geometry the arch gives it."""
     count = r.u32()
     if count != len(names):
         r.fail(f"node carries {count} sub-models, expected {len(names)}")
-    nets = {}
+    nets = []
     for name in names:
         mlp = _read_mlp(r)
         spec = arch.sub_model_spec(name, seed=0)
@@ -204,7 +204,7 @@ def _read_sub_models(r: _Reader, arch: ArchSpec, names: tuple[str, ...]) -> dict
                 f"sub-model {name} has widths {_widths(mlp)} and activations "
                 f"{mlp.activations}; the arch needs {spec.layer_widths} and {spec.activations}"
             )
-        nets[name] = mlp
+        nets.append(mlp)
     return nets
 
 
@@ -212,17 +212,14 @@ def save_graph(path, graph: GraphState) -> None:
     w = _Writer()
     w.chunks.append(GRAPH_MAGIC)
     w.u32(FORMAT_VERSION)
-    nodes = graph.all_nodes()
-    w.u32(len(nodes))
+    w.u32(len(graph.nodes))
     _write_arch(w, graph.arch)
-    for node in nodes:
+    for node in graph.nodes:
+        w.u8(0 if isinstance(node, BasicNode) else 1)
+        w.u32(node.id)
         if isinstance(node, BasicNode):
-            w.u8(0)
-            w.u32(node.task_id)
             w.f64(node.best_elbo if node.best_elbo is not None else float("nan"))
         else:
-            w.u8(1)
-            w.u32(node.task_id)
             w.u32(len(node.pi))
             w.f64_array(node.pi)
         subs = node.sub_models()
@@ -245,17 +242,15 @@ def _parse_graph(r: _Reader) -> GraphState:
             r.fail(f"node {expected_id} in file order carries id {node_id}")
         if kind == "basic":
             best = r.f64()
-            nets = _read_sub_models(r, arch, BasicNode.SUB_MODELS)
-            node = BasicNode(node_id, node_id, arch, nets=nets)
+            node = BasicNode.on_arch(node_id, arch, nets=_read_sub_models(r, arch, BasicNode.SUB_MODELS))
             node.best_elbo = None if np.isnan(best) else best
-            graph.basic_nodes.append(node)
         else:
             pi = r.f64_array(r.u32())
             # wired to every Basic node read so far, as build_specific_node does
             nets = _read_sub_models(r, arch, SpecificNode.SUB_MODELS)
-            node = SpecificNode(node_id, node_id, arch, pi, graph.basic_nodes, nets=nets)
-            graph.specific_nodes.append(node)
+            node = SpecificNode(node_id, arch, pi, graph.basic_nodes, nets=nets)
         node.freeze()
+        graph.nodes.append(node)
     stored = r.f64_array(node_count * node_count).reshape(node_count, node_count)
     if not np.array_equal(stored, graph.adjacency):
         r.fail("stored adjacency V differs from the one the Specific nodes' pi and parents give")
@@ -274,7 +269,7 @@ def save_model(path, model: VaeModel) -> None:
     w.u32(model.latent_dim)
     w.u8(LIKELIHOODS.index(model.likelihood))
     w.u8(1 if model.normalize_recon else 0)
-    for mlp in (model.trunk, model.mu_head, model.logvar_head, model.decoder):
+    for mlp in model.sub_models():
         _write_mlp(w, mlp)
     with open(path, "wb") as f:
         f.write(w.bytes())
@@ -291,15 +286,7 @@ def load_model(path, requires_grad: bool = False) -> VaeModel:
             r.fail(f"trunk input or decoder output width differs from data_dim {data_dim}")
         if mu_head.in_width != trunk.out_width or logvar_head.in_width != trunk.out_width:
             r.fail(f"head input widths differ from the trunk's output width {trunk.out_width}")
-        return VaeModel(
-            trunk=trunk,
-            mu_head=mu_head,
-            logvar_head=logvar_head,
-            decoder=decoder,
-            latent_dim=latent_dim,
-            likelihood=likelihood,
-            normalize_recon=normalize,
-        )
+        return VaeModel(trunk, mu_head, logvar_head, (decoder,), latent_dim, likelihood, normalize)
 
     return _load(path, MODEL_MAGIC, parse)
 

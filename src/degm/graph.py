@@ -1,15 +1,16 @@
 """Dynamic expansion graph of Basic and Specific nodes.
 
-Each task adds exactly one node. A Basic node is a free-standing VAE split
-into four sub-models (input trunk, Gaussian head, latent expander, output
-head); its trunks become shared knowledge sources. A Specific node owns
-only a fresh Gaussian head and output head and routes through the trunks of
-its parents, the Basic nodes that exist when it is built, weighting branch
+Each task adds exactly one node, so node i learned task i. A Basic node is a
+``VaeModel`` (input trunk, Gaussian heads, and the decoder chain of latent
+expander and output head); its trunk and latent expander become shared
+knowledge sources. A Specific node owns only fresh Gaussian heads and an
+output head and routes through the trunks and latent expanders of its
+parents, the Basic nodes that exist when it is built, weighting branch
 latents and branch features by importance weights derived from a novelty
 score: how far each Basic node's bound on the new data falls from the best
-bound it achieved on its own task. Low novelty
-against any source keeps the graph small; high novelty everywhere spawns a
-new Basic node. Existing nodes are frozen the moment their task ends.
+bound it achieved on its own task. Low novelty against any source keeps the
+graph small; high novelty everywhere spawns a new Basic node. Existing nodes
+are frozen the moment their task ends.
 """
 
 from __future__ import annotations
@@ -81,24 +82,57 @@ def _pi_sum(pi, terms):
     return total
 
 
-class _Node:
-    """What every node shares: the model protocol, read from ``arch``, and the
-    parameters of the sub-models named in ``SUB_MODELS``.
+def _fresh_nets(arch: ArchSpec, names, seed: int) -> list[Mlp]:
+    """Sub-models ``names`` of ``arch``'s geometry, each initialized from ``seed``."""
+    return [build_mlp(arch.sub_model_spec(name, seed)) for name in names]
 
-    ``nets`` supplies those sub-models (a checkpoint's); by default each is
-    built fresh from ``seed``.
+
+@dataclass(eq=False, kw_only=True)
+class BasicNode(vae_mod.VaeModel):
+    """A VAE on the graph's geometry: input trunk, Gaussian heads and the
+    decoder chain (latent expander, output head). ``SUB_MODELS`` names its
+    sub-models in order, by their init-seed labels."""
+
+    SUB_MODELS = ("f_tilde", "f_mu", "f_logvar", "g_tilde", "g_prime")
+    id: int  # the task it learned
+    best_elbo: float | None = None  # set once the node's training ends
+
+    @classmethod
+    def on_arch(cls, node_id: int, arch: ArchSpec, seed: int = 0, nets=None) -> "BasicNode":
+        """``nets`` (a checkpoint's sub-models) or fresh ones built from ``seed``."""
+        trunk, mu_head, logvar_head, *decoder = nets or _fresh_nets(arch, cls.SUB_MODELS, seed)
+        return cls(
+            trunk, mu_head, logvar_head, tuple(decoder), arch.latent_dim, arch.likelihood,
+            arch.normalize_recon, id=node_id,
+        )
+
+
+class SpecificNode(vae_mod.SubModels):
+    """Two fresh heads and an output head, wired through the trunks and latent
+    expanders of its ``parents`` (the Basic nodes it weights by ``pi``, in id
+    order).
+
+    A model like any other, whose bound is the mixture bound: ``latent``
+    draws each branch's z_i (the i-th parent's trunk, this node's heads) with
+    one shared noise and returns sum_i pi_i z_i and the KL sum_i pi_i KL_i.
+    That z is Gaussian with mean sum_i pi_i mu_i and standard deviation
+    sum_i pi_i sd_i, the IW bound's proposal ``encode`` returns. It decodes
+    through the parents' latent expanders weighted by pi, then its own output
+    head. Only its own parameters can receive gradients.
     """
 
-    SUB_MODELS: tuple[str, ...] = ()
+    SUB_MODELS = ("f_mu", "f_logvar", "g_prime")
 
-    def __init__(self, node_id: int, task_id: int, arch: ArchSpec, seed: int = 0, nets=None):
+    def __init__(self, node_id: int, arch: ArchSpec, pi, parents, seed: int = 0, nets=None):
         self.id = node_id
-        self.task_id = task_id
         self.arch = arch
-        for name in self.SUB_MODELS:
-            net = nets[name] if nets is not None else build_mlp(arch.sub_model_spec(name, seed))
-            setattr(self, name, net)
-        self.frozen = False
+        self.pi = np.ascontiguousarray(pi, dtype=np.float64)
+        if self.pi.ndim != 1 or np.any(self.pi < 0) or abs(self.pi.sum() - 1.0) > 1e-9:
+            raise InvalidSpecError("pi must be a 1-D probability vector (sum 1 within 1e-9)")
+        self.parents = list(parents)
+        if len(self.parents) != self.pi.shape[0]:
+            raise ContractError(f"pi has {self.pi.shape[0]} entries for {len(self.parents)} parents")
+        self.f_mu, self.f_logvar, self.g_prime = nets or _fresh_nets(arch, self.SUB_MODELS, seed)
 
     @property
     def latent_dim(self) -> int:
@@ -117,69 +151,11 @@ class _Node:
         return self.arch.normalize_recon
 
     def sub_models(self) -> list[Mlp]:
-        return [getattr(self, name) for name in self.SUB_MODELS]
-
-    def parameters(self) -> list[Tensor]:
-        params = []
-        for net in self.sub_models():
-            params.extend(net.parameters())
-        return params
-
-    def freeze(self) -> None:
-        for net in self.sub_models():
-            net.set_requires_grad(False)
-        self.frozen = True
-
-    def param_bytes(self) -> bytes:
-        return b"".join(net.param_bytes() for net in self.sub_models())
-
-
-class BasicNode(_Node):
-    """Four sub-models: input trunk, Gaussian head, latent expander, output head."""
-
-    SUB_MODELS = ("f_tilde", "f_mu", "f_logvar", "g_tilde", "g_prime")
-    best_elbo: float | None = None  # set once the node's training ends
-
-    def encode(self, x: Tensor):
-        h = self.f_tilde.forward(x)
-        return self.f_mu.forward(h), self.f_logvar.forward(h)
-
-    def decode(self, z: Tensor) -> Tensor:
-        return self.g_prime.forward(self.g_tilde.forward(z))
-
-    latent = vae_mod.VaeModel.latent  # a Basic node is a VAE in sub-models
-
-
-class SpecificNode(_Node):
-    """Two fresh heads and an output head, wired through the trunks and latent
-    expanders of its ``parents`` (the Basic nodes it weights by ``pi``, in id
-    order).
-
-    A model like any other, whose bound is the mixture bound: ``latent``
-    draws each branch's z_i (the i-th parent's trunk, this node's heads) with
-    one shared noise and returns sum_i pi_i z_i and the KL sum_i pi_i KL_i.
-    That z is Gaussian with mean sum_i pi_i mu_i and standard deviation
-    sum_i pi_i sd_i, the IW bound's proposal ``encode`` returns. It decodes
-    through the parents' latent expanders weighted by pi, then its own output
-    head. Only its own parameters can receive gradients.
-    """
-
-    SUB_MODELS = ("f_mu", "f_logvar", "g_prime")
-
-    def __init__(
-        self, node_id: int, task_id: int, arch: ArchSpec, pi, parents, seed: int = 0, nets=None
-    ):
-        self.pi = np.ascontiguousarray(pi, dtype=np.float64)
-        if self.pi.ndim != 1 or np.any(self.pi < 0) or abs(self.pi.sum() - 1.0) > 1e-9:
-            raise InvalidSpecError("pi must be a 1-D probability vector (sum 1 within 1e-9)")
-        self.parents = list(parents)
-        if len(self.parents) != self.pi.shape[0]:
-            raise ContractError(f"pi has {self.pi.shape[0]} entries for {len(self.parents)} parents")
-        super().__init__(node_id, task_id, arch, seed, nets)
+        return [self.f_mu, self.f_logvar, self.g_prime]
 
     def _branch_stats(self, x: Tensor) -> list[tuple[Tensor, Tensor]]:
         """(mu_i, logvar_i) of every branch, in parent order."""
-        hs = [parent.f_tilde.forward(x) for parent in self.parents]
+        hs = [parent.trunk.forward(x) for parent in self.parents]
         return [(self.f_mu.forward(h), self.f_logvar.forward(h)) for h in hs]
 
     def encode(self, x: Tensor):
@@ -193,7 +169,7 @@ class SpecificNode(_Node):
         return _pi_sum(self.pi, (z for z, _ in branches)), _pi_sum(self.pi, (kl for _, kl in branches))
 
     def decode(self, z: Tensor) -> Tensor:
-        return self.g_prime.forward(_pi_sum(self.pi, (p.g_tilde.forward(z) for p in self.parents)))
+        return self.g_prime.forward(_pi_sum(self.pi, (p.decoder[0].forward(z) for p in self.parents)))
 
 
 @dataclass
@@ -201,19 +177,22 @@ class GraphState:
     """Node registry and the expansion audit trail."""
 
     arch: ArchSpec
-    basic_nodes: list[BasicNode] = field(default_factory=list)
-    specific_nodes: list[SpecificNode] = field(default_factory=list)
+    nodes: list = field(default_factory=list)  # node i + 1 learned task i + 1
     expansion_log: list[dict] = field(default_factory=list)
 
     @property
-    def tasks_seen(self) -> int:
-        return len(self.basic_nodes) + len(self.specific_nodes)
+    def basic_nodes(self) -> list[BasicNode]:
+        return [node for node in self.nodes if isinstance(node, BasicNode)]
+
+    @property
+    def specific_nodes(self) -> list[SpecificNode]:
+        return [node for node in self.nodes if isinstance(node, SpecificNode)]
 
     @property
     def adjacency(self) -> np.ndarray:
         """V, t x t: a Specific node's row holds pi over its parents' columns,
         every other entry is 0. Derived from the nodes, so it has no other source."""
-        t = self.tasks_seen
+        t = len(self.nodes)
         v = np.zeros((t, t))
         for node in self.specific_nodes:
             for weight, parent in zip(node.pi, node.parents):
@@ -221,24 +200,18 @@ class GraphState:
         return v
 
     def all_nodes(self):
-        return sorted(self.basic_nodes + self.specific_nodes, key=lambda n: n.id)
-
-    def node_by_id(self, node_id: int):
-        for node in self.basic_nodes + self.specific_nodes:
-            if node.id == node_id:
-                return node
-        raise ContractError(f"no node with id {node_id}")
+        return self.nodes
 
     def param_hash(self) -> str:
         """SHA-256 over every node's serialized parameters, in node-id order."""
         digest = hashlib.sha256()
-        for node in self.all_nodes():
+        for node in self.nodes:
             digest.update(node.param_bytes())
         return digest.hexdigest()
 
     def basic_param_hash(self) -> str:
         digest = hashlib.sha256()
-        for node in sorted(self.basic_nodes, key=lambda n: n.id):
+        for node in self.basic_nodes:
             digest.update(node.param_bytes())
         return digest.hexdigest()
 
@@ -271,7 +244,7 @@ def knowledge_novelty(graph: GraphState, probe: np.ndarray) -> np.ndarray:
         raise ContractError("probe must be a non-empty (n, d) matrix")
     noise = _score_noise(probe, graph.arch.latent_dim)
     ks = np.empty(len(graph.basic_nodes))
-    for i, node in enumerate(sorted(graph.basic_nodes, key=lambda n: n.id)):
+    for i, node in enumerate(graph.basic_nodes):
         if node.best_elbo is None:
             raise ContractError(f"Basic node {node.id} has no recorded best bound")
         mean_bound = vae_mod.elbo(node, probe, noise=noise).total
@@ -324,19 +297,22 @@ def importance_weights(ks) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _append(graph: GraphState, node):
+    """Add the node of the next task: node i learned task i."""
+    if node.id != len(graph.nodes) + 1:
+        raise ContractError(f"task {node.id} cannot be node {len(graph.nodes) + 1} of the graph")
+    graph.nodes.append(node)
+    return node
+
+
 def build_basic_node(graph: GraphState, task_id: int, seed: int) -> BasicNode:
     """Append a fresh Basic node; its adjacency row stays all-zero."""
-    node = BasicNode(node_id=task_id, task_id=task_id, arch=graph.arch, seed=seed)
-    graph.basic_nodes.append(node)
-    return node
+    return _append(graph, BasicNode.on_arch(task_id, graph.arch, seed))
 
 
 def build_specific_node(graph: GraphState, task_id: int, pi, seed: int) -> SpecificNode:
     """Append a Specific node wired to every Basic node so far; pi weights them."""
-    parents = sorted(graph.basic_nodes, key=lambda n: n.id)
-    node = SpecificNode(task_id, task_id, graph.arch, pi, parents, seed=seed)
-    graph.specific_nodes.append(node)
-    return node
+    return _append(graph, SpecificNode(task_id, graph.arch, pi, graph.basic_nodes, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +328,7 @@ def select_node(graph: GraphState, x, scores: dict | None = None):
     ``(node_id, scores)``. ``scores`` may hold scores of frozen nodes already
     taken on this same ``x``; only the nodes it lacks are scored, into it.
     """
-    nodes = graph.all_nodes()
+    nodes = graph.nodes
     if not nodes:
         raise ContractError("cannot select from an empty graph")
     x = np.asarray(x, dtype=np.float64)
@@ -498,14 +474,14 @@ def evaluate_task(
         xb = images[start : start + SELECT_BATCH]
         scores, logpx_sums = memo.setdefault(start, ({}, {}))
         node_id, _ = select_node(graph, xb, scores)
-        node = graph.node_by_id(node_id)
+        node = graph.nodes[node_id - 1]
         if node_id not in logpx_sums:
             nll_rng = rng_mod.stream(rng_seed, f"{rng_label}/nll/{start}")
             logpx_sums[node_id] = float(vae_mod.iw_logpx_np(node, xb, eval_k_prime, rng=nll_rng).sum())
         total_logpx += logpx_sums[node_id]
         selections.append(node_id)
         batches += 1
-        if true_task is not None and node.task_id == true_task:
+        if node_id == true_task:
             correct += 1
     record = {"nll": -total_logpx / n, "selections": selections, "n_batches": batches}
     if true_task is not None:

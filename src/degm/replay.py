@@ -29,8 +29,6 @@ class PseudoDataset:
     """Samples decoded from prior draws of a frozen generator."""
 
     samples: np.ndarray
-    source_task_count: int
-    generation_seed: int
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
@@ -90,7 +88,7 @@ def generate_pseudo(model, n: int, seed: int, binarize: bool | None = None) -> P
     if binarize:
         g = rng_mod.stream(seed, "replay/binarize")
         samples = (g.random(samples.shape) < samples).astype(np.float64)
-    return PseudoDataset(samples, source_task_count=0, generation_seed=seed)
+    return PseudoDataset(samples)
 
 
 def mix_datasets(replay: PseudoDataset | None, new, seed: int = 0) -> MixedDataset:
@@ -191,7 +189,6 @@ def _mix_for_task(generator, new_data, config: TrainConfig, task_index: int, pri
         replay_n,
         seed=rng_mod.derive_seed(config.seed, f"gr/pseudo/task{task_index}"),
     )
-    pseudo.source_task_count = task_index - 1
     return mix_datasets(
         pseudo, new_data, seed=rng_mod.derive_seed(config.seed, f"gr/mix/task{task_index}")
     )

@@ -38,20 +38,20 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def content_keyed_normal(rows, cols: int, label: str, draws: int = 1):
-    """Standard normals keyed by each row's byte content, not its position.
+def content_keyed_normal(rows, cols: int, label: str) -> np.ndarray:
+    """Standard normals of shape (n, cols), keyed by each row's byte content,
+    not its position.
 
     The same row always receives the same noise under the same label, so any
     statistic averaged over rows is exactly invariant to their ordering.
-    Returns shape (n, cols) for draws == 1, else (draws, n, cols).
     """
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     n = rows.shape[0]
-    out = np.empty((draws, n, cols))
+    out = np.empty((n, cols))
     prefix = label.encode("utf-8")
     for i in range(n):
         digest = hashlib.sha256(prefix + rows[i].tobytes()).digest()
         key = np.frombuffer(digest[:16], dtype=np.uint64)
         g = np.random.Generator(np.random.Philox(key=key))
-        out[:, i, :] = g.standard_normal((draws, cols))
-    return out[0] if draws == 1 else out
+        out[i] = g.standard_normal(cols)
+    return out

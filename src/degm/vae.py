@@ -8,9 +8,10 @@ that identity exact by sharing the single-sample code path.
 
 A model is tape ``encode``/``decode``, ``latent(x, eps)`` (the latent under
 noise ``eps`` and its per-example KL to the prior) and ``latent_dim``,
-``data_dim``, ``likelihood``, ``normalize_recon``. These functions train
-and score any model, the graph's nodes too (a Specific node's ``latent``
-makes its bound the mixture bound).
+``data_dim``, ``likelihood``, ``normalize_recon``. ``VaeModel`` is the one
+VAE: a replay model, and the graph's Basic node, which adds an id and its
+best bound. These functions train and score any model, the graph's nodes
+too (a Specific node's ``latent`` makes its bound the mixture bound).
 Evaluation runs the training code under ``no_grad``: one forward pass per
 model, one likelihood kernel (``recon_loglik_np``, which the tape op
 ``_recon_loglik_pe`` wraps) and one per-example implementation of each
@@ -27,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,14 +66,30 @@ class ElboEstimate:
     kl_term: float
 
 
-@dataclass
-class VaeModel:
-    """Encoder trunk, Gaussian heads, and decoder of a single VAE."""
+class SubModels:
+    """What every model made of ``sub_models()`` shares: their parameters in
+    order, those parameters' bytes, and freezing them."""
+
+    def parameters(self) -> list[Tensor]:
+        return [p for net in self.sub_models() for p in net.parameters()]
+
+    def param_bytes(self) -> bytes:
+        return b"".join(net.param_bytes() for net in self.sub_models())
+
+    def freeze(self) -> None:
+        for net in self.sub_models():
+            net.set_requires_grad(False)
+
+
+@dataclass(eq=False)
+class VaeModel(SubModels):
+    """Encoder trunk, Gaussian heads, and a decoder chain: the networks of
+    ``decoder`` applied in order (one for a replay model)."""
 
     trunk: Mlp
     mu_head: Mlp
     logvar_head: Mlp
-    decoder: Mlp
+    decoder: tuple[Mlp, ...]
     latent_dim: int
     likelihood: str
     normalize_recon: bool = False
@@ -82,45 +99,32 @@ class VaeModel:
             raise InvalidSpecError(f"unknown likelihood {self.likelihood!r}")
         if self.mu_head.out_width != self.latent_dim or self.logvar_head.out_width != self.latent_dim:
             raise InvalidSpecError("head output extents must equal latent_dim")
-        if self.decoder.in_width != self.latent_dim:
+        if self.decoder[0].in_width != self.latent_dim:
             raise InvalidSpecError("decoder input extent must equal latent_dim")
 
     @property
     def data_dim(self) -> int:
         return self.trunk.in_width
 
+    def sub_models(self) -> list[Mlp]:
+        return [self.trunk, self.mu_head, self.logvar_head, *self.decoder]
+
     def encode(self, x: Tensor) -> tuple[Tensor, Tensor]:
         h = self.trunk.forward(x)
         return self.mu_head.forward(h), self.logvar_head.forward(h)
 
     def decode(self, z: Tensor) -> Tensor:
-        return self.decoder.forward(z)
+        for net in self.decoder:
+            z = net.forward(z)
+        return z
 
     def latent(self, x: Tensor, eps) -> tuple[Tensor, Tensor]:
         """(z, per-example KL to the prior) of the encoding of ``x`` under noise ``eps``."""
         return _latent_and_kl(*self.encode(x), eps)
 
-    def parameters(self) -> list[Tensor]:
-        params = []
-        for net in (self.trunk, self.mu_head, self.logvar_head, self.decoder):
-            params.extend(net.parameters())
-        return params
-
     def copy(self, requires_grad: bool | None = None) -> "VaeModel":
-        return VaeModel(
-            trunk=self.trunk.copy(requires_grad),
-            mu_head=self.mu_head.copy(requires_grad),
-            logvar_head=self.logvar_head.copy(requires_grad),
-            decoder=self.decoder.copy(requires_grad),
-            latent_dim=self.latent_dim,
-            likelihood=self.likelihood,
-            normalize_recon=self.normalize_recon,
-        )
-
-    def param_bytes(self) -> bytes:
-        return b"".join(
-            net.param_bytes() for net in (self.trunk, self.mu_head, self.logvar_head, self.decoder)
-        )
+        trunk, mu_head, logvar_head, *decoder = (net.copy(requires_grad) for net in self.sub_models())
+        return replace(self, trunk=trunk, mu_head=mu_head, logvar_head=logvar_head, decoder=tuple(decoder))
 
 
 def vae_specs(
@@ -161,7 +165,7 @@ def build_vae(
     """Assemble the desk-scale VAE from ``vae_specs``."""
     specs = vae_specs(data_dim, latent_dim, trunk_widths, decoder_widths, likelihood, hidden_activation, seed)
     trunk, mu_head, logvar_head, decoder = (build_mlp(spec) for spec in specs)
-    return VaeModel(trunk, mu_head, logvar_head, decoder, latent_dim, likelihood, normalize_recon)
+    return VaeModel(trunk, mu_head, logvar_head, (decoder,), latent_dim, likelihood, normalize_recon)
 
 
 # ---------------------------------------------------------------------------

@@ -110,27 +110,23 @@ def oracle_encode(model, x):
     """(mu, logvar) of a ``VaeModel``, Basic or Specific node, from
     ``oracle_forward_np`` on its sub-models."""
     if isinstance(model, SpecificNode):
-        hs = [oracle_forward_np(parent.f_tilde, x) for parent in model.parents]
+        hs = [oracle_forward_np(parent.trunk, x) for parent in model.parents]
         mu = _weighted_sum(model.pi, [oracle_forward_np(model.f_mu, h) for h in hs])
         sd = _weighted_sum(model.pi, [np.exp(0.5 * oracle_forward_np(model.f_logvar, h)) for h in hs])
         return mu, 2.0 * np.log(sd)
-    if isinstance(model, vae_mod.VaeModel):
-        trunk, mu_head, logvar_head = model.trunk, model.mu_head, model.logvar_head
-    else:
-        trunk, mu_head, logvar_head = model.f_tilde, model.f_mu, model.f_logvar
-    h = oracle_forward_np(trunk, x)
-    return oracle_forward_np(mu_head, h), oracle_forward_np(logvar_head, h)
+    h = oracle_forward_np(model.trunk, x)
+    return oracle_forward_np(model.mu_head, h), oracle_forward_np(model.logvar_head, h)
 
 
 def oracle_decode(model, z):
     """Decoder mean of a ``VaeModel``, Basic or Specific node, from
     ``oracle_forward_np`` on its sub-models."""
-    if isinstance(model, vae_mod.VaeModel):
-        return oracle_forward_np(model.decoder, z)
     if isinstance(model, SpecificNode):
-        feat = _weighted_sum(model.pi, [oracle_forward_np(p.g_tilde, z) for p in model.parents])
+        feat = _weighted_sum(model.pi, [oracle_forward_np(p.decoder[0], z) for p in model.parents])
         return oracle_forward_np(model.g_prime, feat)
-    return oracle_forward_np(model.g_prime, oracle_forward_np(model.g_tilde, z))
+    for net in model.decoder:
+        z = oracle_forward_np(net, z)
+    return z
 
 
 def oracle_gaussian_kl(mu, logvar):
@@ -144,7 +140,7 @@ def oracle_mixture_bound(node, x, eps):
     and the KL term sum_i pi_i KL_i."""
     zs, kls = [], []
     for parent in node.parents:
-        h = oracle_forward_np(parent.f_tilde, x)
+        h = oracle_forward_np(parent.trunk, x)
         mu, logvar = oracle_forward_np(node.f_mu, h), oracle_forward_np(node.f_logvar, h)
         zs.append(mu + np.exp(0.5 * logvar) * eps)
         kls.append(oracle_gaussian_kl(mu, logvar))
@@ -251,7 +247,7 @@ def iw_melbo_objective(node, graph, config):
         basics = sorted(graph.basic_nodes, key=lambda b: b.id)
         mus, sds = [], []
         for basic in basics:
-            h = basic.f_tilde.forward(x)
+            h = basic.trunk.forward(x)
             mus.append(node.f_mu.forward(h))
             sds.append((node.f_logvar.forward(h) * 0.5).exp())
         mu_bar = None
@@ -269,7 +265,7 @@ def iw_melbo_objective(node, graph, config):
             z = mu_bar + sd_bar * gamma
             feat = None
             for weight, basic in zip(node.pi, basics):
-                f_i = basic.g_tilde.forward(z) * float(weight)
+                f_i = basic.decoder[0].forward(z) * float(weight)
                 feat = f_i if feat is None else feat + f_i
             y = node.g_prime.forward(feat)
             recon_pe = vae_mod._recon_loglik_pe(y, x, arch.likelihood, arch.normalize_recon)

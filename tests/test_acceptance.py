@@ -8,6 +8,7 @@ fixtures; everything runs at its stated scale and tolerance. Run with
 import math
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ def diagnose_runs(tmp_path_factory):
         cfg = parse_config({**base, "seed": seed, "output_dir": out})
         cmd_train(cfg)
         cmd_diagnose(out)
-        rows = open(f"{out}/diagnose.csv").read().splitlines()[1:]
+        rows = Path(out, "diagnose.csv").read_text().splitlines()[1:]
         per_seed.append([tuple(map(float, r.split(","))) for r in rows])
     return {"rows": per_seed, "elapsed": time.monotonic() - t0}
 
@@ -265,7 +266,7 @@ class TestCriterion5MelboValidity:
             if graph.basic_param_hash() != graph_prefix.basic_param_hash():
                 hash_mismatches += 1
             for node in graph.specific_nodes:
-                task = stream.tasks[node.task_id - 1]
+                task = stream.tasks[node.id - 1]
                 x = task.test.images[:64]
                 est = elbo(node, x, rng=rng.stream(seed, f"a5/m{node.id}"))
                 logpx = iw_logpx_np(node, x, 1000, rng=rng.stream(seed, f"a5/iw{node.id}"))

@@ -1,6 +1,7 @@
 """Checkpoint containers: wiring and V survive a round trip, and every
 corruption is a CheckpointError (exit 3), never another exception."""
 
+import hashlib
 import json
 import struct
 
@@ -48,8 +49,7 @@ def graph_summary(graph):
 
 
 def model_summary(model):
-    nets = (model.trunk, model.mu_head, model.logvar_head, model.decoder)
-    return (model.data_dim, model.latent_dim, [w.shape for net in nets for w in net.weights])
+    return (model.data_dim, model.latent_dim, [w.shape for net in model.sub_models() for w in net.weights])
 
 
 def graph_bytes(tmp_path, graph):
@@ -101,7 +101,7 @@ class TestGraphRoundtrip:
         graph = GraphState(arch=TINY_ARCH)
         first = build_basic_node(graph, 1, seed=1)
         build_basic_node(graph, 2, seed=2)
-        graph.specific_nodes.append(SpecificNode(3, 3, TINY_ARCH, [1.0], [first], seed=3))
+        graph.nodes.append(SpecificNode(3, TINY_ARCH, [1.0], [first], seed=3))
         path = tmp_path / "graph.bin"
         save_graph(path, graph)
         with pytest.raises(CheckpointError, match="1 entries for 2 parents"):
@@ -112,6 +112,36 @@ class TestGraphRoundtrip:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert eval_exit_code(tmp_path, tmp_path / "absent.bin") == 3
         assert "data error: " + str(tmp_path / "absent.bin") in capsys.readouterr().err
+
+
+class TestContainerBytes:
+    """Both containers' bytes for fixed seeds (recorded under numpy 2.4.6):
+    how a model is held in memory must not move them."""
+
+    def test_graph(self, tmp_path):
+        graph = GraphState(arch=TINY_ARCH)
+        build_basic_node(graph, 1, seed=1).best_elbo = -2.5
+        build_basic_node(graph, 2, seed=2).best_elbo = -3.0
+        build_specific_node(graph, 3, [0.25, 0.75], seed=3)
+        for node in graph.all_nodes():
+            node.freeze()
+        digest = hashlib.sha256(graph_bytes(tmp_path, graph)).hexdigest()
+        assert digest == "7eb11029a5dec55b5428d52cf33c32303b0052d75ad70ef0a1856031a5bae845"
+
+    @pytest.mark.parametrize(
+        "trunk_widths, decoder_widths, digest",
+        [
+            ((3,), (3,), "2184e1ccfc42b5e57e9e4d62ca8677048e6dd43977f62c5ce357d530c7961474"),
+            ((3, 5), (), "069a379f40db5714f2c4796bf2f3cea6d2f9981e3862f7955ce126eb3d9ab21f"),
+        ],
+    )
+    def test_model(self, tmp_path, trunk_widths, decoder_widths, digest):
+        model = build_vae(
+            data_dim=4, latent_dim=2, trunk_widths=trunk_widths, decoder_widths=decoder_widths, seed=1
+        )
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCorruptContainers:
@@ -162,7 +192,7 @@ class TestCorruptContainers:
     def test_widths_checked_against_stored_geometry(self, tmp_path):
         graph = tiny_graph()
         narrow = ArchSpec(data_dim=4, inter_dim=3, latent_dim=1, feat_dim=3)
-        graph.basic_nodes[0].f_mu = BasicNode(1, 1, narrow).f_mu
+        graph.basic_nodes[0].mu_head = BasicNode.on_arch(1, narrow).mu_head
         path = tmp_path / "graph.bin"
         save_graph(path, graph)
         with pytest.raises(CheckpointError, match="sub-model f_mu"):

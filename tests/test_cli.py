@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -785,7 +786,7 @@ class TestExportPlots:
         cmd_diagnose(str(tmp_path / "run"))
         paths = cmd_export_plots(str(tmp_path / "run"))
         fig3b = next(p for p in paths if p.endswith("fig3b.dat"))
-        lines = open(fig3b).read().splitlines()
+        lines = Path(fig3b).read_text().splitlines()
         assert lines[0].startswith("#")
         assert all(len(line.split()) == 5 for line in lines[1:])
         assert len(lines) - 1 == 2 * 2  # rows = recorded epochs
@@ -794,9 +795,9 @@ class TestExportPlots:
         cfg = fast_cfg(tmp_path)
         cmd_train(cfg)
         paths = cmd_export_plots(str(tmp_path / "run"))
-        first = {p: open(p, "rb").read() for p in paths}
+        first = {p: Path(p).read_bytes() for p in paths}
         for p, blob in zip(cmd_export_plots(str(tmp_path / "run")), first.values()):
-            assert open(p, "rb").read() == blob
+            assert Path(p).read_bytes() == blob
 
     def test_missing_inputs_rejected(self, tmp_path):
         from degm.data import DataFormatError

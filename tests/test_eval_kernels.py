@@ -219,7 +219,7 @@ class TestSpecificNodeAccumulation:
     def oracle_features(node, basics, z):
         feat = None
         for weight, basic in zip(node.pi, basics):
-            f_i = weight * oracle_forward_np(basic.g_tilde, z)
+            f_i = weight * oracle_forward_np(basic.decoder[0], z)
             feat = f_i if feat is None else feat + f_i
         return feat
 

@@ -23,7 +23,7 @@ from degm.graph import (
     select_node,
     train_degm_sequence,
 )
-from degm.nn import ContractError, InvalidSpecError, Mlp, Tensor, backward, zero_grad
+from degm.nn import ContractError, InvalidSpecError, Tensor, backward, zero_grad
 from degm.replay import TrainConfig, _bound_objective, run_training
 from degm.vae import VaeModel, elbo, elbo_parts, iw_logpx_np
 from helpers import iw_melbo_objective, max_grad_error
@@ -144,6 +144,16 @@ class TestGraphConstruction:
         with pytest.raises(ContractError):
             build_specific_node(graph, 2, [0.5, 0.5], seed=5)
 
+    def test_nodes_follow_task_order(self):
+        # evaluation finds node i at nodes[i - 1], so a node out of task order is refused
+        graph = GraphState(arch=MICRO_ARCH)
+        with pytest.raises(ContractError, match="task 2 cannot be node 1"):
+            build_basic_node(graph, 2, seed=3)
+        build_basic_node(graph, 1, seed=3)
+        with pytest.raises(ContractError, match="task 1 cannot be node 2"):
+            build_specific_node(graph, 1, [1.0], seed=5)
+        assert [node.id for node in graph.nodes] == [1]
+
     def test_specific_smaller_than_basic(self):
         graph = GraphState(arch=MICRO_ARCH)
         basic = build_basic_node(graph, 1, seed=3)
@@ -205,11 +215,11 @@ class TestSpecificForward:
         x = stream.tasks[1].train.images[:16]
         noise = rng.stream(3, "n").standard_normal((16, MICRO_ARCH.latent_dim))
         z, _ = node.latent(Tensor(x), noise)
-        h = basic.f_tilde.forward_np(x)
+        h = basic.trunk.forward_np(x)
         mu = node.f_mu.forward_np(h)
         lv = node.f_logvar.forward_np(h)
         manual_z = mu + np.exp(0.5 * lv) * noise
-        manual = node.g_prime.forward_np(basic.g_tilde.forward_np(manual_z))
+        manual = node.g_prime.forward_np(basic.decoder[0].forward_np(manual_z))
         np.testing.assert_allclose(node.decode(z).data, manual, atol=1e-12)
 
     def test_combined_latent_is_weighted_branch_sum(self):
@@ -220,7 +230,7 @@ class TestSpecificForward:
         # recompute branches outside the graph machinery
         expected = np.zeros((8, MICRO_ARCH.latent_dim))
         for w, basic in zip(node.pi, sorted(graph.basic_nodes, key=lambda b: b.id)):
-            h = basic.f_tilde.forward_np(x)
+            h = basic.trunk.forward_np(x)
             mu = node.f_mu.forward_np(h)
             lv = node.f_logvar.forward_np(h)
             expected += w * (mu + np.exp(0.5 * lv) * noise)
@@ -247,13 +257,9 @@ class TestMelbo:
         if len(graph.basic_nodes) != 1:
             pytest.skip("expansion produced extra basic nodes")
         parent = node.parents[0]
-        decoder = Mlp(
-            parent.g_tilde.weights + node.g_prime.weights,
-            parent.g_tilde.biases + node.g_prime.biases,
-            parent.g_tilde.activations + node.g_prime.activations,
-        )
         chain = VaeModel(
-            parent.f_tilde, node.f_mu, node.f_logvar, decoder, MICRO_ARCH.latent_dim, MICRO_ARCH.likelihood
+            parent.trunk, node.f_mu, node.f_logvar, (parent.decoder[0], node.g_prime),
+            MICRO_ARCH.latent_dim, MICRO_ARCH.likelihood,
         )
         x = stream.tasks[1].test.images[:32]
         a = elbo(node, x, rng=rng.stream(8, "shared"))
@@ -361,7 +367,7 @@ class TestSpecificNodeIsAModel:
 class TestSelectNode:
     def test_single_node_selected(self):
         stream, graph, _ = trained_micro_graph(seed=2, families=("bars", "blobs"))
-        sub = GraphState(arch=graph.arch, basic_nodes=graph.basic_nodes[:1])
+        sub = GraphState(arch=graph.arch, nodes=graph.nodes[:1])
         node_id, scores = select_node(sub, stream.tasks[0].test.images[:32])
         assert node_id == graph.basic_nodes[0].id
         assert set(scores) == {node_id}
@@ -392,7 +398,7 @@ class TestTrainDegmSequence:
         _, graph, _ = trained_micro_graph(seed=1, force="basic")
         assert len(graph.basic_nodes) == 3
         assert len(graph.specific_nodes) == 0
-        assert [n.task_id for n in graph.basic_nodes] == [1, 2, 3]
+        assert [n.id for n in graph.basic_nodes] == [1, 2, 3]
         np.testing.assert_array_equal(graph.adjacency, 0.0)
 
     def test_huge_tau_forces_specific_after_first(self):
@@ -435,7 +441,7 @@ class TestTrainDegmSequence:
         _, graph, _ = trained_micro_graph(seed=1, force="basic")
         for node in graph.basic_nodes:
             assert node.best_elbo is not None and np.isfinite(node.best_elbo)
-            assert node.frozen
+            assert not any(p.requires_grad for p in node.parameters())
 
     def test_eval_records_lower_triangular(self):
         _, _, records = trained_micro_graph(seed=1)

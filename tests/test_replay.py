@@ -37,9 +37,9 @@ def small_model(seed=0, likelihood="bernoulli"):
 class TestGeneratePseudo:
     def test_untrained_sigmoid_decoder_emits_half(self):
         m = small_model()
-        for w in m.decoder.weights:
+        for w in m.decoder[0].weights:
             w.data[:] = 0.0
-        for b in m.decoder.biases:
+        for b in m.decoder[0].biases:
             b.data[:] = 0.0
         ds = generate_pseudo(m, 50, seed=3, binarize=False)
         np.testing.assert_allclose(ds.samples, 0.5)
@@ -72,7 +72,7 @@ class TestGeneratePseudo:
 
 class TestMixDatasets:
     def test_composition_and_total(self):
-        replay = PseudoDataset(np.zeros((1000, 4)), 1, 0)
+        replay = PseudoDataset(np.zeros((1000, 4)))
         new = np.ones((1000, 4))
         mixed = mix_datasets(replay, new, seed=5)
         assert len(mixed) == 2000
@@ -84,7 +84,7 @@ class TestMixDatasets:
         assert list(mixed.source_flags) == ["new"] * 7
 
     def test_deterministic(self):
-        replay = PseudoDataset(np.zeros((50, 4)), 1, 0)
+        replay = PseudoDataset(np.zeros((50, 4)))
         new = np.ones((40, 4))
         a = mix_datasets(replay, new, seed=5)
         b = mix_datasets(replay, new, seed=5)
@@ -92,7 +92,7 @@ class TestMixDatasets:
         assert list(a.source_flags) == list(b.source_flags)
 
     def test_samples_follow_flags(self):
-        replay = PseudoDataset(np.zeros((30, 2)), 1, 0)
+        replay = PseudoDataset(np.zeros((30, 2)))
         new = np.ones((20, 2))
         mixed = mix_datasets(replay, new, seed=1)
         for row, flag in zip(mixed.samples, mixed.source_flags):
@@ -102,11 +102,11 @@ class TestMixDatasets:
         from degm.nn import ShapeError
 
         with pytest.raises(ShapeError):
-            mix_datasets(PseudoDataset(np.zeros((5, 3)), 1, 0), np.ones((5, 4)))
+            mix_datasets(PseudoDataset(np.zeros((5, 3))), np.ones((5, 4)))
 
     def test_flags_pass_runs_test(self):
         # Wald-Wolfowitz runs test for exchangeability at alpha = 0.01
-        replay = PseudoDataset(np.zeros((1000, 2)), 1, 0)
+        replay = PseudoDataset(np.zeros((1000, 2)))
         new = np.ones((1000, 2))
         mixed = mix_datasets(replay, new, seed=77)
         seq = (mixed.source_flags == "replay").astype(int)

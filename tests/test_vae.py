@@ -134,9 +134,9 @@ class TestElbo:
     def test_constant_decoder_splits_terms(self):
         # zero decoder weights: output is sigmoid(0) = 0.5 regardless of z
         m = tiny_model()
-        for w in m.decoder.weights:
+        for w in m.decoder[0].weights:
             w.data[:] = 0.0
-        for b in m.decoder.biases:
+        for b in m.decoder[0].biases:
             b.data[:] = 0.0
         x = (rng.stream(0, "x").random((16, 6)) > 0.5).astype(float)
         est = elbo(m, x, rng=rng.stream(1, "noise"))
@@ -211,7 +211,7 @@ class TestIwelbo:
     def test_degenerate_weights_constant_in_k(self):
         # encoder = prior and constant decoder -> all importance weights equal
         m = tiny_model()
-        for net in (m.trunk, m.mu_head, m.logvar_head, m.decoder):
+        for net in (m.trunk, m.mu_head, m.logvar_head, m.decoder[0]):
             for w in net.weights:
                 w.data[:] = 0.0
             for b in net.biases:
