@@ -32,6 +32,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import checkpoint as ckpt_mod
+from . import graph as graph_mod
+from . import replay as replay_mod
 from . import rng as rng_mod
 from . import vae as vae_mod
 from .data import (
@@ -42,9 +44,9 @@ from .data import (
     make_cross_domain_stream,
     make_split_stream,
 )
-from .graph import ArchSpec, evaluate_task, final_eval_label, train_degm_sequence
+from .graph import ArchSpec, train_degm_sequence
 from .nn import InvalidSpecError
-from .replay import NonFiniteError, TrainConfig, eval_label, run_gr_sequence
+from .replay import NonFiniteError, TrainConfig, run_gr_sequence
 from .vae import build_vae
 
 METHODS = ("elbo_gr", "iwelbo_gr", "degm_elbo", "degm_iwelbo", "degm2")
@@ -253,29 +255,31 @@ def run_id_of(cfg: dict) -> str:
 
 
 def build_stream(cfg: dict) -> TaskStream:
+    """The configured task stream; data that is not ``width`` x ``height`` is a data error."""
     if isinstance(cfg["stream"], dict):
-        return _build_split_stream(cfg)
-    return make_cross_domain_stream(
-        cfg["stream"],
-        n_train=cfg["train_per_task"],
-        n_test=cfg["test_per_task"],
-        width=cfg["width"],
-        height=cfg["height"],
-        seed=cfg["seed"],
-        binarize_mode=None if cfg["binarize"] == "none" else cfg["binarize"],
-    )
+        stream = _build_split_stream(cfg)
+    else:
+        stream = make_cross_domain_stream(
+            cfg["stream"],
+            n_train=cfg["train_per_task"],
+            n_test=cfg["test_per_task"],
+            width=cfg["width"],
+            height=cfg["height"],
+            seed=cfg["seed"],
+            binarize_mode=None if cfg["binarize"] == "none" else cfg["binarize"],
+        )
+    if stream.dim != cfg["width"] * cfg["height"]:
+        raise DataFormatError(
+            f"{stream.tasks[0].train.name}: flat dimension {stream.dim} does not match the "
+            f"configured {cfg['width']}x{cfg['height']} geometry"
+        )
+    return stream
 
 
 def _build_split_stream(cfg: dict) -> TaskStream:
     spec = cfg["stream"]
     train = load_idx(spec["train_images"], spec.get("train_labels"))
     test = load_idx(spec["test_images"], spec.get("test_labels"))
-    expected = cfg["width"] * cfg["height"]
-    if train.dim != expected:
-        raise DataFormatError(
-            f"{spec['train_images']}: flat dimension {train.dim} does not match the "
-            f"configured {cfg['width']}x{cfg['height']} geometry"
-        )
     if cfg["binarize"] != "none":
         train = binarize(train, cfg["binarize"], seed=rng_mod.derive_seed(cfg["seed"], "split/train"))
         test = binarize(test, cfg["binarize"], seed=rng_mod.derive_seed(cfg["seed"], "split/test"))
@@ -349,13 +353,12 @@ class _SnapshotRecorder:
             return
         mixed_name = f"mixed_t{task:02d}.npy"
         if task not in self._saved_mixed:
-            samples = mixed.samples
-            if len(samples) > self.sample_size:
+            if len(mixed) > self.sample_size:
                 idx = rng_mod.stream(self.seed, f"diag/sample/task{task}").choice(
-                    len(samples), size=self.sample_size, replace=False
+                    len(mixed), size=self.sample_size, replace=False
                 )
-                samples = samples[idx]
-            self._write(mixed_name, np.save, samples)
+                mixed = mixed[idx]
+            self._write(mixed_name, np.save, mixed)
             self._saved_mixed.add(task)
         name = f"snap_t{task:02d}_e{epoch:02d}.bin"
         self._write(name, ckpt_mod.save_model, model)
@@ -677,47 +680,25 @@ def cmd_train_multi(cfg: dict, seeds: list[int]) -> dict:
 def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dict:
     """Score a checkpoint on the configured stream; per-task NLL and selection.
 
-    The noise is keyed like the training run's final evaluation, so at the
-    run's seed, stream and K' this reproduces its last NLL row exactly.
+    It runs the training method's own task-end evaluation as after the last
+    task, so at the run's seed, stream and K' it reproduces the run's last
+    NLL row exactly.
     """
     k_prime = k_prime or cfg["eval_k_prime"]
     stream = build_stream(cfg)
-    kind = ckpt_mod.sniff_kind(checkpoint_path)
-    results = []
-    if kind == "graph":
-        graph = ckpt_mod.load_graph(checkpoint_path)
-        if graph.arch.data_dim != stream.dim:
-            raise DataFormatError(
-                f"checkpoint dim {graph.arch.data_dim} != stream dim {stream.dim}"
-            )
-        for task in stream.tasks:
-            rec = evaluate_task(
-                graph,
-                task.test.images,
-                true_task=task.task_id,
-                eval_k_prime=k_prime,
-                rng_seed=cfg["seed"],
-                rng_label=final_eval_label(len(stream), task.task_id),
-            )
-            results.append(
-                {
-                    "task": task.task_id,
-                    "nll": rec["nll"],
-                    "selection_accuracy": rec["selection_accuracy"],
-                }
-            )
+    if ckpt_mod.sniff_kind(checkpoint_path) == "graph":
+        model = ckpt_mod.load_graph(checkpoint_path)
+        dim, evaluate_seen = model.arch.data_dim, graph_mod.evaluate_seen
     else:
         model = ckpt_mod.load_model(checkpoint_path)
-        if model.data_dim != stream.dim:
-            raise DataFormatError(f"checkpoint dim {model.data_dim} != stream dim {stream.dim}")
-        for task in stream.tasks:
-            nll, se = vae_mod.nll_estimate(
-                model,
-                task.test,
-                k_prime=k_prime,
-                rng=rng_mod.stream(cfg["seed"], eval_label(len(stream), task.task_id)),
-            )
-            results.append({"task": task.task_id, "nll": nll, "nll_se": se})
+        dim, evaluate_seen = model.data_dim, replay_mod.evaluate_seen
+    if dim != stream.dim:
+        raise DataFormatError(f"checkpoint dim {dim} != stream dim {stream.dim}")
+    fields = ("nll", "nll_se", "selection_accuracy")
+    results = [
+        {"task": e["eval_task"], **{k: e[k] for k in fields if k in e}}
+        for e in evaluate_seen(model, stream.tasks, len(stream), cfg["seed"], k_prime)
+    ]
     accs = [r["selection_accuracy"] for r in results if "selection_accuracy" in r]
     return {
         "checkpoint": str(checkpoint_path),
@@ -902,6 +883,8 @@ def main(argv=None) -> int:
                     raise ConfigError(f"--seeds must be a comma-separated integer list, got {args.seeds!r}")
                 if not seeds:
                     raise ConfigError("--seeds list is empty")
+                if len(set(seeds)) < len(seeds):
+                    raise ConfigError(f"--seeds lists a seed more than once: {args.seeds!r}")
                 aggregate = cmd_train_multi(cfg, seeds)
                 print(json.dumps(aggregate, indent=1, sort_keys=True))
             else:

@@ -308,6 +308,14 @@ _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
+def _read_bytes(path) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as err:
+        raise DataFormatError(f"{path}: {err.strerror}") from err
+
+
 def _read_u32(buf: bytes, offset: int, path: str) -> tuple[int, int]:
     if offset + 4 > len(buf):
         raise IdxTruncatedError(f"{path}: header truncated at byte {offset}")
@@ -328,10 +336,9 @@ def load_idx(images_path, labels_path=None) -> Dataset:
     """Parse big-endian IDX image (and optional label) files into a Dataset.
 
     Pixels are scaled to [0, 1] by dividing by 255. A file must end where its
-    header says the payload ends.
+    header says the payload ends. A file that cannot be read is a data error.
     """
-    with open(images_path, "rb") as f:
-        buf = f.read()
+    buf = _read_bytes(images_path)
     magic, off = _read_u32(buf, 0, str(images_path))
     if magic != _IDX_IMAGE_MAGIC:
         raise IdxMagicError(
@@ -345,8 +352,7 @@ def load_idx(images_path, labels_path=None) -> Dataset:
 
     labels = None
     if labels_path is not None:
-        with open(labels_path, "rb") as f:
-            lbuf = f.read()
+        lbuf = _read_bytes(labels_path)
         lmagic, loff = _read_u32(lbuf, 0, str(labels_path))
         if lmagic != _IDX_LABEL_MAGIC:
             raise IdxMagicError(

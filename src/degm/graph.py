@@ -350,12 +350,6 @@ NOVELTY_PROBE_SIZE = 1000  # training examples a task's novelty is scored on
 SELECT_BATCH = 100  # test examples routed to one node together in evaluation
 
 
-def final_eval_label(n_tasks: int, task_id: int) -> str:
-    """Noise label of task ``task_id``'s NLL estimates in a run over ``n_tasks``
-    tasks: the final evaluation's, which every task end reuses."""
-    return f"degm/eval/after{n_tasks}/task{task_id}"
-
-
 def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label: str):
     best = -np.inf
     score_noise = _score_noise(images, node.latent_dim)
@@ -430,22 +424,30 @@ def train_degm_sequence(
             {"task_id": t, "decision": decision, "ks": [float(v) for v in ks], "tau": tau}
         )
         train_metrics.append({"task": t, "decision": decision, "epochs": history})
-
-        evals = []
-        for seen in stream.tasks[:t]:
-            record = evaluate_task(
-                graph,
-                seen.test.images,
-                true_task=seen.task_id,
-                eval_k_prime=eval_k_prime,
-                rng_seed=config.seed,
-                rng_label=final_eval_label(len(stream), seen.task_id),
-                memo=memo.setdefault(seen.task_id, {}),
-            )
-            record["eval_task"] = seen.task_id
-            evals.append(record)
+        evals = evaluate_seen(graph, stream.tasks[:t], len(stream), config.seed, eval_k_prime, memo)
         task_records.append({"task": t, "evals": evals})
     return graph, task_records, train_metrics
+
+
+def evaluate_seen(graph: GraphState, tasks, n_tasks: int, seed: int, k_prime: int, memo=None):
+    """``evaluate_task`` on each task's test set, with the noise label of the
+    final evaluation of a run over ``n_tasks`` tasks, which every task end
+    reuses. ``memo`` maps a task id to that task's ``evaluate_task`` memo."""
+    memo = {} if memo is None else memo
+    evals = []
+    for task in tasks:
+        record = evaluate_task(
+            graph,
+            task.test.images,
+            true_task=task.task_id,
+            eval_k_prime=k_prime,
+            rng_seed=seed,
+            rng_label=f"degm/eval/after{n_tasks}/task{task.task_id}",
+            memo=memo.setdefault(task.task_id, {}),
+        )
+        record["eval_task"] = task.task_id
+        evals.append(record)
+    return evals
 
 
 def evaluate_task(

@@ -2,9 +2,10 @@
 
 Before each new task the current model generates a pseudo dataset whose
 size matches the cumulative count of real examples seen so far (times a
-configurable ratio); the mixture of pseudo and new samples is then fit by
-minimizing the negative bound. The recursion over tasks is what slowly
-degrades early-task knowledge, which the diagnostics modules measure.
+configurable ratio); the mixture of pseudo and new samples, one plain array
+of rows, is then fit by minimizing the negative bound. The recursion over
+tasks is what slowly degrades early-task knowledge, which the diagnostics
+modules measure.
 """
 
 from __future__ import annotations
@@ -22,34 +23,6 @@ from .nn import InvalidSpecError, ShapeError, adam_step, backward, init_adam, no
 
 class NonFiniteError(RuntimeError):
     """A training loss or an evaluation result is NaN or infinite."""
-
-
-@dataclass
-class PseudoDataset:
-    """Samples decoded from prior draws of a frozen generator."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-
-@dataclass
-class MixedDataset:
-    """Interleaved replay/new samples with per-sample provenance flags."""
-
-    samples: np.ndarray
-    source_flags: np.ndarray  # "replay" | "new" per row
-
-    def __post_init__(self):
-        if len(self.source_flags) != len(self.samples):
-            raise ShapeError("one source flag per sample required")
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
 
 
 @dataclass
@@ -71,57 +44,46 @@ class TrainConfig:
             raise InvalidSpecError("learning_rate must be > 0 and replay_ratio >= 0")
 
 
-def generate_pseudo(model, n: int, seed: int, binarize: bool | None = None) -> PseudoDataset:
+def generate_pseudo(model, n: int, seed: int) -> np.ndarray:
     """Decode ``n`` prior draws from a frozen model.
 
     Bernoulli models emit decoder means, then binarize them by per-pixel
-    Bernoulli draws (default on) so replay stays in the support of binarized
-    training data; Gaussian models emit the means unchanged.
+    Bernoulli draws so replay stays in the support of binarized training
+    data; Gaussian models emit the means unchanged.
     """
     if n < 1:
         raise InvalidSpecError(f"n must be >= 1, got {n}")
     z = rng_mod.stream(seed, "replay/latent").standard_normal((n, model.latent_dim))
     with no_grad():
         samples = model.decode(z).data
-    if binarize is None:
-        binarize = model.likelihood == "bernoulli"
-    if binarize:
+    if model.likelihood == "bernoulli":
         g = rng_mod.stream(seed, "replay/binarize")
         samples = (g.random(samples.shape) < samples).astype(np.float64)
-    return PseudoDataset(samples)
+    return samples
 
 
-def mix_datasets(replay: PseudoDataset | None, new, seed: int = 0) -> MixedDataset:
-    """Interleave two sources with per-example fair coin flips.
+def mix_datasets(replay: np.ndarray | None, new: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Interleave the rows of two sample arrays with per-row fair coin flips.
 
-    Each emitted position picks replay or new with probability 1/2; sources
-    are consumed in order without replacement, and once one is exhausted the
-    remainder comes from the other. Total size is always |replay| + |new|.
+    Each emitted row comes from replay or new with probability 1/2; sources
+    are consumed in order without replacement, and from the first draw whose
+    source is exhausted onwards every row comes from the other source. The
+    result has |replay| + |new| rows.
     """
-    new_images = new.images if isinstance(new, Dataset) else np.asarray(new, dtype=np.float64)
     if replay is None or len(replay) == 0:
-        return MixedDataset(new_images.copy(), np.array(["new"] * len(new_images)))
-    if replay.samples.shape[1] != new_images.shape[1]:
-        raise ShapeError(
-            f"replay dim {replay.samples.shape[1]} != new dim {new_images.shape[1]}"
-        )
-    n_r, n_n = len(replay), len(new_images)
-    total = n_r + n_n
-    coin = rng_mod.stream(seed, "replay/mix").random(total) < 0.5
-    samples = np.empty((total, new_images.shape[1]))
-    flags = np.empty(total, dtype=object)
-    i = j = 0
-    for k in range(total):
-        take_replay = (coin[k] and i < n_r) or j >= n_n
-        if take_replay:
-            samples[k] = replay.samples[i]
-            flags[k] = "replay"
-            i += 1
-        else:
-            samples[k] = new_images[j]
-            flags[k] = "new"
-            j += 1
-    return MixedDataset(samples, flags.astype(str))
+        return new
+    if replay.shape[1] != new.shape[1]:
+        raise ShapeError(f"replay dim {replay.shape[1]} != new dim {new.shape[1]}")
+    total = len(replay) + len(new)
+    take_replay = rng_mod.stream(seed, "replay/mix").random(total) < 0.5
+    exhausted = (np.cumsum(take_replay) > len(replay)) | (np.cumsum(~take_replay) > len(new))
+    first = int(exhausted.argmax())
+    if exhausted[first]:
+        take_replay[first:] = not take_replay[first]
+    mixed = np.empty((total, new.shape[1]))
+    mixed[take_replay] = replay
+    mixed[~take_replay] = new
+    return mixed
 
 
 def run_training(
@@ -175,22 +137,17 @@ def _bound_objective(model, config: TrainConfig):
     return objective
 
 
-def eval_label(after: int, task_id: int) -> str:
-    """Noise label of task ``task_id``'s NLL estimate after training task ``after``."""
-    return f"gr/eval/after{after}/task{task_id}"
-
-
 def _mix_for_task(generator, new_data, config: TrainConfig, task_index: int, prior_count: int):
     replay_n = int(round(config.replay_ratio * prior_count))
     if replay_n == 0:
-        return mix_datasets(None, new_data)
+        return mix_datasets(None, new_data.images)
     pseudo = generate_pseudo(
         generator,
         replay_n,
         seed=rng_mod.derive_seed(config.seed, f"gr/pseudo/task{task_index}"),
     )
     return mix_datasets(
-        pseudo, new_data, seed=rng_mod.derive_seed(config.seed, f"gr/mix/task{task_index}")
+        pseudo, new_data.images, seed=rng_mod.derive_seed(config.seed, f"gr/mix/task{task_index}")
     )
 
 
@@ -209,7 +166,8 @@ def train_task_gr(
     before this task; the pseudo set gets ``round(replay_ratio * prior_count)``
     samples. Task 1 (prior_count 0) reduces to plain training on the new data.
     ``generator`` produces the pseudo set (default: ``model`` itself).
-    ``epoch_hook(task_index, epoch, model, mixed, record)`` runs after each epoch.
+    ``epoch_hook(task_index, epoch, model, mixed, record)`` runs after each
+    epoch; ``mixed`` is the array of rows the task trains on.
     """
     mixed = _mix_for_task(
         model if generator is None else generator, new_data, config, task_index, prior_count
@@ -220,7 +178,7 @@ def train_task_gr(
     return run_training(
         model.parameters(),
         _bound_objective(model, config),
-        mixed.samples,
+        mixed,
         config,
         f"gr/task{task_index}",
         hook,
@@ -257,25 +215,34 @@ def run_gr_sequence(
         )
         prior_count += len(task.train)
         train_metrics.append({"task": task.task_id, "epochs": metrics})
-
-        evals = []
-        for seen in stream.tasks[: task.task_id]:
-            eval_rng = rng_mod.stream(config.seed, eval_label(task.task_id, seen.task_id))
-            nll, se = vae_mod.nll_estimate(model, seen.test, k_prime=eval_k_prime, rng=eval_rng)
-            est = vae_mod.elbo(
-                model,
-                seen.test.images,
-                rng=rng_mod.stream(config.seed, f"gr/eval-elbo/after{task.task_id}/task{seen.task_id}"),
-            )
-            evals.append(
-                {
-                    "eval_task": seen.task_id,
-                    "nll": nll,
-                    "nll_se": se,
-                    "elbo": est.total,
-                    "recon_term": est.recon_term,
-                    "kl_term": est.kl_term,
-                }
-            )
+        seen = stream.tasks[: task.task_id]
+        evals = evaluate_seen(model, seen, task.task_id, config.seed, eval_k_prime)
         task_records.append({"task": task.task_id, "evals": evals})
     return model, task_records, train_metrics
+
+
+def evaluate_seen(model, tasks, after: int, seed: int, k_prime: int) -> list[dict]:
+    """Score ``model`` on each task's test set after training task ``after``.
+
+    Per task: the NLL estimated with ``k_prime`` weighted samples and its
+    standard error, and the single-sample bound with its terms, each under
+    its own noise label.
+    """
+    evals = []
+    for task in tasks:
+        j = task.task_id
+        nll_rng = rng_mod.stream(seed, f"gr/eval/after{after}/task{j}")
+        nll, se = vae_mod.nll_estimate(model, task.test, k_prime=k_prime, rng=nll_rng)
+        elbo_rng = rng_mod.stream(seed, f"gr/eval-elbo/after{after}/task{j}")
+        est = vae_mod.elbo(model, task.test.images, rng=elbo_rng)
+        evals.append(
+            {
+                "eval_task": j,
+                "nll": nll,
+                "nll_se": se,
+                "elbo": est.total,
+                "recon_term": est.recon_term,
+                "kl_term": est.kl_term,
+            }
+        )
+    return evals

@@ -3,8 +3,9 @@ out-of-place copies of the evaluation kernels, the models' encode and decode
 built only from those copies, the reconstruction log-likelihood composed of
 elementwise tape ops as it was before it became one op, the batch mean of
 the real one-op kernel, the serial importance-weighted log-likelihood, a
-Specific node's mixture bound, and the importance-weighted mixture objective
-as it was written before Specific nodes became models."""
+Specific node's mixture bound, the importance-weighted mixture objective
+as it was written before Specific nodes became models, and the per-row loop
+that mixed replay and new samples before the mix became array operations."""
 
 import functools
 import math
@@ -284,3 +285,22 @@ def iw_melbo_objective(node, graph, config):
         return ((stacked - shift).exp().mean(axis=0).log() + shift).mean()
 
     return objective
+
+
+def oracle_mix(replay, new, seed):
+    """Replay and new rows interleaved by one fair coin per row, one row at a
+    time: a row comes from replay when its coin says so and replay has rows
+    left, or when new has none left."""
+    n_r, n_n = len(replay), len(new)
+    total = n_r + n_n
+    coin = rng_mod.stream(seed, "replay/mix").random(total) < 0.5
+    samples = np.empty((total, new.shape[1]))
+    i = j = 0
+    for k in range(total):
+        if (coin[k] and i < n_r) or j >= n_n:
+            samples[k] = replay[i]
+            i += 1
+        else:
+            samples[k] = new[j]
+            j += 1
+    return samples

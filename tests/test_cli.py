@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import weakref
@@ -265,6 +266,44 @@ class TestSplitStream:
         assert "1 bytes after the" in err
         assert not (tmp_path / "run" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("victim", ["train_images", "test_labels"])
+    def test_missing_idx_file_exit_3(self, tmp_path, capsys, victim):
+        cfg = self._split_cfg(tmp_path)
+        cfg["stream"][victim] = str(tmp_path / "missing.idx")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'missing.idx'}: ")
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+class TestPerTaskIdx:
+    """Task specs ``{"idx_images": path}`` read IDX files, checked like split streams."""
+
+    def _main(self, tmp_path, images, **extra):
+        spec = {"idx_images": str(images)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {**FAST, "stream": [spec, spec], "train_per_task": 20, "test_per_task": 10, **extra}
+        ))
+        return main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+
+    def test_missing_images_exit_3(self, tmp_path, capsys):
+        assert self._main(tmp_path, tmp_path / "missing.idx") == 3
+        assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'missing.idx'}: ")
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra", [{}, {"method": "degm_elbo", "tau": 30.0}], ids=["elbo_gr", "degm_elbo"]
+    )
+    def test_geometry_mismatch_exit_3(self, tmp_path, capsys, extra):
+        images = tmp_path / "five.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 30, 5, 5) + bytes(30 * 5 * 5))
+        assert self._main(tmp_path, images, **extra) == 3
+        err = capsys.readouterr().err
+        assert "flat dimension 25 does not match the configured 12x12 geometry" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
 
 class TestIwelboTraining:
     def test_iwelbo_gr_method_runs_and_improves(self, tmp_path):
@@ -293,7 +332,16 @@ class TestIwelboTraining:
 
 class TestCmdEval:
     @pytest.mark.parametrize(
-        "extra", [{}, {"method": "degm_elbo", "tau": 30.0}], ids=["elbo_gr", "degm_elbo"]
+        "extra",
+        [
+            {},
+            {"warm_start": False},
+            {"method": "iwelbo_gr", "k_prime": 3},
+            {"method": "degm_elbo", "tau": 30.0},
+            {"method": "degm_iwelbo", "tau": 30.0, "k_prime": 3},
+            {"method": "degm2"},
+        ],
+        ids=["elbo_gr", "elbo_gr-cold", "iwelbo_gr", "degm_elbo", "degm_iwelbo", "degm2"],
     )
     def test_eval_reproduces_final_row(self, tmp_path, extra):
         cfg = fast_cfg(tmp_path, eval_k_prime=40, **extra)
@@ -843,6 +891,15 @@ class TestMainExitCodes:
             ]
         )
         assert code == 0
+
+    def test_duplicate_seeds_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(FAST))
+        out = str(tmp_path / "multi")
+        code = main(["train", "--config", str(path), "--seeds", "1,1", "--output-dir", out])
+        assert code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "multi").exists()
 
     def test_blobs_on_3x3_trains(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -10,9 +10,7 @@ from degm.data import make_cross_domain_stream, synth_generate
 from degm.nn import InvalidSpecError, Tensor
 from degm.rng import derive_seed
 from degm.replay import (
-    MixedDataset,
     NonFiniteError,
-    PseudoDataset,
     TrainConfig,
     generate_pseudo,
     mix_datasets,
@@ -21,6 +19,7 @@ from degm.replay import (
     train_task_gr,
 )
 from degm.vae import build_vae
+from helpers import oracle_mix
 
 
 def small_model(seed=0, likelihood="bernoulli"):
@@ -34,26 +33,35 @@ def small_model(seed=0, likelihood="bernoulli"):
     )
 
 
+def zeroed_decoder_model(likelihood):
+    m = small_model(likelihood=likelihood)
+    for w in m.decoder[0].weights:
+        w.data[:] = 0.0
+    for b in m.decoder[0].biases:
+        b.data[:] = 0.0
+    return m
+
+
 class TestGeneratePseudo:
-    def test_untrained_sigmoid_decoder_emits_half(self):
-        m = small_model()
-        for w in m.decoder[0].weights:
-            w.data[:] = 0.0
-        for b in m.decoder[0].biases:
-            b.data[:] = 0.0
-        ds = generate_pseudo(m, 50, seed=3, binarize=False)
-        np.testing.assert_allclose(ds.samples, 0.5)
+    def test_zeroed_gaussian_decoder_emits_its_zero_means(self):
+        samples = generate_pseudo(zeroed_decoder_model("gaussian_identity"), 50, seed=3)
+        assert samples.shape == (50, 36)
+        np.testing.assert_array_equal(samples, 0.0)
+
+    def test_zeroed_bernoulli_decoder_emits_draws_of_its_half_means(self):
+        samples = generate_pseudo(zeroed_decoder_model("bernoulli"), 50, seed=3)
+        assert set(np.unique(samples)) == {0.0, 1.0}
 
     def test_deterministic(self):
         m = small_model(seed=4)
         a = generate_pseudo(m, 64, seed=9)
         b = generate_pseudo(m, 64, seed=9)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
 
     def test_binarized_support(self):
         m = small_model(seed=4)
-        ds = generate_pseudo(m, 64, seed=9)
-        assert set(np.unique(ds.samples)) <= {0.0, 1.0}
+        samples = generate_pseudo(m, 64, seed=9)
+        assert set(np.unique(samples)) <= {0.0, 1.0}
 
     def test_n_zero_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -67,49 +75,61 @@ class TestGeneratePseudo:
         cfg = TrainConfig(epochs=30, batch_size=64, seed=2)
         train_task_gr(m, train, cfg, task_index=1, prior_count=0)
         pseudo = generate_pseudo(m, 2000, seed=31)
-        assert abs(pseudo.samples.mean() - train.images.mean()) < 0.1
+        assert abs(pseudo.mean() - train.images.mean()) < 0.1
 
 
 class TestMixDatasets:
+    # replay rows are zeros and new rows ones, so column 0 tells each row's source
+
     def test_composition_and_total(self):
-        replay = PseudoDataset(np.zeros((1000, 4)))
+        replay = np.zeros((1000, 4))
         new = np.ones((1000, 4))
         mixed = mix_datasets(replay, new, seed=5)
         assert len(mixed) == 2000
-        n_replay = int((mixed.source_flags == "replay").sum())
+        n_replay = int((mixed[:, 0] == 0).sum())
         assert abs(n_replay - 1000) <= 3 * math.sqrt(500)
 
     def test_empty_replay_all_new(self):
         mixed = mix_datasets(None, np.ones((7, 3)))
-        assert list(mixed.source_flags) == ["new"] * 7
+        np.testing.assert_array_equal(mixed, np.ones((7, 3)))
 
     def test_deterministic(self):
-        replay = PseudoDataset(np.zeros((50, 4)))
+        replay = np.zeros((50, 4))
         new = np.ones((40, 4))
         a = mix_datasets(replay, new, seed=5)
         b = mix_datasets(replay, new, seed=5)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert list(a.source_flags) == list(b.source_flags)
+        np.testing.assert_array_equal(a, b)
 
-    def test_samples_follow_flags(self):
-        replay = PseudoDataset(np.zeros((30, 2)))
-        new = np.ones((20, 2))
+    def test_sources_keep_their_row_order(self):
+        replay = -np.arange(1.0, 31.0)[:, None] * np.ones((1, 2))
+        new = np.arange(1.0, 21.0)[:, None] * np.ones((1, 2))
         mixed = mix_datasets(replay, new, seed=1)
-        for row, flag in zip(mixed.samples, mixed.source_flags):
-            assert row[0] == (0.0 if flag == "replay" else 1.0)
+        np.testing.assert_array_equal(mixed[mixed[:, 0] < 0], replay)
+        np.testing.assert_array_equal(mixed[mixed[:, 0] > 0], new)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "n_r, n_n", [(1, 1), (1, 9), (9, 1), (40, 5), (5, 40), (300, 700), (700, 300)]
+    )
+    def test_matches_per_row_loop(self, seed, n_r, n_n):
+        # replay runs out first in the (small, large) pairs, new in the
+        # (large, small) ones, and each in turn for (1, 1) across the seeds
+        g = np.random.default_rng(seed)
+        replay, new = g.random((n_r, 3)), g.random((n_n, 3))
+        assert mix_datasets(replay, new, seed=seed).tobytes() == oracle_mix(replay, new, seed).tobytes()
 
     def test_dimension_mismatch(self):
         from degm.nn import ShapeError
 
         with pytest.raises(ShapeError):
-            mix_datasets(PseudoDataset(np.zeros((5, 3))), np.ones((5, 4)))
+            mix_datasets(np.zeros((5, 3)), np.ones((5, 4)))
 
-    def test_flags_pass_runs_test(self):
+    def test_sources_pass_runs_test(self):
         # Wald-Wolfowitz runs test for exchangeability at alpha = 0.01
-        replay = PseudoDataset(np.zeros((1000, 2)))
+        replay = np.zeros((1000, 2))
         new = np.ones((1000, 2))
         mixed = mix_datasets(replay, new, seed=77)
-        seq = (mixed.source_flags == "replay").astype(int)
+        seq = (mixed[:, 0] == 0).astype(int)
         n1 = int(seq.sum())
         n0 = len(seq) - n1
         runs = 1 + int((seq[1:] != seq[:-1]).sum())
