@@ -488,9 +488,9 @@ def cmd_train(cfg: dict) -> dict:
     """Train one run and write report.json, metrics.csv, ledger.csv, checkpoint."""
     t_start = time.monotonic()
     out_dir = cfg["output_dir"] or f"runs/{cfg['method']}-seed{cfg['seed']}"
+    stream = build_stream(cfg)  # before the directory, so a data error leaves none
     os.makedirs(out_dir, exist_ok=True)
     run_id = run_id_of(cfg)
-    stream = build_stream(cfg)
     train_cfg = _train_config(cfg)
     recorder = None
     is_graph_method = cfg["method"].startswith("degm")

@@ -319,14 +319,15 @@ def build_specific_node(graph: GraphState, task_id: int, pi, seed: int) -> Speci
 # Scoring
 
 
-def select_node(graph: GraphState, x, scores: dict | None = None):
+def select_node(graph: GraphState, x, scores: dict | None = None, noise=None):
     """Pick the node with the highest mean bound on ``x``.
 
     Every node is scored by ``vae.elbo``, its own training bound (a Specific
     node's is the mixture bound). Noise is content-keyed, so scores ignore
     sample ordering. Ties break toward the lowest node id. Returns
-    ``(node_id, scores)``. ``scores`` may hold scores of frozen nodes already
-    taken on this same ``x``; only the nodes it lacks are scored, into it.
+    ``(node_id, scores)``. ``scores`` and ``noise`` may hold frozen nodes'
+    scores and the noise already taken on this same ``x``; only the nodes
+    ``scores`` lacks are scored, into it.
     """
     nodes = graph.nodes
     if not nodes:
@@ -336,7 +337,8 @@ def select_node(graph: GraphState, x, scores: dict | None = None):
         x = x[None, :]
     scores = {} if scores is None else scores
     todo = [node for node in nodes if node.id not in scores]
-    noise = _score_noise(x, graph.arch.latent_dim) if todo else None
+    if todo and noise is None:
+        noise = _score_noise(x, graph.arch.latent_dim)
     for node in todo:
         scores[node.id] = vae_mod.elbo(node, x, noise=noise).total
     best_id = max(sorted(scores), key=lambda nid: scores[nid])
@@ -461,9 +463,9 @@ def evaluate_task(
 ):
     """Batch-wise node selection plus NLL on the selected node.
 
-    ``memo`` maps a batch start to that batch's node scores and per-node
-    ``logpx`` sums; pass the same dict only with the same images, seed, label
-    and ``eval_k_prime``, and only while the graph's nodes stay frozen.
+    ``memo`` maps a batch start to that batch's node scores, ``logpx`` sums
+    and score noise; pass the same dict only with the same images, seed,
+    label and ``eval_k_prime``, and only while the graph's nodes stay frozen.
     """
     memo = {} if memo is None else memo
     images = np.asarray(images, dtype=np.float64)
@@ -474,8 +476,10 @@ def evaluate_task(
     selections = []
     for start in range(0, n, SELECT_BATCH):
         xb = images[start : start + SELECT_BATCH]
-        scores, logpx_sums = memo.setdefault(start, ({}, {}))
-        node_id, _ = select_node(graph, xb, scores)
+        if start not in memo:
+            memo[start] = ({}, {}, _score_noise(xb, graph.arch.latent_dim))
+        scores, logpx_sums, noise = memo[start]
+        node_id, _ = select_node(graph, xb, scores, noise)
         node = graph.nodes[node_id - 1]
         if node_id not in logpx_sums:
             nll_rng = rng_mod.stream(rng_seed, f"{rng_label}/nll/{start}")

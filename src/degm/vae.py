@@ -16,7 +16,8 @@ Evaluation runs the training code under ``no_grad``: one forward pass per
 model, one likelihood kernel (``recon_loglik_np``, which the tape op
 ``_recon_loglik_pe`` wraps) and one per-example implementation of each
 bound (``_elbo_pe`` for the single-sample bound, ``_log_w_rows`` for the
-importance weights). The importance weights have one reduction,
+importance weights, taken in cache-sized K' slabs on the process's CPUs with
+the bits of one piece). The importance weights have one reduction,
 ``_log_mean_exp``, shared by ``iwelbo`` (the training bound) and
 ``iw_logpx_np`` (the NLL estimate), so both give the same bits under the
 same noise. The single-sample bound's reductions differ: training averages
@@ -362,14 +363,22 @@ def _eval_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _part_count(cpus: int, kc: int, nc: int) -> int:
-    """Parts to split a (kc, nc, latent) noise block into along K'.
+def _part_count(most: int, kc: int, nc: int) -> int:
+    """Pieces, at most ``most`` (CPUs or slabs), to split a (kc, nc, latent)
+    noise block into along K'.
 
-    Every part keeps at least two decoder rows when the block has two: numpy
+    Every piece keeps at least two decoder rows when the block has two: numpy
     multiplies a one-row matrix with BLAS gemv, whose sums round differently
     from the gemm a larger block takes.
     """
-    return max(1, min(cpus, kc if nc > 1 else kc // 2))
+    return max(1, min(most, kc if nc > 1 else kc // 2))
+
+
+# Decoder rows per slab: ~0.6 MB temporaries at 144 pixels, which stay in
+# cache. On a 2-vCPU host one 125-row K'=200 iw_logpx_np call took 117-150 ms
+# and ~9.5k minor faults unslabbed, 84-118 ms and ~1.1k at 512 rows (median
+# of 25); 256 was no faster, 1024 passed glibc's trim threshold (~22k faults).
+SLAB_ROWS = 512
 
 
 def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> Tensor:
@@ -388,9 +397,14 @@ def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> Tensor:
 
 def _log_w_part(model, x, mu: Tensor, logvar: Tensor, gamma) -> np.ndarray:
     """``_log_w_rows`` of one part of a noise block, with grad recording off
-    on the thread that runs it."""
+    on the thread that runs it, in even K' slabs of about ``SLAB_ROWS``
+    decoder rows; every row keeps the bits of the part taken in one piece."""
+    k, nc = gamma.shape[:2]
+    log_w = np.empty((k, nc))
     with no_grad():
-        return _log_w_rows(model, x, mu, logvar, gamma).data
+        for rows in np.array_split(np.arange(k), _part_count(-(-k * nc // SLAB_ROWS), k, nc)):
+            log_w[rows] = _log_w_rows(model, x, mu, logvar, gamma[rows]).data
+    return log_w
 
 
 def iw_logpx_np(
@@ -413,11 +427,12 @@ def iw_logpx_np(
 
     Each drawn noise block is split along K' into one contiguous part per
     CPU of the process: the caller computes the first part and pool threads
-    the rest, and the parts' rows are joined in order. Every row is computed
-    as it would be in one piece, so the result is bitwise independent of the
-    CPU count, and the parts together hold one block's temporaries. The
-    threads live only inside the call; every part, the caller's too, runs
-    with grad recording off on its own thread.
+    the rest, and the parts' rows are joined in order. Each part is decoded
+    in K' slabs of about ``SLAB_ROWS`` rows, so a thread holds one slab's
+    temporaries, not a block's. Every row is computed as it would be in one
+    piece, so the result is bitwise independent of the CPU count and of the
+    slab size. The threads live only inside the call; every part, the
+    caller's too, runs with grad recording off on its own thread.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")

@@ -280,18 +280,23 @@ class TestSplitStream:
 class TestPerTaskIdx:
     """Task specs ``{"idx_images": path}`` read IDX files, checked like split streams."""
 
-    def _main(self, tmp_path, images, **extra):
+    def _main(self, tmp_path, images, *argv, **extra):
         spec = {"idx_images": str(images)}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
             {**FAST, "stream": [spec, spec], "train_per_task": 20, "test_per_task": 10, **extra}
         ))
-        return main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run")])
+        return main(["train", "--config", str(path), "--output-dir", str(tmp_path / "run"), *argv])
 
     def test_missing_images_exit_3(self, tmp_path, capsys):
         assert self._main(tmp_path, tmp_path / "missing.idx") == 3
         assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'missing.idx'}: ")
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("argv", [(), ("--seeds", "1,2")], ids=["one_seed", "two_seeds"])
+    def test_data_error_creates_no_directory(self, tmp_path, argv):
+        assert self._main(tmp_path, tmp_path / "missing.idx", *argv) == 3
+        assert not (tmp_path / "run").exists()  # nor, with --seeds, run/seed_1
 
     @pytest.mark.parametrize(
         "extra", [{}, {"method": "degm_elbo", "tau": 30.0}], ids=["elbo_gr", "degm_elbo"]

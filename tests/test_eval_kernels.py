@@ -281,12 +281,49 @@ class TestSplitAcrossCpus:
     def test_bitwise_equal_to_serial_oracle(
         self, monkeypatch, cpus, kind, likelihood, path, n, k_prime, k_chunk
     ):
-        model = self.model(kind, likelihood)
+        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
+        self.assert_oracle_bits(self.model(kind, likelihood), likelihood, path, n, k_prime, k_chunk)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["vae", "specific"])
+    @pytest.mark.parametrize("path", ["rng", "noise"])
+    @pytest.mark.parametrize(
+        "n, k_prime, slab_rows",
+        # one data row with K' one above a 4-row slab (slabs 3, 2); one row in
+        # slabs of two samples at least (K'=9 as 3, 2, 2, 2); 70 rows with
+        # K'=7 in uneven slabs (the 64-row chunk as 2, 2, 1, 1, 1 at 100 rows,
+        # the 6-row chunk as 3, 2, 2 at 20) and in one-sample slabs
+        [(1, 5, 4), (1, 9, 2), (70, 7, 100), (70, 7, 20), (70, 7, 1)],
+    )
+    def test_slabs_bitwise_equal_to_serial_oracle(
+        self, monkeypatch, cpus, kind, path, n, k_prime, slab_rows
+    ):
+        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
+        monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
+        self.assert_oracle_bits(self.model(kind, "bernoulli"), "bernoulli", path, n, k_prime, 250)
+
+    @pytest.mark.parametrize("nc", [1, 3])
+    @pytest.mark.parametrize("slab_rows", [1, 2, 5, 512])
+    def test_slab_log_weights_equal_one_piece(self, monkeypatch, nc, slab_rows):
+        """Every log weight of a part keeps the bits of the part decoded in one
+        piece: no slab is a one-row matrix, which BLAS gemv would round
+        differently (the estimates above often hide a one-ulp change)."""
+        model = self.model("vae", "bernoulli")
+        g = np.random.default_rng(11)
+        x = (g.random((nc, 36)) > 0.5).astype(np.float64)
+        gamma = g.standard_normal((40, nc, 4))
+        with nn.no_grad():
+            mu, logvar = model.encode(nn.Tensor(x))
+            whole = vae._log_w_rows(model, x, mu, logvar, gamma).data
+        monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
+        assert same_bits(vae._log_w_part(model, x, mu, logvar, gamma), whole)
+
+    @staticmethod
+    def assert_oracle_bits(model, likelihood, path, n, k_prime, k_chunk):
         g = np.random.default_rng(11)
         x = g.random((n, 36))
         if likelihood == "bernoulli":
             x = (x > 0.5).astype(np.float64)
-        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
         if path == "rng":
             got = iw_logpx_np(model, x, k_prime, rng=np.random.default_rng(7), k_chunk=k_chunk)
             want = oracle_iw_logpx_np(model, x, k_prime, rng=np.random.default_rng(7), k_chunk=k_chunk)
@@ -368,15 +405,24 @@ def chunk_peak_blocks(monkeypatch, cpus):
 
 
 def test_iw_eval_chunk_peak_memory(monkeypatch):
-    """One 200 x 64 x 144 eval chunk allocates about three blocks at its peak:
-    the decoding, its clipped copy and the per-pixel terms (it was 5.2 blocks
-    when every ufunc allocated its own result)."""
+    """One 200 x 64 x 144 eval chunk stays within 3.5 blocks at its peak (the
+    decoding, its clipped copy and the per-pixel terms took about three when
+    the chunk was decoded in one piece, 5.2 when every ufunc allocated its
+    own result); slabs bring it far lower, see the test below."""
     assert chunk_peak_blocks(monkeypatch, cpus=1) <= 3.5
 
 
 def test_iw_eval_chunk_peak_memory_in_two_parts(monkeypatch):
-    """Split across two CPUs, the parts share those three blocks."""
+    """Split across two CPUs, the parts together stay within those blocks."""
     assert chunk_peak_blocks(monkeypatch, cpus=2) <= 3.5
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_iw_eval_chunk_peak_memory_in_slabs(monkeypatch, cpus):
+    """Decoded in slabs of ``SLAB_ROWS`` rows, a 200 x 64 x 144 chunk peaks
+    at half a block or less on 1 and on 2 CPUs: the noise draw, the log
+    weights and one slab's temporaries per thread (about 0.25 and 0.37)."""
+    assert chunk_peak_blocks(monkeypatch, cpus) <= 0.5
 
 
 class TestOneBound:

@@ -472,14 +472,15 @@ class TestTrainDegmSequence:
 def memo_run():
     """A 3-task micro run (two test batches per task, Specific nodes after the
     first) that records every IW estimate and every bound taken on a test
-    batch, keyed by (node id, eval task, batch start)."""
+    batch, keyed by (node id, eval task, batch start), and every score noise
+    drawn for one, keyed by (eval task, batch start)."""
     stream = micro_stream(seed=101)
     batches = {
         task.test.images[start : start + SELECT_BATCH].tobytes(): (task.task_id, start)
         for task in stream.tasks
         for start in range(0, len(task.test), SELECT_BATCH)
     }
-    calls = {"iw": collections.Counter(), "score": collections.Counter()}
+    calls = {"iw": collections.Counter(), "score": collections.Counter(), "noise": collections.Counter()}
 
     def counting(kind, inner):
         def fn(node, x, *args, **kwargs):
@@ -490,9 +491,18 @@ def memo_run():
 
         return fn
 
+    keyed_normal = rng.content_keyed_normal
+
+    def counting_noise(x, *args):
+        key = batches.get(np.asarray(x).tobytes())
+        if key is not None:
+            calls["noise"][key] += 1
+        return keyed_normal(x, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_mod.vae_mod, "iw_logpx_np", counting("iw", iw_logpx_np))
         mp.setattr(graph_mod.vae_mod, "elbo", counting("score", elbo))
+        mp.setattr(graph_mod.rng_mod, "content_keyed_normal", counting_noise)
         graph, records, _ = train_degm_sequence(
             stream, MICRO_ARCH, micro_config(seed=1), tau=1e12, eval_k_prime=20
         )
@@ -522,6 +532,13 @@ class TestEvalMemo:
         # every node meets every task's 2 batches once: 3 x 3 x 2, not (1 + 4 + 9) x 2
         assert len(calls["score"]) == 18
         assert set(calls["score"].values()) == {1}
+
+    def test_one_score_noise_draw_per_batch(self, memo_run):
+        _, _, _, calls = memo_run
+        # each task's 2 batches draw their noise once, not once per evaluation
+        # of the task (3 + 2 + 1 evaluations, 12 draws)
+        assert len(calls["noise"]) == 6
+        assert set(calls["noise"].values()) == {1}
 
     def test_final_row_matches_memo_free_evaluation(self, memo_run):
         stream, graph, records, _ = memo_run
