@@ -16,7 +16,6 @@ against brute-force enumeration.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import math
@@ -76,52 +75,37 @@ def _freeze_params(model):
 
 
 class ReconstructionTable:
-    """Every snapshot's reconstruction of a few fixed sample sets, computed once.
+    """Every snapshot's reconstruction of one fixed sample set, computed once.
 
-    The one pool type: a finite stand-in for the hypothesis class. Holds one
-    exact-size ``(n_snapshots, m, d)`` array per sample set, so it takes
-    ``n_snapshots * sum(m) * d * 8`` bytes; keep one alive only while its
-    sample sets are in use. ``window(lo, hi)`` is the pool of snapshots
-    ``lo..hi-1``: a table over the row slices ``[lo:hi]`` of the same arrays,
-    so sliding a pool over the snapshots never reconstructs a (snapshot,
-    sample set) pair twice.
+    The one pool type: a finite stand-in for the hypothesis class. Row i of
+    ``recons``, shape ``(size, m, d)``, is the i-th added snapshot's
+    reconstruction of the ``(m, d)`` sample set, written straight into its
+    slot. The rows are a view into the first ``size * m * d`` values of the
+    float64 ``buffer``, so a walk can reuse one allocation for table after
+    table. ``pair_losses(lo, hi)`` is the pair-loss matrix of the pool of
+    snapshots ``lo..hi-1``, taken on the row slice ``[lo:hi]``, so sliding a
+    pool over the snapshots never reconstructs a (snapshot, sample set) pair
+    twice.
     """
 
-    def __init__(self, hypotheses, sample_sets):
-        self.size = len(hypotheses)
-        self.samples = [np.asarray(getattr(s, "images", s), dtype=np.float64) for s in sample_sets]
-        self.recons = []
-        for x in self.samples:
-            out = None
-            for i, h in enumerate(hypotheses):
-                rec = h.reconstruct(x)  # straight into its slot: no list plus np.stack
-                if out is None:
-                    out = np.empty((self.size, *np.shape(rec)))
-                out[i] = rec
-            self.recons.append(out)
+    def __init__(self, samples, size: int, buffer: np.ndarray):
+        self.samples = np.asarray(samples, dtype=np.float64)
+        shape = (size, *self.samples.shape)
+        count = math.prod(shape)
+        if buffer.size < count:
+            raise InvalidSpecError(f"a buffer of {buffer.size} values cannot hold {shape} reconstructions")
+        self.recons = buffer[:count].reshape(shape)
+        self.filled = 0
 
-    @classmethod
-    def for_breakdown(cls, hypotheses, target_sets, mixed_set) -> "ReconstructionTable":
-        """The two sample sets ``lelbo_breakdown`` reads: pooled targets and the mixed set."""
-        return cls(hypotheses, [_equal_size_pool(target_sets), mixed_set])
+    def add(self, hypothesis) -> None:
+        """Reconstruct the sample set with the next snapshot, into its row."""
+        self.recons[self.filled] = hypothesis.reconstruct(self.samples)
+        self.filled += 1
 
-    def window(self, lo: int = 0, hi: int | None = None) -> "ReconstructionTable":
-        hi = self.size if hi is None else hi
-        if not 0 <= lo <= hi <= self.size:
-            raise InvalidSpecError(f"window [{lo}:{hi}] outside a table of {self.size} snapshots")
-        view = copy.copy(self)
-        view.size = hi - lo
-        view.recons = [rec[lo:hi] for rec in self.recons]
-        return view
-
-    def __len__(self) -> int:
-        return self.size
-
-    def reconstructions(self, x: np.ndarray) -> np.ndarray:
-        for xs, rec in zip(self.samples, self.recons):
-            if x is xs or (x.shape == xs.shape and np.array_equal(x, xs)):
-                return rec
-        raise InvalidSpecError("sample set is not one the reconstruction table was built on")
+    def pair_losses(self, lo: int, hi: int) -> np.ndarray:
+        if not 0 <= lo <= hi <= self.filled:
+            raise InvalidSpecError(f"window [{lo}:{hi}] outside a table of {self.filled} snapshots")
+        return pair_loss_means(self.recons[lo:hi])
 
 
 def risk(h, dataset, reference="identity", normalize: bool = False) -> float:
@@ -144,43 +128,33 @@ def risk(h, dataset, reference="identity", normalize: bool = False) -> float:
     return val / x.shape[1] if normalize else val
 
 
-def _pair_loss_means(samples: np.ndarray, recons: np.ndarray) -> np.ndarray:
-    """M[i, j] = mean_x ||h_i(x) - h_j(x)||^2 over the sample set.
+def pair_loss_means(recons: np.ndarray) -> np.ndarray:
+    """M[i, j] = mean_x ||h_i(x) - h_j(x)||^2 over a sample set, from a pool's
+    ``(w, m, d)`` reconstructions of its m samples.
 
     Uses the Gram identity ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b over
     flattened reconstruction matrices.
     """
+    if recons.ndim != 3 or recons.shape[1] == 0:
+        raise InvalidSpecError("pair losses need a pool's reconstructions of a non-empty sample set")
     flat = recons.reshape(recons.shape[0], -1)
-    gram = flat @ flat.T / samples.shape[0]
+    gram = flat @ flat.T / recons.shape[1]
     diag = np.diag(gram)
     return diag[:, None] + diag[None, :] - 2.0 * gram
 
 
-def empirical_discrepancy(
-    set_p, set_q, pool: ReconstructionTable, normalize: bool = False
-) -> float:
-    """Largest absolute gap, over hypothesis pairs, between the two sets'
-    expected pair losses. Non-negative, symmetric, zero on identical sets.
-
-    ``pool`` is a table built on both sets (or a window of one)."""
-    if len(pool) < 2:
+def empirical_discrepancy(pair_losses_p: np.ndarray, pair_losses_q: np.ndarray) -> float:
+    """Largest absolute gap, over hypothesis pairs, between two sample sets'
+    expected pair losses: max |M_p - M_q| over one pool's ``pair_loss_means``
+    on each set. Non-negative, symmetric, zero on identical sets."""
+    if len(pair_losses_p) < 2:
         raise InvalidSpecError("discrepancy needs a pool of at least 2 hypotheses")
-    xp = np.asarray(getattr(set_p, "images", set_p), dtype=np.float64)
-    xq = np.asarray(getattr(set_q, "images", set_q), dtype=np.float64)
-    if xp.size == 0 or xq.size == 0:
-        raise InvalidSpecError("discrepancy needs non-empty sample sets")
-    rec_p = pool.reconstructions(xp)
-    rec_q = pool.reconstructions(xq)
-    gap = np.abs(_pair_loss_means(xp, rec_p) - _pair_loss_means(xq, rec_q))
-    val = float(gap.max())
-    return val / xp.shape[1] if normalize else val
+    return float(np.abs(pair_losses_p - pair_losses_q).max())
 
 
-def discrepancy_slack(
-    m_p: int, m_q: int, loss_bound: float, delta: float = 0.05, rad_p: float = 0.0, rad_q: float = 0.0
-) -> float:
+def discrepancy_slack(m_p: int, m_q: int, loss_bound: float, delta: float = 0.05) -> float:
     """Finite-sample additive slack for the empirical discrepancy:
-    8(rad_p + rad_q) + 3M(sqrt(log(4/delta)/2m_p) + sqrt(log(4/delta)/2m_q))."""
+    3M(sqrt(log(4/delta)/2m_p) + sqrt(log(4/delta)/2m_q))."""
     if m_p < 1 or m_q < 1:
         raise InvalidSpecError("sample counts must be >= 1")
     if not (0.0 < delta < 1.0):
@@ -188,40 +162,7 @@ def discrepancy_slack(
     if loss_bound <= 0:
         raise InvalidSpecError(f"loss bound must be positive, got {loss_bound}")
     log_term = math.log(4.0 / delta)
-    return 8.0 * (rad_p + rad_q) + 3.0 * loss_bound * (
-        math.sqrt(log_term / (2.0 * m_p)) + math.sqrt(log_term / (2.0 * m_q))
-    )
-
-
-def rademacher_estimate(
-    dataset, pool: ReconstructionTable, n_sign_draws: int = 64, rng=None
-) -> float:
-    """Finite-pool surrogate for the complexity of the loss-composed class.
-
-    Averages, over random sign vectors, the largest |(1/m) sum_i s_i l(x_i)|
-    where l ranges over pair losses l_{h,h'}(x) = ||h'(x) - h(x)||^2 from the
-    pool.
-    """
-    if len(pool) == 0:
-        raise InvalidSpecError("rademacher estimate needs a non-empty pool")
-    x = np.asarray(getattr(dataset, "images", dataset), dtype=np.float64)
-    m = x.shape[0]
-    if rng is None:
-        rng = rng_mod.stream(0, "bounds/rademacher")
-    recons = pool.reconstructions(x)
-    n_h = recons.shape[0]
-    # loss matrix: rows = (h, h') pairs, cols = samples
-    losses = np.empty((n_h * n_h, m))
-    row = 0
-    for i in range(n_h):
-        diff = recons - recons[i][None]
-        losses[row : row + n_h] = (diff * diff).sum(axis=2)
-        row += n_h
-    total = 0.0
-    for _ in range(n_sign_draws):
-        signs = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        total += float(np.abs(losses @ signs).max()) / m
-    return total / n_sign_draws
+    return 3.0 * loss_bound * (math.sqrt(log_term / (2.0 * m_p)) + math.sqrt(log_term / (2.0 * m_q)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +188,12 @@ def lelbo_breakdown(
     model,
     target_sets,
     mixed_set,
-    pool: ReconstructionTable,
+    pair_losses_p: np.ndarray,
+    pair_losses_q: np.ndarray,
     rng=None,
     delta: float = 0.05,
     loss_bound: float | None = None,
     normalize_risks: bool = False,
-    rademacher_draws: int = 0,
 ) -> dict:
     """Measure every estimable term of the lifelong bound at one point in time.
 
@@ -260,10 +201,9 @@ def lelbo_breakdown(
     target side: average mean negative bound over the per-task target sets.
     The residual target - (source + kl_gap) is what the risk/discrepancy
     terms account for; the optimal combined risk is not estimable and is
-    reported as a zero lower bound with a flag. With ``rademacher_draws`` > 0
-    the slack includes finite-pool complexity estimates for both sample sets.
-    ``pool`` is a window of a table built with
-    ``ReconstructionTable.for_breakdown(hypotheses, target_sets, mixed_set)``.
+    reported as a zero lower bound with a flag. ``pair_losses_p`` and
+    ``pair_losses_q`` are one pool's ``pair_loss_means`` on
+    ``pooled_targets(target_sets)`` and on the mixed set.
     """
     if rng is None:
         rng = rng_mod.stream(0, "bounds/lelbo")
@@ -276,34 +216,26 @@ def lelbo_breakdown(
     target = float(np.mean(per_task))
     gap = kl_gap(model, target_sets, mixed_set)
 
-    targets_pooled = _equal_size_pool(target_sets)
-    disc = empirical_discrepancy(targets_pooled, xm, pool, normalize=normalize_risks)
-    m_p = targets_pooled.shape[0]
-    m_q = xm.shape[0]
+    disc = empirical_discrepancy(pair_losses_p, pair_losses_q)
+    if normalize_risks:
+        disc /= xm.shape[1]
+    m_p = len(target_sets) * min(len(getattr(ts, "images", ts)) for ts in target_sets)
     bound = loss_bound if loss_bound is not None else float(xm.shape[1])
-    rad_p = rad_q = 0.0
-    if rademacher_draws > 0:
-        rad_p = rademacher_estimate(targets_pooled, pool, rademacher_draws, rng=rng)
-        rad_q = rademacher_estimate(xm, pool, rademacher_draws, rng=rng)
-        if normalize_risks:
-            rad_p /= xm.shape[1]
-            rad_q /= xm.shape[1]
-    slack = discrepancy_slack(m_p, m_q, bound, delta, rad_p=rad_p, rad_q=rad_q)
     return {
         "source_risk_elbo": source,
         "target_risk_elbo": target,
         "kl_gap": gap,
         "empirical_discrepancy": disc,
-        "slack": slack,
-        "rademacher_p": rad_p,
-        "rademacher_q": rad_q,
+        "slack": discrepancy_slack(m_p, xm.shape[0], bound, delta),
         "residual": target - (source + gap),
         "epsilon_lower_bound": 0.0,
         "epsilon_estimable": False,
     }
 
 
-def _equal_size_pool(target_sets) -> np.ndarray:
+def pooled_targets(target_sets) -> np.ndarray:
+    """The target sets cut to the smallest one's size and stacked: the
+    sample set the discrepancy compares against the mixed set."""
     arrays = [np.asarray(getattr(ts, "images", ts), dtype=np.float64) for ts in target_sets]
     m = min(a.shape[0] for a in arrays)
     return np.concatenate([a[:m] for a in arrays], axis=0)

@@ -396,12 +396,17 @@ def _breakdowns(snap_dir: str, entries, stream: TaskStream, pool_size: int, seed
 
     ``entries`` is ``meta.json``'s list, walked by task, then epoch. An
     entry's pool is the last ``pool_size`` snapshots up to and including its
-    own, and its noise is keyed by ``rng_label.format(**entry)``. Only the
-    snapshots some pool reaches are loaded, each once, and each task's mixed
-    sample is read once; per task one ``ReconstructionTable`` covers just the
-    snapshots the task's rows reach, built after the previous task's table is
-    freed. A malformed entry list or mixed sample is a DataFormatError before
-    anything is computed on it.
+    own, and its noise is keyed by ``rng_label.format(**entry)``. Each task
+    makes two passes over the span of snapshots its rows' pools reach: the
+    first reconstructs the pooled target sets and keeps each row's pair-loss
+    matrix, the second reconstructs the task's mixed sample and yields each
+    row as soon as its pool is complete. Every pass loads its snapshots from
+    disk, one model alive at a time, and writes one ``ReconstructionTable``
+    into a float64 buffer the whole walk reuses, so only one sample set's
+    reconstructions are alive at once; the buffer grows, once no view of it
+    is left, to the largest span times the larger sample set. A malformed
+    entry list or mixed sample is a DataFormatError before anything is
+    computed on it.
     """
     n_tasks = len(stream.tasks)
     if not isinstance(entries, list) or not all(_entry_ok(e, n_tasks) for e in entries):
@@ -410,41 +415,45 @@ def _breakdowns(snap_dir: str, entries, stream: TaskStream, pool_size: int, seed
             f"(0..{n_tasks}), epoch and global_epoch, a snapshot name and, from task 1 on, "
             "a mixed sample name"
         )
-    snapshots = []
     entries = sorted(entries, key=lambda e: (e["task"], e["epoch"]))
     last = {e["task"]: i for i, e in enumerate(entries)}
-    row_at = [i for i, e in enumerate(entries) if e["task"] and (last[e["task"]] == i or not task_end_only)]
-    reached = {j for i in row_at for j in range(i + 1 - pool_size, i + 1)}
-    entries = [e for i, e in enumerate(entries) if i in reached]
-    for task, group in itertools.groupby(entries, key=lambda e: e["task"]):
-        group = list(group)
-        models = [ckpt_mod.load_model(os.path.join(snap_dir, e["snapshot"])) for e in group]
-        # a task's first row still reaches pool_size - 1 snapshots back
-        snapshots = snapshots[-(pool_size - 1):] + [
-            bounds_mod.HypothesisSnapshot(m, {"task": task, "epoch": e["epoch"]})
-            for e, m in zip(group, models)
-        ]
-        if task == 0:
-            continue
-        mixed = _load_mixed(os.path.join(snap_dir, group[0]["mixed"]), stream.dim)
-        targets = [stream.tasks[i].test.images for i in range(task)]
-        rows = range(len(group) - 1 if task_end_only else 0, len(group))
-        # row j's pool ends at snapshot `first + j + 1`; the table starts at
-        # the first requested row's pool
-        first = len(snapshots) - len(group)
-        lo = max(0, first + rows[0] + 1 - pool_size)
-        table = None  # free the previous task's arrays before allocating these
-        table = bounds_mod.ReconstructionTable.for_breakdown(snapshots[lo:], targets, mixed)
-        for j in rows:
-            hi = first + j + 1
-            yield group[j], bounds_mod.lelbo_breakdown(
-                models[j],
-                targets,
-                mixed,
-                table.window(max(lo, hi - pool_size) - lo, hi - lo),
-                rng=rng_mod.stream(seed, rng_label.format(**group[j])),
-                normalize_risks=normalize_risks,
-            )
+    rows = [i for i, e in enumerate(entries) if e["task"] and (last[e["task"]] == i or not task_end_only)]
+    buffer = np.empty(0)
+    for task, task_rows in itertools.groupby(rows, key=lambda i: entries[i]["task"]):
+        task_rows = list(task_rows)
+        first, end = task_rows[0], task_rows[-1] + 1  # a task's rows are contiguous
+        lo = max(0, first + 1 - pool_size)  # the first row's pool starts the span
+        targets = [stream.tasks[t].test.images for t in range(task)]
+        mixed = _load_mixed(os.path.join(snap_dir, entries[first]["mixed"]), stream.dim)
+        sets = (bounds_mod.pooled_targets(targets), mixed)
+        size = (end - lo) * max(x.size for x in sets)
+        pair_losses = {}  # each row's on the pooled targets, kept for the second pass
+        for x in sets:
+            table = None  # release the last pass's views before the buffer grows
+            if buffer.size < size:
+                del buffer  # freed before its successor is allocated
+                buffer = np.empty(size)
+            table = bounds_mod.ReconstructionTable(x, end - lo, buffer)
+            for i in range(lo, end):
+                e = entries[i]
+                model = None  # one loaded model alive at a time
+                model = ckpt_mod.load_model(os.path.join(snap_dir, e["snapshot"]))
+                table.add(bounds_mod.HypothesisSnapshot(model, {"task": e["task"], "epoch": e["epoch"]}))
+                if i < first:
+                    continue
+                window = table.pair_losses(max(0, i + 1 - pool_size) - lo, i + 1 - lo)
+                if x is not mixed:
+                    pair_losses[i] = window
+                    continue
+                yield e, bounds_mod.lelbo_breakdown(
+                    model,
+                    targets,
+                    mixed,
+                    pair_losses.pop(i),
+                    window,
+                    rng=rng_mod.stream(seed, rng_label.format(**e)),
+                    normalize_risks=normalize_risks,
+                )
 
 
 def _entry_ok(e, n_tasks: int) -> bool:

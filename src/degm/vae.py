@@ -419,9 +419,10 @@ def iw_logpx_np(
     """Per-example importance-weighted log-likelihood estimates, shape (n,).
 
     Chunked over both the batch and the K' samples; chunks are reduced in a
-    fixed order so results are deterministic for a given generator. An
-    explicit ``noise`` array of shape (k_prime, n, latent) overrides the
-    generator. Each chunk's log weights are reduced by the log-mean-exp of
+    fixed order so results are deterministic for a given generator, whose
+    draws for every chunk go into one buffer per call (the values a fresh
+    array per chunk would get). An explicit ``noise`` array of shape
+    (k_prime, n, latent) overrides the generator. Each chunk's log weights are reduced by the log-mean-exp of
     ``iwelbo``, so under the same noise the mean of these estimates is that
     bound.
 
@@ -455,6 +456,7 @@ def iw_logpx_np(
 
         pool = ThreadPoolExecutor(most - 1)
     out = np.empty(x.shape[0])
+    drawn = np.empty(0 if noise is not None else min(k_chunk, k_prime) * min(batch_chunk, len(x)) * latent)
     with no_grad(), pool:
         for start in range(0, x.shape[0], batch_chunk):
             xc = x[start : start + batch_chunk]
@@ -466,8 +468,8 @@ def iw_logpx_np(
                 kc = min(k_chunk, k_prime - done)
                 if noise is not None:
                     gamma = noise[done : done + kc, start : start + nc, :]
-                else:
-                    gamma = rng.standard_normal((kc, nc, latent))
+                else:  # every part of the last chunk has returned, so its draws can go
+                    gamma = rng.standard_normal(out=drawn[: kc * nc * latent].reshape(kc, nc, latent))
                 first, *rest = np.array_split(gamma, _part_count(cpus, kc, nc))
                 futures = [pool.submit(_log_w_part, model, xc, mu, logvar, g) for g in rest]
                 blocks.append(_log_w_part(model, xc, mu, logvar, first))

@@ -15,7 +15,7 @@ import numpy as np
 
 from degm import nn
 from degm import vae as vae_mod
-from degm.bounds import HypothesisSnapshot
+from degm.bounds import HypothesisSnapshot, pair_loss_means
 from degm.graph import SpecificNode
 from degm import rng as rng_mod
 from degm.nn import as_tensor
@@ -39,6 +39,9 @@ class StackPool:
 
     def reconstructions(self, x):
         return np.stack([h.reconstruct(x) for h in self.hypotheses])
+
+    def pair_losses(self, x):
+        return pair_loss_means(self.reconstructions(np.asarray(x, dtype=np.float64)))
 
 
 def fd_gradients(scalar_fn, params, h=1e-5):

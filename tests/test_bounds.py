@@ -20,7 +20,7 @@ from degm.bounds import (
     kl_gap,
     lelbo_breakdown,
     mixture_bound_report,
-    rademacher_estimate,
+    pooled_targets,
     risk,
 )
 from degm.checkpoint import load_model, save_model
@@ -55,6 +55,10 @@ def affine_pool(*params):
         snap.reconstruct = h.reconstruct
         pool.hypotheses.append(snap)
     return pool
+
+
+def discrepancy(set_p, set_q, pool):
+    return empirical_discrepancy(pool.pair_losses(set_p), pool.pair_losses(set_q))
 
 
 class TestSnapshotFreezing:
@@ -109,14 +113,14 @@ class TestEmpiricalDiscrepancy:
     def test_identical_sets_zero(self):
         x = rng.stream(6, "x").random((30, 2))
         pool = affine_pool((1.0, 0.0), (0.5, 0.2), (2.0, -0.1))
-        assert empirical_discrepancy(x, x.copy(), pool) == pytest.approx(0.0, abs=1e-12)
+        assert discrepancy(x, x.copy(), pool) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry(self):
         g = rng.stream(7, "x")
         a, b = g.random((25, 3)), g.random((40, 3))
         pool = affine_pool((1.0, 0.0), (0.3, 0.5))
-        assert empirical_discrepancy(a, b, pool) == pytest.approx(
-            empirical_discrepancy(b, a, pool), rel=1e-12
+        assert discrepancy(a, b, pool) == pytest.approx(
+            discrepancy(b, a, pool), rel=1e-12
         )
 
     def test_matches_bruteforce_enumeration(self):
@@ -133,16 +137,16 @@ class TestEmpiricalDiscrepancy:
                 lp = np.mean([((sa * v + ba) - (sb * v + bb)) ** 2 for v in set_p[:, 0]])
                 lq = np.mean([((sa * v + ba) - (sb * v + bb)) ** 2 for v in set_q[:, 0]])
                 best = max(best, abs(lp - lq))
-        assert empirical_discrepancy(set_p, set_q, pool) == pytest.approx(best, rel=1e-10)
+        assert discrepancy(set_p, set_q, pool) == pytest.approx(best, rel=1e-10)
 
     def test_non_negative(self):
         g = rng.stream(9, "x")
         pool = affine_pool((1.0, 0.0), (0.9, 0.0))
-        assert empirical_discrepancy(g.random((5, 2)), g.random((5, 2)), pool) >= 0.0
+        assert discrepancy(g.random((5, 2)), g.random((5, 2)), pool) >= 0.0
 
     def test_singleton_pool_rejected(self):
         with pytest.raises(InvalidSpecError):
-            empirical_discrepancy(np.zeros((2, 1)), np.zeros((2, 1)), affine_pool((1.0, 0.0)))
+            discrepancy(np.zeros((2, 1)), np.zeros((2, 1)), affine_pool((1.0, 0.0)))
 
 
 class TestReconstructionTable:
@@ -152,23 +156,28 @@ class TestReconstructionTable:
         g = rng.stream(13, "x")
         return g.random((17, 3)), g.random((23, 3)) * 2.0
 
+    @staticmethod
+    def _table(hypotheses, x, buffer=None):
+        buffer = np.empty(len(hypotheses) * x.size) if buffer is None else buffer
+        table = ReconstructionTable(x, len(hypotheses), buffer)
+        for h in hypotheses:
+            table.add(h)
+        return table
+
     def test_exact_size_arrays(self):
-        set_p, set_q = self._sets()
-        table = ReconstructionTable(affine_pool(*self.PARAMS).hypotheses, [set_p, set_q])
-        assert [r.shape for r in table.recons] == [(5, 17, 3), (5, 23, 3)]
+        for x in self._sets():
+            table = self._table(affine_pool(*self.PARAMS).hypotheses, x)
+            assert table.recons.shape == (5, *x.shape) and table.filled == 5
 
     def test_windows_equal_fresh_pools_bitwise(self):
         set_p, set_q = self._sets()
-        table = ReconstructionTable(affine_pool(*self.PARAMS).hypotheses, [set_p, set_q])
+        buffer = np.empty(5 * set_q.size)
         for lo, hi in ((0, 5), (0, 2), (1, 4), (3, 5)):
             fresh = StackPool(affine_pool(*self.PARAMS[lo:hi]).hypotheses)
-            window = table.window(lo, hi)
-            assert empirical_discrepancy(set_p, set_q, window) == empirical_discrepancy(
-                set_p, set_q, fresh
-            )
-            assert rademacher_estimate(set_q, window, 8, rng=rng.stream(1, "s")) == (
-                rademacher_estimate(set_q, fresh, 8, rng=rng.stream(1, "s"))
-            )
+            for x in (set_p, set_q):  # both sets' tables share one buffer, as the walk's do
+                table = self._table(affine_pool(*self.PARAMS).hypotheses, x, buffer)
+                assert np.shares_memory(table.recons, buffer)
+                assert table.pair_losses(lo, hi).tobytes() == fresh.pair_losses(x).tobytes()
 
     def test_each_pair_reconstructed_once(self):
         set_p, set_q = self._sets()
@@ -184,22 +193,21 @@ class TestReconstructionTable:
 
         for snap in pool.hypotheses:
             snap.reconstruct = counted(snap.reconstruct)
-        table = ReconstructionTable(pool.hypotheses, [set_p, set_q])
+        tables = [self._table(pool.hypotheses, x) for x in (set_p, set_q)]
         for hi in range(2, 6):
-            empirical_discrepancy(set_p, set_q.copy(), table.window(hi - 2, hi))
+            empirical_discrepancy(*(t.pair_losses(hi - 2, hi) for t in tables))
         assert len(calls) == 2 * len(self.PARAMS)
 
-    def test_unknown_sample_set_rejected(self):
-        set_p, set_q = self._sets()
-        table = ReconstructionTable(affine_pool(*self.PARAMS).hypotheses, [set_p])
-        with pytest.raises(InvalidSpecError, match="sample set"):
-            empirical_discrepancy(set_p, set_q, table.window())
+    def test_small_buffer_rejected(self):
+        set_p, _ = self._sets()
+        with pytest.raises(InvalidSpecError, match="buffer"):
+            ReconstructionTable(set_p, 5, np.empty(5 * set_p.size - 1))
 
     def test_window_bounds_checked(self):
-        table = ReconstructionTable(affine_pool(*self.PARAMS).hypotheses, self._sets())
+        table = self._table(affine_pool(*self.PARAMS).hypotheses, self._sets()[0])
         for lo, hi in ((-1, 2), (3, 2), (0, 6)):
             with pytest.raises(InvalidSpecError, match="window"):
-                table.window(lo, hi)
+                table.pair_losses(lo, hi)
 
 
 class TestDiscrepancySlack:
@@ -224,61 +232,9 @@ class TestDiscrepancySlack:
             100, 100, 1.0, delta=0.1
         )
 
-    def test_rademacher_terms_additive(self):
-        base = discrepancy_slack(100, 100, 1.0)
-        assert discrepancy_slack(100, 100, 1.0, rad_p=0.5, rad_q=0.25) == pytest.approx(
-            base + 8.0 * 0.75, rel=1e-12
-        )
-
     def test_delta_domain(self):
         with pytest.raises(InvalidSpecError):
             discrepancy_slack(10, 10, 1.0, delta=1.5)
-
-
-class _ConstantHypothesis:
-    def __init__(self, value, dim):
-        self.value = value
-        self.dim = dim
-
-    def reconstruct(self, x):
-        return np.full_like(x, self.value)
-
-
-class TestRademacherEstimate:
-    @staticmethod
-    def _exact_abs_walk(m):
-        # E|S_m| for a +-1 walk, even m: m * C(m, m/2) / 2^m
-        return m * math.comb(m, m // 2) / 2.0**m
-
-    def test_constant_pool_matches_walk_oracle(self):
-        m = 400
-        x = rng.stream(10, "x").random((m, 1))
-        pool = StackPool()
-        snap = HypothesisSnapshot.__new__(HypothesisSnapshot)
-        snap.label = {}
-        snap.reconstruct = _ConstantHypothesis(0.0, 1).reconstruct
-        pool.hypotheses.append(snap)
-        # pair losses are the constant ||x - 0||^2... use unit data for c = 1
-        x = np.ones((m, 1))
-        pool2 = affine_pool((1.0, 0.0), (0.0, 0.0))  # pair loss |x|^2 = 1 on x = 1
-        draws = 400
-        est = rademacher_estimate(x, pool2, n_sign_draws=draws, rng=rng.stream(3, "signs"))
-        oracle = self._exact_abs_walk(m) / m  # c = 1
-        se = math.sqrt(1.0 / m) / math.sqrt(draws)  # loose bound on draw noise
-        assert abs(est - oracle) < 5 * se + 0.005
-
-    def test_non_negative(self):
-        x = rng.stream(11, "x").random((64, 2))
-        pool = affine_pool((1.0, 0.0), (0.5, 0.1))
-        assert rademacher_estimate(x, pool, n_sign_draws=16, rng=rng.stream(4, "s")) >= 0.0
-
-    def test_decreases_with_sample_size(self):
-        pool = affine_pool((1.0, 0.0), (0.5, 0.1), (0.2, 0.4))
-        vals = []
-        for m in (100, 400, 1600):
-            x = rng.stream(12, f"x{m}").random((m, 2))
-            vals.append(rademacher_estimate(x, pool, n_sign_draws=200, rng=rng.stream(5, f"s{m}")))
-        assert vals[0] > vals[1] > vals[2]
 
 
 def _trained_small_vae(seed=0, likelihood="bernoulli", epochs=4):
@@ -328,7 +284,10 @@ class TestLelboBreakdown:
         pool = StackPool()
         pool.add(m, {"task": 1, "epoch": "final"})
         pool.add(build_vae(36, 4, (16,), (16,), "bernoulli", seed=99), {"task": 0, "epoch": 0})
-        out = lelbo_breakdown(m, [test.images], train.images, pool, rng=rng.stream(0, "b"))
+        out = lelbo_breakdown(
+            m, [test.images], train.images, pool.pair_losses(test.images), pool.pair_losses(train.images),
+            rng=rng.stream(0, "b"),
+        )
         assert abs(out["target_risk_elbo"] - out["source_risk_elbo"]) <= 0.1 * abs(
             out["source_risk_elbo"]
         )
@@ -339,29 +298,16 @@ class TestLelboBreakdown:
         pool = StackPool()
         pool.add(m, {"task": 1, "epoch": 1})
         pool.add(build_vae(36, 4, (16,), (16,), "bernoulli", seed=98), {})
-        out = lelbo_breakdown(m, [test], train.images, pool, rng=rng.stream(1, "b"))
+        out = lelbo_breakdown(
+            m, [test], train.images, pool.pair_losses(test), pool.pair_losses(train.images),
+            rng=rng.stream(1, "b"),
+        )
         assert out["target_risk_elbo"] == pytest.approx(
             out["source_risk_elbo"] + out["kl_gap"] + out["residual"], rel=1e-12
         )
         for key in ("source_risk_elbo", "target_risk_elbo", "kl_gap", "empirical_discrepancy", "slack"):
             assert np.isfinite(out[key])
         assert out["epsilon_lower_bound"] == 0.0 and not out["epsilon_estimable"]
-
-    def test_rademacher_terms_widen_slack(self):
-        m, train = _trained_small_vae(seed=6)
-        test = train.images[:120]
-        pool = StackPool()
-        pool.add(m, {"task": 1, "epoch": 1})
-        pool.add(build_vae(36, 4, (16,), (16,), "bernoulli", seed=98), {})
-        plain = lelbo_breakdown(m, [test], train.images, pool, rng=rng.stream(1, "b"))
-        with_rad = lelbo_breakdown(
-            m, [test], train.images, pool, rng=rng.stream(1, "b"), rademacher_draws=32
-        )
-        assert with_rad["rademacher_p"] > 0.0 and with_rad["rademacher_q"] > 0.0
-        assert with_rad["slack"] == pytest.approx(
-            plain["slack"] + 8.0 * (with_rad["rademacher_p"] + with_rad["rademacher_q"]),
-            rel=1e-12,
-        )
 
     def test_table_window_matches_stacked_pool_bitwise(self):
         m, train = _trained_small_vae(seed=6)
@@ -370,14 +316,18 @@ class TestLelboBreakdown:
         pool = StackPool()
         for model in models:
             pool.add(model, {})
-        table = ReconstructionTable.for_breakdown(pool.hypotheses, targets, train.images)
+        sets = (pooled_targets(targets), train.images)
+        tables = [ReconstructionTable(x, len(pool), np.empty(len(pool) * x.size)) for x in sets]
+        for table in tables:
+            for h in pool.hypotheses:
+                table.add(h)
 
-        def breakdown(p):
+        def breakdown(pair_losses_p, pair_losses_q):
             return lelbo_breakdown(
-                m, targets, train.images, p, rng=rng.stream(1, "b"), rademacher_draws=8
+                m, targets, train.images, pair_losses_p, pair_losses_q, rng=rng.stream(1, "b")
             )
 
-        assert breakdown(table.window()) == breakdown(pool)
+        assert breakdown(*(t.pair_losses(0, 2) for t in tables)) == breakdown(*map(pool.pair_losses, sets))
 
 
 def brute_force_accounting(t, partition):

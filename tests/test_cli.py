@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -453,11 +454,14 @@ def _oracle_diagnose_csv(run_dir, pool_size):
         pool = StackPool()
         for task, epoch, m in models[-pool_size:]:
             pool.add(m, {"task": task, "epoch": epoch})
+        targets = [stream.tasks[i].test.images for i in range(e["task"])]
+        mixed = np.load(os.path.join(snap_dir, e["mixed"]))
         b = bounds.lelbo_breakdown(
             model,
-            [stream.tasks[i].test.images for i in range(e["task"])],
-            np.load(os.path.join(snap_dir, e["mixed"])),
-            pool,
+            targets,
+            mixed,
+            pool.pair_losses(bounds.pooled_targets(targets)),
+            pool.pair_losses(mixed),
             rng=rng.stream(cfg["seed"], f"diag/elbo/g{e['global_epoch']}"),
         )
         columns = ("source_risk_elbo", "empirical_discrepancy", "kl_gap", "target_risk_elbo")
@@ -503,11 +507,14 @@ def _oracle_task_end_breakdowns(entries, stream, cfg):
         pool = StackPool()
         for e in upto[-pool_size:]:
             pool.add(load_model(e["snapshot"]), {"task": e["task"], "epoch": e["epoch"]})
+        targets = [stream.tasks[i].test.images for i in range(task)]
+        mixed = np.load(final["mixed"])
         breakdowns[task] = bounds.lelbo_breakdown(
             load_model(final["snapshot"]),
-            [stream.tasks[i].test.images for i in range(task)],
-            np.load(final["mixed"]),
-            pool,
+            targets,
+            mixed,
+            pool.pair_losses(bounds.pooled_targets(targets)),
+            pool.pair_losses(mixed),
             rng=rng.stream(cfg["seed"], f"ledger/breakdown/t{task}"),
         )
     return breakdowns
@@ -528,9 +535,20 @@ def _ledger_walk(diag_run, pool_size):
     return cfg, stream, walk
 
 
+# Loads per snapshot of each task of DIAG_CFG's ledger walk: once per pass (two
+# per task) that covers it. At 64 each task's pool reaches back to the initial
+# snapshot (task 0); at 3 each is that task's 3 snapshots.
+TASK_END_LOADS = {64: {0: 4, 1: 4, 2: 2}, 3: {1: 2, 2: 2}}
+
+
+def _expected_loads(entries, pool_size):
+    per_task = TASK_END_LOADS[pool_size]
+    return {e["snapshot"]: per_task[e["task"]] for e in entries if e["task"] in per_task}
+
+
 class TestTaskEndBreakdowns:
-    @pytest.mark.parametrize("pool_size", [64, 3])
-    def test_each_snapshot_loaded_once_same_values(self, diag_run, pool_size, monkeypatch):
+    @pytest.mark.parametrize("pool_size, total", [(64, 22), (3, 12)])
+    def test_each_snapshot_loaded_once_per_pass_same_values(self, diag_run, pool_size, total, monkeypatch):
         loads = []
 
         def counting_load(path):
@@ -548,9 +566,9 @@ class TestTaskEndBreakdowns:
                 for e in json.load(f)["entries"]
             ]
         assert got == _oracle_task_end_breakdowns(entries, stream, cfg)
-        snapshot_files = len([n for n in os.listdir(snap_dir) if n.endswith(".bin")])
-        assert len(loads) <= snapshot_files + len(stream.tasks)
-        assert len(loads) == len(set(loads))
+        assert collections.Counter(loads) == _expected_loads(entries, pool_size)
+        assert len(loads) == total
+        assert (os.path.join(snap_dir, "snap_t00_e00.bin") in loads) == (pool_size == 64)
 
     @pytest.mark.parametrize("pool_size, per_set", [(64, 4 + 7), (3, 3 + 3)])
     def test_each_snapshot_sample_pair_reconstructed_once(
@@ -574,10 +592,11 @@ class TestTaskEndBreakdowns:
 
 
 class TestLedgerLoadsOnlyPooledSnapshots:
-    @pytest.mark.parametrize("pool_size, loads", [(64, 7), (3, 6)])
+    @pytest.mark.parametrize("pool_size, loads", [(64, 22), (3, 12)])
     def test_load_count(self, tmp_path, pool_size, loads, monkeypatch):
         # at 3 each task-end pool is that task's 3 snapshots, so the initial
-        # snapshot is never reached; at 64 every snapshot is pooled
+        # snapshot is never reached; at 64 every snapshot is pooled; each
+        # pooled snapshot is loaded once per pass that covers it
         loaded = []
 
         def counting_load(path):
@@ -588,12 +607,16 @@ class TestLedgerLoadsOnlyPooledSnapshots:
         diagnostics = {**DIAG_CFG["diagnostics"], "pool_size": pool_size}
         out = str(tmp_path / "run")
         cmd_train(parse_config({**DIAG_CFG, "diagnostics": diagnostics, "output_dir": out}))
-        assert len(loaded) == len(set(loaded)) == loads
+        with open(os.path.join(out, "snapshots", "meta.json")) as f:
+            entries = json.load(f)["entries"]
+        assert collections.Counter(loaded) == _expected_loads(entries, pool_size)
+        assert len(loaded) == loads
         assert ("snap_t00_e00.bin" in loaded) == (pool_size == 64)
 
 
 class TestOneReconstructionTableAlive:
-    """A task's reconstructions are freed before the next task's are made."""
+    """No reconstruction array of an earlier pass is alive when the next pass
+    builds its own: two passes (pooled targets, then the mixed sample) per task."""
 
     @staticmethod
     def _alive_at_each_build(monkeypatch):
@@ -603,7 +626,7 @@ class TestOneReconstructionTableAlive:
         def tracking(table, *args, **kwargs):
             alive.append(sum(ref() is not None for ref in arrays))
             inner(table, *args, **kwargs)
-            arrays.extend(weakref.ref(r) for r in table.recons)
+            arrays.append(weakref.ref(table.recons))
 
         monkeypatch.setattr(bounds.ReconstructionTable, "__init__", tracking)
         return alive
@@ -611,12 +634,43 @@ class TestOneReconstructionTableAlive:
     def test_train_with_diagnostics(self, tmp_path, monkeypatch):
         alive = self._alive_at_each_build(monkeypatch)
         cmd_train(parse_config({**DIAG_CFG, "output_dir": str(tmp_path / "run")}))
-        assert alive == [0, 0]
+        assert alive == [0, 0, 0, 0]
 
     def test_diagnose(self, diag_run, monkeypatch):
         alive = self._alive_at_each_build(monkeypatch)
         cmd_diagnose(diag_run)
-        assert alive == [0, 0]
+        assert alive == [0, 0, 0, 0]
+
+
+class TestWalkPeakMemory:
+    def test_one_sample_set_and_one_model_alive(self, diag_run):
+        """The walk's tracemalloc peak: one sample set's reconstructions over
+        the largest span, one loaded model and a few set-sized temporaries."""
+        # the full walk's largest span is every snapshot (the pool of 64 covers
+        # the run); its larger sample set is task 2's mixed sample or pooled targets
+        cfg, stream, _ = _ledger_walk(diag_run, 64)
+        snap_dir = os.path.join(diag_run, "snapshots")
+        with open(os.path.join(snap_dir, "meta.json")) as f:
+            entries = json.load(f)["entries"]
+        rows = max(len(np.load(os.path.join(snap_dir, entries[-1]["mixed"]))),
+                   len(bounds.pooled_targets([t.test.images for t in stream.tasks])))
+        one_set = len(entries) * rows * stream.dim * 8
+        model = load_model(os.path.join(snap_dir, entries[0]["snapshot"]))
+        one_model = sum(p.data.nbytes for p in model.parameters())
+        del model
+        walk = cli._breakdowns(snap_dir, entries, stream, 64, cfg["seed"], "diag/elbo/g{global_epoch}")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert len(list(walk)) == 6
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # slack: eight arrays the size of the larger set (both sets, and the
+        # temporaries of one reconstruction or bound); a walk that holds both
+        # sets' reconstructions and every pooled model peaks at about twice
+        # this bound (5.0 MB against 2.4 MB)
+        assert peak <= one_set + one_model + 8 * rows * stream.dim * 8
 
 
 class TestDiagnosticsValidation:

@@ -318,6 +318,28 @@ class TestSplitAcrossCpus:
         monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
         assert same_bits(vae._log_w_part(model, x, mu, logvar, gamma), whole)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "n, k_prime, k_chunk",
+        # ragged last chunks: 70 rows as 64 + 6, K'=7 as 3 + 3 + 1 or 5 + 2, one row
+        # with K'=9 as 4 + 4 + 1
+        [(70, 7, 3), (70, 7, 5), (1, 9, 4)],
+    )
+    def test_drawn_noise_equals_passed_noise(self, monkeypatch, cpus, n, k_prime, k_chunk):
+        """Each chunk draws into one buffer the call reuses; the estimates
+        keep the bits of the same draws passed in as ``noise``."""
+        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
+        model = self.model("vae", "bernoulli")
+        x = (np.random.default_rng(11).random((n, 36)) > 0.5).astype(np.float64)
+        g = np.random.default_rng(7)
+        noise = np.empty((k_prime, n, 4))
+        for start in range(0, n, 64):  # the call's draw order: batch chunks, then K' chunks
+            for done in range(0, k_prime, k_chunk):
+                block = noise[done : done + k_chunk, start : start + 64]
+                block[...] = g.standard_normal(block.shape)
+        drawn = iw_logpx_np(model, x, k_prime, rng=np.random.default_rng(7), k_chunk=k_chunk)
+        assert same_bits(drawn, iw_logpx_np(model, x, k_prime, noise=noise, k_chunk=k_chunk))
+
     @staticmethod
     def assert_oracle_bits(model, likelihood, path, n, k_prime, k_chunk):
         g = np.random.default_rng(11)
