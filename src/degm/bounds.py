@@ -453,9 +453,6 @@ class DiagnosticsLedger:
         self.records.append(record)
         return record
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)

@@ -31,6 +31,7 @@ the last field. Anything else raises CheckpointError.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -70,7 +71,10 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path: str):
+    """Fields read in order from one writable buffer; float arrays are views
+    into it, so a loaded model's parameters share the file's one copy."""
+
+    def __init__(self, buf: bytearray, path: str):
         self.buf = buf
         self.off = 0
         self.path = path
@@ -78,25 +82,27 @@ class _Reader:
     def fail(self, message: str):
         raise CheckpointError(f"{self.path}: {message}")
 
-    def _take(self, count: int) -> bytes:
+    def _take(self, count: int) -> int:
+        """Offset of the next ``count`` bytes, which the reader moves past."""
         if self.off + count > len(self.buf):
             self.fail(f"truncated at byte {self.off}")
-        out = self.buf[self.off : self.off + count]
         self.off += count
-        return out
+        return self.off - count
+
+    def _unpack(self, fmt: str):
+        return struct.unpack_from(fmt, self.buf, self._take(struct.calcsize(fmt)))[0]
 
     def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+        return self._unpack("<B")
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return self._unpack("<I")
 
     def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+        return self._unpack("<d")
 
     def f64_array(self, count: int) -> np.ndarray:
-        raw = self._take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        return np.frombuffer(self.buf, "<f8", count, self._take(count * 8))
 
     def choice(self, names: tuple, what: str):
         """A u8 that indexes ``names``; any other byte is an error."""
@@ -118,8 +124,10 @@ def _load(path, magic: bytes, parse):
     require the buffer to end where the body does. Every fault, including an
     invalid spec the fields describe, comes back as CheckpointError."""
     with _open(path) as f:
-        r = _Reader(f.read(), str(path))
-    found = r._take(4)
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf) :]
+    r = _Reader(buf, str(path))
+    found = r._unpack("4s")
     if found != magic:
         r.fail(f"bad magic {found!r}, expected {magic!r}")
     version = r.u32()

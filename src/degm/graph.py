@@ -202,13 +202,6 @@ class GraphState:
     def all_nodes(self):
         return self.nodes
 
-    def param_hash(self) -> str:
-        """SHA-256 over every node's serialized parameters, in node-id order."""
-        digest = hashlib.sha256()
-        for node in self.nodes:
-            digest.update(node.param_bytes())
-        return digest.hexdigest()
-
     def basic_param_hash(self) -> str:
         digest = hashlib.sha256()
         for node in self.basic_nodes:

@@ -105,9 +105,6 @@ class Tensor:
     def __float__(self) -> float:
         return self.item()
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- graph construction --------------------------------------------
     @staticmethod
     def _from_op(data, parents, grad_fn) -> "Tensor":
@@ -138,9 +135,6 @@ class Tensor:
             return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
 
         return Tensor._from_op(a.data - b.data, (a, b), grad_fn)
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -431,9 +425,6 @@ class Mlp:
                 outputs.append(h)
             x = h
         return x
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
 
     def set_requires_grad(self, flag: bool) -> None:
         for p in self.parameters():

@@ -16,8 +16,8 @@ Evaluation runs the training code under ``no_grad``: one forward pass per
 model, one likelihood kernel (``recon_loglik_np``, which the tape op
 ``_recon_loglik_pe`` wraps) and one per-example implementation of each
 bound (``_elbo_pe`` for the single-sample bound, ``_log_w_rows`` for the
-importance weights, taken in cache-sized K' slabs on the process's CPUs with
-the bits of one piece). The importance weights have one reduction,
+importance weights, taken in cache-sized K' slabs with the bits of one
+piece). The importance weights have one reduction,
 ``_log_mean_exp``, shared by ``iwelbo`` (the training bound) and
 ``iw_logpx_np`` (the NLL estimate), so both give the same bits under the
 same noise. The single-sample bound's reductions differ: training averages
@@ -26,9 +26,7 @@ the terms separately, scoring (``elbo``) averages the per-example bounds.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -355,22 +353,11 @@ def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> Tensor:
 # Importance-weighted evaluation (the bound's log weights under no_grad, chunked)
 
 
-def _eval_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _part_count(most: int, kc: int, nc: int) -> int:
-    """Pieces, at most ``most`` (CPUs or slabs), to split a (kc, nc, latent)
-    noise block into along K'.
-
-    Every piece keeps at least two decoder rows when the block has two: numpy
-    multiplies a one-row matrix with BLAS gemv, whose sums round differently
-    from the gemm a larger block takes.
-    """
+    """Slabs, at most ``most``, to split a (kc, nc, latent) noise block into
+    along K'. Each keeps at least two decoder rows when the block has two:
+    numpy multiplies a one-row matrix with BLAS gemv, whose sums round
+    differently from the gemm a larger block takes."""
     return max(1, min(most, kc if nc > 1 else kc // 2))
 
 
@@ -395,15 +382,13 @@ def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> Tensor:
     return recon + log_p - log_q
 
 
-def _log_w_part(model, x, mu: Tensor, logvar: Tensor, gamma) -> np.ndarray:
-    """``_log_w_rows`` of one part of a noise block, with grad recording off
-    on the thread that runs it, in even K' slabs of about ``SLAB_ROWS``
-    decoder rows; every row keeps the bits of the part taken in one piece."""
+def _log_w_slabs(model, x, mu: Tensor, logvar: Tensor, gamma) -> np.ndarray:
+    """``_log_w_rows`` of a noise block in even K' slabs of about ``SLAB_ROWS``
+    decoder rows; every row keeps the bits of the block taken in one piece."""
     k, nc = gamma.shape[:2]
     log_w = np.empty((k, nc))
-    with no_grad():
-        for rows in np.array_split(np.arange(k), _part_count(-(-k * nc // SLAB_ROWS), k, nc)):
-            log_w[rows] = _log_w_rows(model, x, mu, logvar, gamma[rows]).data
+    for rows in np.array_split(np.arange(k), _part_count(-(-k * nc // SLAB_ROWS), k, nc)):
+        log_w[rows] = _log_w_rows(model, x, mu, logvar, gamma[rows]).data
     return log_w
 
 
@@ -418,74 +403,51 @@ def iw_logpx_np(
 ) -> np.ndarray:
     """Per-example importance-weighted log-likelihood estimates, shape (n,).
 
-    Chunked over both the batch and the K' samples; chunks are reduced in a
-    fixed order so results are deterministic for a given generator, whose
+    Chunked over the batch and the K' samples; each K' chunk is decoded in
+    slabs of about ``SLAB_ROWS`` rows, so the call holds one slab's
+    temporaries, and every row keeps the bits of one piece. The generator's
     draws for every chunk go into one buffer per call (the values a fresh
-    array per chunk would get). An explicit ``noise`` array of shape
-    (k_prime, n, latent) overrides the generator. Each chunk's log weights are reduced by the log-mean-exp of
-    ``iwelbo``, so under the same noise the mean of these estimates is that
-    bound.
-
-    Each drawn noise block is split along K' into one contiguous part per
-    CPU of the process: the caller computes the first part and pool threads
-    the rest, and the parts' rows are joined in order. Each part is decoded
-    in K' slabs of about ``SLAB_ROWS`` rows, so a thread holds one slab's
-    temporaries, not a block's. Every row is computed as it would be in one
-    piece, so the result is bitwise independent of the CPU count and of the
-    slab size. The threads live only inside the call; every part, the
-    caller's too, runs with grad recording off on its own thread.
+    array per chunk would get); an explicit ``noise`` array of shape
+    (k_prime, n, latent) overrides the generator. Each batch chunk's log
+    weights are reduced by the log-mean-exp of ``iwelbo``, so under the same
+    noise the mean of these estimates is that bound.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise InvalidSpecError("need a non-empty (n, d) sample matrix")
+    latent = model.latent_dim
     if noise is not None:
-        noise = _noise_block(None, k_prime, x.shape[0], model.latent_dim, noise)
+        noise = _noise_block(None, k_prime, x.shape[0], latent, noise)
     elif rng is None:
         rng = rng_mod.stream(0, "vae/iw-eval")
-    latent = model.latent_dim
-    cpus = _eval_cpus()
-    # the first chunk has the most samples and rows, so the most parts
-    most = _part_count(cpus, min(k_chunk, k_prime), min(batch_chunk, x.shape[0]))
-    pool = contextlib.nullcontext()
-    if most > 1:
-        # imported on first use: concurrent.futures loads logging, which
-        # would add ~10 ms to every start of the command line
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(most - 1)
     out = np.empty(x.shape[0])
     drawn = np.empty(0 if noise is not None else min(k_chunk, k_prime) * min(batch_chunk, len(x)) * latent)
-    with no_grad(), pool:
+    with no_grad():
         for start in range(0, x.shape[0], batch_chunk):
             xc = x[start : start + batch_chunk]
             nc = xc.shape[0]
             mu, logvar = model.encode(xc)
-            blocks = []
-            done = 0
-            while done < k_prime:
+            log_w = np.empty((k_prime, nc))
+            for done in range(0, k_prime, k_chunk):
                 kc = min(k_chunk, k_prime - done)
                 if noise is not None:
                     gamma = noise[done : done + kc, start : start + nc, :]
-                else:  # every part of the last chunk has returned, so its draws can go
+                else:
                     gamma = rng.standard_normal(out=drawn[: kc * nc * latent].reshape(kc, nc, latent))
-                first, *rest = np.array_split(gamma, _part_count(cpus, kc, nc))
-                futures = [pool.submit(_log_w_part, model, xc, mu, logvar, g) for g in rest]
-                blocks.append(_log_w_part(model, xc, mu, logvar, first))
-                blocks.extend(f.result() for f in futures)
-                done += kc
-            out[start : start + nc] = _log_mean_exp(Tensor(np.concatenate(blocks, axis=0))).data
+                log_w[done : done + kc] = _log_w_slabs(model, xc, mu, logvar, gamma)
+            out[start : start + nc] = _log_mean_exp(Tensor(log_w)).data
     return out
 
 
-def nll_estimate(model, data, k_prime: int = 5000, rng=None, **chunking) -> tuple[float, float]:
+def nll_estimate(model, data, k_prime: int = 5000, rng=None) -> tuple[float, float]:
     """Mean negative importance-weighted log-likelihood over a dataset (nats)
     and its standard error."""
     x = getattr(data, "images", data)
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise InvalidSpecError("empty dataset")
-    logpx = iw_logpx_np(model, x, k_prime, rng, **chunking)
+    logpx = iw_logpx_np(model, x, k_prime, rng)
     se = float(logpx.std(ddof=1) / math.sqrt(len(logpx))) if len(logpx) > 1 else 0.0
     return float(-logpx.mean()), se

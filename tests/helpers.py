@@ -190,7 +190,8 @@ def oracle_recon_loglik_tape(y, x, likelihood, normalize=False):
     d = x.shape[-1]
     if likelihood == "bernoulli":
         p = _oracle_clip(y, BERNOULLI_CLAMP, 1.0 - BERNOULLI_CLAMP)
-        ll = (x * p.log() + (1.0 - x) * (1.0 - p).log()).sum(axis=-1)
+        one = as_tensor(1.0)
+        ll = (x * p.log() + (one - x) * (one - p).log()).sum(axis=-1)
     elif likelihood == "gaussian_half":
         diff = x - y
         ll = -(diff * diff).sum(axis=-1) - (d / 2.0) * math.log(math.pi)
@@ -203,8 +204,8 @@ def oracle_recon_loglik_tape(y, x, likelihood, normalize=False):
 
 
 def oracle_iw_logpx_np(model, x, k_prime, rng=None, noise=None, batch_chunk=64, k_chunk=250):
-    """``vae.iw_logpx_np`` as it was before noise blocks were split across CPUs:
-    one thread, each (kc, nc, latent) block decoded in one piece, through
+    """``vae.iw_logpx_np`` written out plainly: each (kc, nc, latent) noise
+    block drawn fresh and decoded in one piece, through
     ``oracle_encode``/``oracle_decode``."""
     x = np.asarray(x, dtype=np.float64)
     if rng is None and noise is None:

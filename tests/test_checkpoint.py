@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from degm import rng
+from degm import replay, rng
 from degm.checkpoint import CheckpointError, load_graph, load_model, save_graph, save_model
 from degm.cli import main
 from degm.graph import (
@@ -112,6 +112,43 @@ class TestGraphRoundtrip:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert eval_exit_code(tmp_path, tmp_path / "absent.bin") == 3
         assert "data error: " + str(tmp_path / "absent.bin") in capsys.readouterr().err
+
+
+def buffer_owner(array):
+    """The object that owns an array's memory (for a view of a buffer, the buffer)."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+class TestLoadedParameters:
+    """A loaded model's parameters are views into the one buffer the file is
+    read into, not copies of it."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        model = build_vae(data_dim=4, latent_dim=2, trunk_widths=(3,), decoder_widths=(3,), seed=1)
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        return model, path
+
+    def test_parameters_share_one_buffer(self, saved):
+        model, path = saved
+        loaded = load_model(path)
+        owners = [buffer_owner(p.data) for p in loaded.parameters()]
+        assert isinstance(owners[0], bytearray) and all(o is owners[0] for o in owners)
+        assert [p.data.tobytes() for p in loaded.parameters()] == [p.data.tobytes() for p in model.parameters()]
+
+    def test_loaded_trainable_model_trains_like_the_saved_one(self, saved):
+        model, path = saved
+        loaded = load_model(path, requires_grad=True)
+        images = (rng.stream(3, "x").random((24, 4)) > 0.5).astype(np.float64)
+        config = replay.TrainConfig(epochs=2, batch_size=8, seed=4)
+        trained = []
+        for net in (model.copy(requires_grad=True), loaded):
+            replay.run_training(net.parameters(), replay._bound_objective(net, config), images, config, "t")
+            trained.append([p.data.tobytes() for p in net.parameters()])
+        assert trained[0] == trained[1] != [p.data.tobytes() for p in model.parameters()]
 
 
 class TestContainerBytes:

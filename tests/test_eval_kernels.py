@@ -1,11 +1,11 @@
 """Evaluation kernels: bitwise equal to their out-of-place oracles, inputs
 untouched, no block-sized temporaries beyond the ones they return, and the
-same bits however many CPUs share an importance-weighted chunk."""
+same bits however an importance-weighted chunk is cut into slabs."""
 
 import contextlib
+import os
 import threading
 import tracemalloc
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -250,9 +250,9 @@ class TestSpecificNodeAccumulation:
         self.assert_mixture_bound(build_specific_node(graph, 3, [0.35, 0.65], seed=9))
 
 
-class TestSplitAcrossCpus:
-    """Each noise block is split along K' across the process's CPUs; the
-    estimates stay byte for byte those of the serial kernel."""
+class TestSlabs:
+    """Each noise block is decoded along K' in slabs on the calling thread;
+    the estimates stay byte for byte those of the one-piece oracle."""
 
     @staticmethod
     def model(kind, likelihood):
@@ -267,24 +267,18 @@ class TestSplitAcrossCpus:
             build_basic_node(graph, task, seed=task)
         return build_specific_node(graph, 3, [0.4, 0.6], seed=9)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("kind", ["vae", "specific"])
     @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian_identity"])
     @pytest.mark.parametrize("path", ["rng", "noise"])
     @pytest.mark.parametrize(
         "n, k_prime, k_chunk",
-        # 70 rows make a 64-row and a 6-row batch chunk; K'=7 in one piece
-        # splits unevenly (3 parts: 3, 2, 2), in chunks of 3 as 3+3+1; one row
-        # keeps at least two samples per part
+        # 70 rows make a 64-row and a 6-row batch chunk; K'=7 in one piece or
+        # in chunks of 3 as 3+3+1; one data row with K'=7 and K'=2
         [(70, 7, 250), (70, 7, 3), (70, 20, 250), (1, 7, 250), (1, 2, 250)],
     )
-    def test_bitwise_equal_to_serial_oracle(
-        self, monkeypatch, cpus, kind, likelihood, path, n, k_prime, k_chunk
-    ):
-        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
+    def test_bitwise_equal_to_serial_oracle(self, kind, likelihood, path, n, k_prime, k_chunk):
         self.assert_oracle_bits(self.model(kind, likelihood), likelihood, path, n, k_prime, k_chunk)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["vae", "specific"])
     @pytest.mark.parametrize("path", ["rng", "noise"])
     @pytest.mark.parametrize(
@@ -295,40 +289,35 @@ class TestSplitAcrossCpus:
         # the 6-row chunk as 3, 2, 2 at 20) and in one-sample slabs
         [(1, 5, 4), (1, 9, 2), (70, 7, 100), (70, 7, 20), (70, 7, 1)],
     )
-    def test_slabs_bitwise_equal_to_serial_oracle(
-        self, monkeypatch, cpus, kind, path, n, k_prime, slab_rows
-    ):
-        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
+    def test_slabs_bitwise_equal_to_serial_oracle(self, monkeypatch, kind, path, n, k_prime, slab_rows):
         monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
         self.assert_oracle_bits(self.model(kind, "bernoulli"), "bernoulli", path, n, k_prime, 250)
 
     @pytest.mark.parametrize("nc", [1, 3])
     @pytest.mark.parametrize("slab_rows", [1, 2, 5, 512])
     def test_slab_log_weights_equal_one_piece(self, monkeypatch, nc, slab_rows):
-        """Every log weight of a part keeps the bits of the part decoded in one
-        piece: no slab is a one-row matrix, which BLAS gemv would round
+        """Every log weight of a block keeps the bits of the block decoded in
+        one piece: no slab is a one-row matrix, which BLAS gemv would round
         differently (the estimates above often hide a one-ulp change)."""
         model = self.model("vae", "bernoulli")
         g = np.random.default_rng(11)
         x = (g.random((nc, 36)) > 0.5).astype(np.float64)
         gamma = g.standard_normal((40, nc, 4))
+        monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
         with nn.no_grad():
             mu, logvar = model.encode(nn.Tensor(x))
             whole = vae._log_w_rows(model, x, mu, logvar, gamma).data
-        monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
-        assert same_bits(vae._log_w_part(model, x, mu, logvar, gamma), whole)
+            assert same_bits(vae._log_w_slabs(model, x, mu, logvar, gamma), whole)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
         "n, k_prime, k_chunk",
         # ragged last chunks: 70 rows as 64 + 6, K'=7 as 3 + 3 + 1 or 5 + 2, one row
         # with K'=9 as 4 + 4 + 1
         [(70, 7, 3), (70, 7, 5), (1, 9, 4)],
     )
-    def test_drawn_noise_equals_passed_noise(self, monkeypatch, cpus, n, k_prime, k_chunk):
+    def test_drawn_noise_equals_passed_noise(self, n, k_prime, k_chunk):
         """Each chunk draws into one buffer the call reuses; the estimates
         keep the bits of the same draws passed in as ``noise``."""
-        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
         model = self.model("vae", "bernoulli")
         x = (np.random.default_rng(11).random((n, 36)) > 0.5).astype(np.float64)
         g = np.random.default_rng(7)
@@ -355,35 +344,18 @@ class TestSplitAcrossCpus:
             want = oracle_iw_logpx_np(model, x, k_prime, noise=noise, k_chunk=k_chunk)
         assert same_bits(got, want)
 
-    @pytest.mark.parametrize("kc, nc, cpus, parts", [
+    @pytest.mark.parametrize("kc, nc, most, parts", [
         (200, 64, 2, 2), (7, 6, 3, 3), (1, 64, 5, 1), (7, 1, 5, 3), (3, 1, 2, 1), (1, 1, 2, 1),
     ])
-    def test_part_count(self, kc, nc, cpus, parts):
-        assert vae._part_count(cpus, kc, nc) == parts
+    def test_part_count(self, kc, nc, most, parts):
+        assert vae._part_count(most, kc, nc) == parts
 
-    def test_domain_error_from_a_worker(self, monkeypatch):
+    def test_grad_mode_restored_after_eval(self):
+        """Evaluation switches grad recording off only inside the call: after
+        many evaluations of a trainable model, the tape records and fills
+        every parameter's gradient."""
         model = build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)
         x = (np.random.default_rng(5).random((10, 36)) > 0.5).astype(np.float64)
-        serial = vae.recon_loglik_np
-
-        def fails_off_the_calling_thread(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise DomainError("raised in a worker")
-            return serial(*args, **kwargs)
-
-        monkeypatch.setattr(vae, "_eval_cpus", lambda: 2)
-        monkeypatch.setattr(vae, "recon_loglik_np", fails_off_the_calling_thread)
-        with pytest.raises(DomainError, match="raised in a worker"):
-            iw_logpx_np(model, x, 8)
-
-    def test_grad_mode_restored_after_threaded_eval(self, monkeypatch):
-        """Each part switches grad recording off on its own thread only:
-        after many 3-part evaluations of a trainable model, the tape records
-        and fills every parameter's gradient."""
-        model = build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)
-        x = (np.random.default_rng(5).random((10, 36)) > 0.5).astype(np.float64)
-        monkeypatch.setattr(vae, "_eval_cpus", lambda: 3)
-        assert vae._part_count(3, 9, 10) == 3
         for _ in range(20):
             iw_logpx_np(model, x, 9)
         assert nn.grad_enabled()
@@ -391,29 +363,26 @@ class TestSplitAcrossCpus:
         nn.backward(recon - kl)
         assert all(p.grad is not None for p in model.parameters())
 
-    def test_threads_only_inside_the_call(self, monkeypatch):
+    def test_starts_no_thread(self, monkeypatch):
+        """Evaluation runs on the calling thread however many CPUs the
+        process may use, so a per-thread tracer sees every span nested."""
         model = build_vae(data_dim=36, latent_dim=4, trunk_widths=(20,), decoder_widths=(20,), seed=6)
         x = (np.random.default_rng(5).random((10, 36)) > 0.5).astype(np.float64)
-        real = futures.ThreadPoolExecutor
-        pools = []
+        real = threading.Thread.start
+        started = []
 
-        def counted(*args, **kwargs):
-            pools.append(real(*args, **kwargs))
-            return pools[-1]
+        def counted(thread):
+            started.append(thread)
+            real(thread)
 
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", counted)
-        monkeypatch.setattr(vae, "_eval_cpus", lambda: 5)
-        before = threading.active_count()
-        iw_logpx_np(model, x, 1)
-        assert pools == []  # K' = 1: one part, no executor
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+        monkeypatch.setattr(threading.Thread, "start", counted)
         iw_logpx_np(model, x, 8, k_chunk=3)
-        assert len(pools) == 1  # one executor per call, shared by its chunks
-        assert threading.active_count() == before
+        assert started == []
 
 
-def chunk_peak_blocks(monkeypatch, cpus):
+def chunk_peak_blocks():
     """tracemalloc peak of one 200 x 64 x 144 eval chunk, in blocks."""
-    monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
     model = build_vae(seed=1)
     x = (np.random.default_rng(0).random((64, 144)) > 0.5).astype(np.float64)
     iw_logpx_np(model, x, 200)  # warm caches outside the trace
@@ -426,31 +395,25 @@ def chunk_peak_blocks(monkeypatch, cpus):
     return peak / (200 * 64 * 144 * 8)
 
 
-def test_iw_eval_chunk_peak_memory(monkeypatch):
+def test_iw_eval_chunk_peak_memory():
     """One 200 x 64 x 144 eval chunk stays within 3.5 blocks at its peak (the
     decoding, its clipped copy and the per-pixel terms took about three when
     the chunk was decoded in one piece, 5.2 when every ufunc allocated its
     own result); slabs bring it far lower, see the test below."""
-    assert chunk_peak_blocks(monkeypatch, cpus=1) <= 3.5
+    assert chunk_peak_blocks() <= 3.5
 
 
-def test_iw_eval_chunk_peak_memory_in_two_parts(monkeypatch):
-    """Split across two CPUs, the parts together stay within those blocks."""
-    assert chunk_peak_blocks(monkeypatch, cpus=2) <= 3.5
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_iw_eval_chunk_peak_memory_in_slabs(monkeypatch, cpus):
+def test_iw_eval_chunk_peak_memory_in_slabs():
     """Decoded in slabs of ``SLAB_ROWS`` rows, a 200 x 64 x 144 chunk peaks
-    at half a block or less on 1 and on 2 CPUs: the noise draw, the log
-    weights and one slab's temporaries per thread (about 0.25 and 0.37)."""
-    assert chunk_peak_blocks(monkeypatch, cpus) <= 0.5
+    at half a block or less: the noise draw, the log weights and one slab's
+    temporaries (about 0.25)."""
+    assert chunk_peak_blocks() <= 0.5
 
 
 class TestOneBound:
     """Training's importance-weighted bound and evaluation's estimates share
     one log-mean-exp: under the same noise the bound is the mean of the
-    estimates, bit for bit, on any CPU count and with or without the tape.
+    estimates, bit for bit, with or without the tape.
 
     K' = 1 is left out: there evaluation's estimate is a single log weight,
     while training's bound is the analytic-KL bound of ``elbo_parts`` that
@@ -468,13 +431,11 @@ class TestOneBound:
         return build_specific_node(graph, 3, [0.4, 0.6], seed=9)
 
     @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("kind", ["vae", "basic", "specific"])
-    def test_iwelbo_is_the_mean_estimate(self, monkeypatch, kind, cpus, record):
+    def test_iwelbo_is_the_mean_estimate(self, kind, record):
         model = self.model(kind)
         for p in model.parameters():
             p.requires_grad = True
-        monkeypatch.setattr(vae, "_eval_cpus", lambda: cpus)
         g = np.random.default_rng(12)
         mismatches = []
         for n in (2, 17, 64):

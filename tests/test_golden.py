@@ -5,8 +5,10 @@ diagnostics on, runs ``cmd_diagnose``; the test pins ``metrics.csv``,
 ``ledger.csv``, the checkpoint and ``diagnose.csv``. Together the configs
 cover every method, both likelihood families, K' > 1, ``replay_ratio`` != 1,
 a Specific node with two parents, the ledger's and ``degm diagnose``'s walks
-at a pool wider than the run and at a pool of 3, and ``--seeds``. An exact change must leave every digest as
-it is; a change that moves bytes on purpose re-records them with
+at a pool wider than the run and at a pool of 3, ``--seeds``, replay training
+from a fresh init (``warm_start`` false) and a linear decoder. An exact change
+must leave every digest as it is; a change that moves bytes on purpose
+re-records them with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -75,6 +77,8 @@ CONFIGS = {
     ),
     "degm2": ({**TINY, "method": "degm2"}, None, []),
     "elbo_gr-seeds1,2": ({**TINY, "method": "elbo_gr"}, [1, 2], []),
+    "elbo_gr-cold-start": ({**TINY, "method": "elbo_gr", "warm_start": False}, None, []),
+    "elbo_gr-linear-decoder": ({**TINY, "method": "elbo_gr", "decoder_widths": []}, None, []),
 }
 
 
