@@ -267,6 +267,10 @@ class TestSlabs:
             build_basic_node(graph, task, seed=task)
         return build_specific_node(graph, 3, [0.4, 0.6], seed=9)
 
+    # 512 rows take every block below in one slab; 160 cut the 64-row chunk
+    # at K'=7 in 3 slabs and at K'=20 in 8; 5 and 1 cut most blocks as finely
+    # as the two-row rule allows (one row with K'=7 in 2 and in 3 slabs)
+    @pytest.mark.parametrize("slab_rows", [512, 160, 5, 1])
     @pytest.mark.parametrize("kind", ["vae", "specific"])
     @pytest.mark.parametrize("likelihood", ["bernoulli", "gaussian_identity"])
     @pytest.mark.parametrize("path", ["rng", "noise"])
@@ -276,9 +280,13 @@ class TestSlabs:
         # in chunks of 3 as 3+3+1; one data row with K'=7 and K'=2
         [(70, 7, 250), (70, 7, 3), (70, 20, 250), (1, 7, 250), (1, 2, 250)],
     )
-    def test_bitwise_equal_to_serial_oracle(self, kind, likelihood, path, n, k_prime, k_chunk):
+    def test_bitwise_equal_to_serial_oracle(
+        self, monkeypatch, slab_rows, kind, likelihood, path, n, k_prime, k_chunk
+    ):
+        monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
         self.assert_oracle_bits(self.model(kind, likelihood), likelihood, path, n, k_prime, k_chunk)
 
+    @pytest.mark.parametrize("likelihood", vae.LIKELIHOODS)
     @pytest.mark.parametrize("kind", ["vae", "specific"])
     @pytest.mark.parametrize("path", ["rng", "noise"])
     @pytest.mark.parametrize(
@@ -289,9 +297,11 @@ class TestSlabs:
         # the 6-row chunk as 3, 2, 2 at 20) and in one-sample slabs
         [(1, 5, 4), (1, 9, 2), (70, 7, 100), (70, 7, 20), (70, 7, 1)],
     )
-    def test_slabs_bitwise_equal_to_serial_oracle(self, monkeypatch, kind, path, n, k_prime, slab_rows):
+    def test_slabs_bitwise_equal_to_serial_oracle(
+        self, monkeypatch, likelihood, kind, path, n, k_prime, slab_rows
+    ):
         monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
-        self.assert_oracle_bits(self.model(kind, "bernoulli"), "bernoulli", path, n, k_prime, 250)
+        self.assert_oracle_bits(self.model(kind, likelihood), likelihood, path, n, k_prime, 250)
 
     @pytest.mark.parametrize("nc", [1, 3])
     @pytest.mark.parametrize("slab_rows", [1, 2, 5, 512])
@@ -309,15 +319,18 @@ class TestSlabs:
             whole = vae._log_w_rows(model, x, mu, logvar, gamma).data
             assert same_bits(vae._log_w_slabs(model, x, mu, logvar, gamma), whole)
 
+    @pytest.mark.parametrize("slab_rows", [512, 5])
     @pytest.mark.parametrize(
         "n, k_prime, k_chunk",
         # ragged last chunks: 70 rows as 64 + 6, K'=7 as 3 + 3 + 1 or 5 + 2, one row
         # with K'=9 as 4 + 4 + 1
         [(70, 7, 3), (70, 7, 5), (1, 9, 4)],
     )
-    def test_drawn_noise_equals_passed_noise(self, n, k_prime, k_chunk):
+    def test_drawn_noise_equals_passed_noise(self, monkeypatch, slab_rows, n, k_prime, k_chunk):
         """Each chunk draws into one buffer the call reuses; the estimates
-        keep the bits of the same draws passed in as ``noise``."""
+        keep the bits of the same draws passed in as ``noise``, in one slab
+        per chunk or in many."""
+        monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
         model = self.model("vae", "bernoulli")
         x = (np.random.default_rng(11).random((n, 36)) > 0.5).astype(np.float64)
         g = np.random.default_rng(7)
@@ -413,7 +426,8 @@ def test_iw_eval_chunk_peak_memory_in_slabs():
 class TestOneBound:
     """Training's importance-weighted bound and evaluation's estimates share
     one log-mean-exp: under the same noise the bound is the mean of the
-    estimates, bit for bit, with or without the tape.
+    estimates, bit for bit, with or without the tape and however evaluation
+    cuts its blocks into slabs.
 
     K' = 1 is left out: there evaluation's estimate is a single log weight,
     while training's bound is the analytic-KL bound of ``elbo_parts`` that
@@ -431,8 +445,10 @@ class TestOneBound:
         return build_specific_node(graph, 3, [0.4, 0.6], seed=9)
 
     @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("slab_rows", [512, 5])
     @pytest.mark.parametrize("kind", ["vae", "basic", "specific"])
-    def test_iwelbo_is_the_mean_estimate(self, kind, record):
+    def test_iwelbo_is_the_mean_estimate(self, monkeypatch, kind, slab_rows, record):
+        monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
         model = self.model(kind)
         for p in model.parameters():
             p.requires_grad = True
