@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,6 @@ from .graph import ArchSpec, train_degm_sequence
 from .nn import InvalidSpecError
 from .replay import NonFiniteError, TrainConfig, run_gr_sequence
 from .vae import build_vae
-
-METHODS = ("elbo_gr", "iwelbo_gr", "degm_elbo", "degm_iwelbo", "degm2")
 
 METRICS_COLUMNS = [
     "run_id",
@@ -172,7 +171,7 @@ def _validate(cfg: dict) -> None:
     if cfg["method"] is None:
         raise ConfigError("missing required field 'method'")
     if cfg["method"] not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {cfg['method']!r}")
+        raise ConfigError(f"method must be one of {tuple(METHODS)}, got {cfg['method']!r}")
     if cfg["stream"] is None:
         raise ConfigError("missing required field 'stream'")
     stream = cfg["stream"]
@@ -200,8 +199,6 @@ def _validate(cfg: dict) -> None:
         _require_finite(cfg["tau"], "tau")
     if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
         raise ConfigError(f"field 'seed' must be an integer, got {cfg['seed']!r}")
-    if cfg["method"] in ("degm_elbo", "degm_iwelbo") and cfg["tau"] is None:
-        raise ConfigError(f"method {cfg['method']!r} requires 'tau'")
     if cfg["binarize"] not in ("stochastic", "threshold_0.5", "none"):
         raise ConfigError(f"unknown binarize mode {cfg['binarize']!r}")
     if cfg["likelihood"] not in vae_mod.LIKELIHOODS:
@@ -213,26 +210,15 @@ def _validate(cfg: dict) -> None:
                         ("diagnostics.enabled", diag["enabled"])):
         if not isinstance(value, bool):
             raise ConfigError(f"field {name!r} must be true or false, got {value!r}")
-    widths = cfg["trunk_widths"], cfg["decoder_widths"]
-    if not all(isinstance(w, list) for w in widths):
+    if not all(isinstance(cfg[k], list) for k in ("trunk_widths", "decoder_widths")):
         raise ConfigError("trunk_widths and decoder_widths must be lists of layer widths")
-    if cfg["method"].startswith("degm") and [len(w) for w in widths] != [1, 1]:
-        raise ConfigError(
-            "graph methods use single-hidden-layer sub-models: trunk_widths and "
-            "decoder_widths must each hold exactly one width"
-        )
-    try:  # the geometry checks of the model's own specs; no weights are built
-        if cfg["method"].startswith("degm"):
-            _arch(cfg)
-        else:
-            vae_mod.vae_specs(*_vae_geometry(cfg))
+    try:
+        METHODS[cfg["method"]].family.check(cfg)
     except InvalidSpecError as err:
         raise ConfigError(f"widths, latent_dim and hidden_activation give no valid model: {err}")
     _require_int(diag["pool_size"], "diagnostics.pool_size", 2)
     _require_int(diag["snapshot_every"], "diagnostics.snapshot_every", 1)
     _require_int(diag["sample_size"], "diagnostics.sample_size", 1)
-    if diag["enabled"] and cfg["method"].startswith("degm"):
-        raise ConfigError("diagnostics snapshots are only recorded for elbo_gr/iwelbo_gr runs")
 
 
 def _require_finite(value, name: str):
@@ -287,7 +273,7 @@ def _build_split_stream(cfg: dict) -> TaskStream:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    k_prime = cfg["k_prime"] if cfg["method"] in ("iwelbo_gr", "degm_iwelbo") else 1
+    k_prime = cfg["k_prime"] if METHODS[cfg["method"]].iw_bound else 1
     return TrainConfig(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
@@ -318,15 +304,74 @@ def _vae_geometry(cfg: dict) -> tuple:
             tuple(cfg["decoder_widths"]), cfg["likelihood"], cfg["hidden_activation"])
 
 
-def _model_factory(cfg: dict):
-    geometry = _vae_geometry(cfg)
-    return lambda seed: build_vae(*geometry, normalize_recon=cfg["normalize_recon"], seed=seed)
+def _vae(cfg: dict, seed: int):
+    return build_vae(*_vae_geometry(cfg), normalize_recon=cfg["normalize_recon"], seed=seed)
+
+
+def _check_graph(cfg: dict) -> None:
+    """A graph run needs a threshold, records no snapshots, and has a valid ``ArchSpec``."""
+    if METHODS[cfg["method"]].tau is None and cfg["tau"] is None:
+        raise ConfigError(f"method {cfg['method']!r} requires 'tau'")
+    if cfg["diagnostics"]["enabled"]:
+        raise ConfigError("diagnostics snapshots are only recorded for elbo_gr/iwelbo_gr runs")
+    if [len(cfg["trunk_widths"]), len(cfg["decoder_widths"])] != [1, 1]:
+        raise ConfigError("graph methods take exactly one trunk width and one decoder width")
+    _arch(cfg)
+
+
+class _Family(NamedTuple):
+    """What ``cmd_train`` runs for a family of methods. Its functions look up module
+    globals when called, so a wrapper bound over one after import (a tracer's) runs."""
+
+    check: object  # cfg: the model's own geometry checks; no weights are built
+    train: object  # (stream, cfg, TrainConfig, tau, recorder) -> (model, task_records, train_metrics)
+    checkpoint: str  # the final checkpoint's file name
+    save: object  # (path, model): writes that checkpoint
+    partition: object  # t -> the ledger's task partition after task t
+    selection: object  # task_records -> each evaluation's node-selection accuracy, or None
+
+
+_REPLAY = _Family(
+    check=lambda cfg: vae_mod.vae_specs(*_vae_geometry(cfg)),
+    train=lambda stream, cfg, train_cfg, tau, recorder: run_gr_sequence(
+        stream, lambda seed: _vae(cfg, seed), train_cfg, cfg["eval_k_prime"], recorder and recorder.hook
+    ),
+    checkpoint="model.bin",
+    save=lambda path, model: ckpt_mod.save_model(path, model),
+    partition=lambda t: [set(range(1, t + 1))],
+    selection=lambda task_records: None,
+)
+_GRAPH = _Family(
+    check=_check_graph,
+    train=lambda stream, cfg, train_cfg, tau, recorder: train_degm_sequence(
+        stream, _arch(cfg), train_cfg, tau, cfg["eval_k_prime"]
+    ),
+    checkpoint="graph.bin",
+    save=lambda path, graph: ckpt_mod.save_graph(path, graph),
+    partition=lambda t: [{i} for i in range(1, t + 1)],
+    selection=lambda task_records: [[e["selection_accuracy"] for e in r["evals"]] for r in task_records],
+)
+
+
+class _Method(NamedTuple):
+    family: _Family
+    iw_bound: bool  # trains on the K'-sample bound
+    tau: float | None  # a fixed expansion threshold; None takes the config's
+
+
+METHODS = {
+    "elbo_gr": _Method(_REPLAY, False, None),
+    "iwelbo_gr": _Method(_REPLAY, True, None),
+    "degm_elbo": _Method(_GRAPH, False, None),
+    "degm_iwelbo": _Method(_GRAPH, True, None),
+    "degm2": _Method(_GRAPH, False, -math.inf),  # a Basic node for every task
+}
 
 
 class _SnapshotRecorder:
-    """Writes per-epoch model snapshots plus the task's mixed training sample,
-    and remembers every file it wrote. ``entries`` is ``meta.json``'s list:
-    file names are relative to ``dir``."""
+    """Writes the untrained model and per-epoch snapshots of a replay run plus
+    each task's mixed training sample, and remembers every file it wrote.
+    ``entries`` is ``meta.json``'s list: file names are relative to ``dir``."""
 
     def __init__(self, out_dir: str, cfg: dict):
         self.dir = os.path.join(out_dir, "snapshots")
@@ -338,15 +383,13 @@ class _SnapshotRecorder:
         self.epochs_per_task = cfg["epochs"]
         self._saved_mixed: set[int] = set()
         self.written: list[str] = []
+        self._write("snap_t00_e00.bin", ckpt_mod.save_model, _vae(cfg, cfg["seed"]))
+        self.entries.append({"task": 0, "epoch": 0, "global_epoch": 0, "snapshot": "snap_t00_e00.bin"})
 
     def _write(self, name: str, save, obj) -> None:
         path = os.path.join(self.dir, name)
         save(path, obj)
         self.written.append(path)
-
-    def record_initial(self, model) -> None:
-        self._write("snap_t00_e00.bin", ckpt_mod.save_model, model)
-        self.entries.append({"task": 0, "epoch": 0, "global_epoch": 0, "snapshot": "snap_t00_e00.bin"})
 
     def hook(self, task: int, epoch: int, model, mixed, record) -> None:
         if epoch % self.every != 0 and epoch != self.epochs_per_task:
@@ -501,37 +544,11 @@ def cmd_train(cfg: dict) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     run_id = run_id_of(cfg)
     train_cfg = _train_config(cfg)
-    recorder = None
-    is_graph_method = cfg["method"].startswith("degm")
-
+    family, _, tau = METHODS[cfg["method"]]
+    tau = cfg["tau"] if tau is None else tau
+    recorder = _SnapshotRecorder(out_dir, cfg) if cfg["diagnostics"]["enabled"] else None
     try:
-        if is_graph_method:
-            force = "basic" if cfg["method"] == "degm2" else None
-            tau = cfg["tau"] if cfg["tau"] is not None else float("inf")
-            graph, task_records, train_metrics = train_degm_sequence(
-                stream,
-                _arch(cfg),
-                train_cfg,
-                tau=tau,
-                force=force,
-                eval_k_prime=cfg["eval_k_prime"],
-            )
-            expansion_log = graph.expansion_log
-        else:
-            factory = _model_factory(cfg)
-            hook = None
-            if cfg["diagnostics"]["enabled"]:
-                recorder = _SnapshotRecorder(out_dir, cfg)
-                recorder.record_initial(factory(cfg["seed"]))
-                hook = recorder.hook
-            model, task_records, train_metrics = run_gr_sequence(
-                stream,
-                factory,
-                train_cfg,
-                eval_k_prime=cfg["eval_k_prime"],
-                epoch_hook=hook,
-            )
-            expansion_log = None
+        model, task_records, train_metrics = family.train(stream, cfg, train_cfg, tau, recorder)
         nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
         for record, nlls in zip(task_records, nll_matrix):
             for j, nll in enumerate(nlls, 1):
@@ -544,12 +561,8 @@ def cmd_train(cfg: dict) -> dict:
         raise
     if recorder is not None:
         recorder.finish()
-    if is_graph_method:
-        checkpoint_path = os.path.join(out_dir, "graph.bin")
-        ckpt_mod.save_graph(checkpoint_path, graph)
-    else:
-        checkpoint_path = os.path.join(out_dir, "model.bin")
-        ckpt_mod.save_model(checkpoint_path, model)
+    checkpoint_path = os.path.join(out_dir, family.checkpoint)
+    family.save(checkpoint_path, model)
 
     # ledger: one record per task with every seen test NLL; with diagnostics
     # enabled the bound-term breakdown at each task boundary fills the rest
@@ -560,12 +573,8 @@ def cmd_train(cfg: dict) -> dict:
                            cfg["seed"], "ledger/breakdown/t{task}", task_end_only=True)
         breakdowns = {e["task"]: b for e, b in walk}
     for record, nlls in zip(task_records, nll_matrix):
-        if is_graph_method:
-            partition = [{i} for i in range(1, record["task"] + 1)]
-        else:
-            partition = [set(range(1, record["task"] + 1))]
         accounting = bounds_mod.assignment_summary(
-            bounds_mod.AssignmentLog.from_partition(record["task"], partition)
+            bounds_mod.AssignmentLog.from_partition(record["task"], family.partition(record["task"]))
         )
         extra = breakdowns.get(record["task"], {})
         ledger.append(
@@ -627,11 +636,6 @@ def cmd_train(cfg: dict) -> dict:
     metrics_path = os.path.join(out_dir, "metrics.csv")
     _write_metrics(metrics_path, rows)
 
-    selection = None
-    if is_graph_method:
-        selection = [
-            [e.get("selection_accuracy") for e in record["evals"]] for record in task_records
-        ]
     report = {
         "schema_version": SCHEMA_VERSION,
         "run_id": run_id,
@@ -639,8 +643,8 @@ def cmd_train(cfg: dict) -> dict:
         "seed": cfg["seed"],
         "nll_matrix": nll_matrix,
         "final_avg_nll": float(np.mean(nll_matrix[-1])),
-        "selection_accuracy": selection,
-        "expansion_log": expansion_log,
+        "selection_accuracy": family.selection(task_records),
+        "expansion_log": getattr(model, "expansion_log", None),
         "task_records": task_records,
         "wall_clock_s": time.monotonic() - t_start,
         "config": cfg,

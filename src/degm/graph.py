@@ -126,6 +126,8 @@ class SpecificNode(vae_mod.SubModels):
     def __init__(self, node_id: int, arch: ArchSpec, pi, parents, seed: int = 0, nets=None):
         self.id = node_id
         self.arch = arch
+        self.latent_dim, self.data_dim = arch.latent_dim, arch.data_dim
+        self.likelihood, self.normalize_recon = arch.likelihood, arch.normalize_recon
         self.pi = np.ascontiguousarray(pi, dtype=np.float64)
         if self.pi.ndim != 1 or np.any(self.pi < 0) or abs(self.pi.sum() - 1.0) > 1e-9:
             raise InvalidSpecError("pi must be a 1-D probability vector (sum 1 within 1e-9)")
@@ -133,22 +135,6 @@ class SpecificNode(vae_mod.SubModels):
         if len(self.parents) != self.pi.shape[0]:
             raise ContractError(f"pi has {self.pi.shape[0]} entries for {len(self.parents)} parents")
         self.f_mu, self.f_logvar, self.g_prime = nets or _fresh_nets(arch, self.SUB_MODELS, seed)
-
-    @property
-    def latent_dim(self) -> int:
-        return self.arch.latent_dim
-
-    @property
-    def data_dim(self) -> int:
-        return self.arch.data_dim
-
-    @property
-    def likelihood(self) -> str:
-        return self.arch.likelihood
-
-    @property
-    def normalize_recon(self) -> bool:
-        return self.arch.normalize_recon
 
     def sub_models(self) -> list[Mlp]:
         return [self.f_mu, self.f_logvar, self.g_prime]
@@ -245,24 +231,14 @@ def knowledge_novelty(graph: GraphState, probe: np.ndarray) -> np.ndarray:
     return ks
 
 
-def expansion_decision(ks, tau: float, force: str | None = None, first_task: bool = False) -> str:
-    """'basic' iff the smallest novelty exceeds the threshold (or forced).
-
-    Task 1 always builds a Basic node; there is no knowledge source to wire
-    a Specific node to, so even a force override cannot change that.
-    """
-    if first_task:
-        return "basic"
-    if force in ("basic", "specific"):
-        return force
-    if force is not None:
-        raise InvalidSpecError(f"unknown override {force!r}")
+def expansion_decision(ks, tau: float) -> str:
+    """'basic' iff the smallest novelty exceeds ``tau`` or no Basic node exists
+    to wire a Specific node to (an empty ``ks``: task 1). Past task 1,
+    ``tau = -inf`` builds a Basic node per task (``degm2``), ``+inf`` a Specific one."""
     ks = np.asarray(ks, dtype=np.float64)
-    if ks.size == 0:
-        raise ContractError("empty novelty vector outside task 1")
     if np.isnan(ks).any():
         raise ContractError(f"novelty vector holds NaN: {ks.tolist()}")
-    return "basic" if float(ks.min()) > tau else "specific"
+    return "basic" if ks.size == 0 or float(ks.min()) > tau else "specific"
 
 
 def importance_weights(ks) -> np.ndarray:
@@ -369,14 +345,14 @@ def train_degm_sequence(
     arch: ArchSpec,
     config: TrainConfig,
     tau: float,
-    force: str | None = None,
     eval_k_prime: int = 200,
 ):
     """Grow and train the graph over a task stream.
 
-    Per task: score novelty against every Basic node, decide basic/specific
-    (``force`` overrides, e.g. "basic" reproduces the one-node-per-task
-    baseline), build the node, train only its parameters, then freeze it.
+    Per task: score novelty against every Basic node (there is none before
+    task 1), decide basic/specific by ``expansion_decision`` at ``tau``
+    (``-inf`` gives the one-Basic-node-per-task baseline ``degm2``), build the
+    node, train only its parameters, then freeze it.
     Evaluation picks a node per test batch by bound score and measures the
     negative log-likelihood with ``eval_k_prime`` weighted samples, keyed by
     the final evaluation's label: frozen nodes are scored and estimated once
@@ -395,16 +371,14 @@ def train_degm_sequence(
     for task in stream.tasks:
         t = task.task_id
         images = task.train.images
-        if t == 1:
-            ks = np.array([])
-            decision = expansion_decision(ks, tau, force=force, first_task=True)
-        else:
+        ks = np.array([])
+        if graph.basic_nodes:
             probe_n = min(NOVELTY_PROBE_SIZE, len(images))
             probe_idx = rng_mod.stream(config.seed, f"degm/probe/task{t}").choice(
                 len(images), size=probe_n, replace=False
             )
             ks = knowledge_novelty(graph, images[probe_idx])
-            decision = expansion_decision(ks, tau, force=force)
+        decision = expansion_decision(ks, tau)
         node_seed = rng_mod.derive_seed(config.seed, f"degm/node/task{t}")
         label = f"degm/task{t}"
         if decision == "basic":
@@ -415,9 +389,7 @@ def train_degm_sequence(
             node = build_specific_node(graph, t, pi, node_seed)
             history = run_training(node.parameters(), _bound_objective(node, config), images, config, label)
         node.freeze()
-        graph.expansion_log.append(
-            {"task_id": t, "decision": decision, "ks": [float(v) for v in ks], "tau": tau}
-        )
+        graph.expansion_log.append({"task_id": t, "decision": decision, "ks": ks.tolist(), "tau": tau})
         train_metrics.append({"task": t, "decision": decision, "epochs": history})
         evals = evaluate_seen(graph, stream.tasks[:t], len(stream), config.seed, eval_k_prime, memo)
         task_records.append({"task": t, "evals": evals})

@@ -423,6 +423,9 @@ def iw_logpx_np(
     elif rng is None:
         rng = rng_mod.stream(0, "vae/iw-eval")
     out = np.empty(x.shape[0])
+    # Freed on return, this buffer (1.6 MB at K'=200) lifts glibc's dynamic mmap threshold, so the
+    # slabs' temporaries reuse heap pages; drawing each slab's noise on its own (same bits) left them
+    # on fresh mmaps: ~20x the page faults and about 1.6x the time per call (ROADMAP, "Looked at").
     drawn = np.empty(0 if noise is not None else min(k_chunk, k_prime) * min(batch_chunk, len(x)) * latent)
     with no_grad():
         for start in range(0, x.shape[0], batch_chunk):

@@ -75,7 +75,7 @@ def method_runs():
         )
         runs["degm"].append(rec_d)
         _, rec_d2, _ = train_degm_sequence(
-            stream, ArchSpec(), cfg, tau=35.0, force="basic", eval_k_prime=200
+            stream, ArchSpec(), cfg, tau=-math.inf, eval_k_prime=200
         )
         runs["degm2"].append(rec_d2)
     return runs
@@ -256,10 +256,10 @@ class TestCriterion5MelboValidity:
             cfg = TrainConfig(epochs=4, batch_size=50, learning_rate=2e-3, seed=seed)
             prefix = stream.__class__(tasks=stream.tasks[:1], kind="cross_domain")
             graph_prefix, _, _ = train_degm_sequence(
-                prefix, arch, cfg, tau=0.0, force=None, eval_k_prime=5
+                prefix, arch, cfg, tau=0.0, eval_k_prime=5
             )
             graph, _, _ = train_degm_sequence(
-                stream, arch, cfg, tau=0.0, force="specific", eval_k_prime=5
+                stream, arch, cfg, tau=math.inf, eval_k_prime=5
             )
             # identical seed => identical task-1 training; specific-node
             # training must leave the basic node untouched

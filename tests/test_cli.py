@@ -117,6 +117,18 @@ class TestCmdTrain:
         assert len(graph.basic_nodes) == 3 and len(graph.specific_nodes) == 0
         assert [e["decision"] for e in report["expansion_log"]] == ["basic"] * 3
 
+    def test_degm2_ignores_a_configured_tau(self, tmp_path):
+        # degm2 is DEGM at tau = -inf; a config's tau (here one that would
+        # build Specific nodes) neither changes the graph nor the logged tau
+        from degm.checkpoint import load_graph
+
+        report = cmd_train(fast_cfg(tmp_path, method="degm2", stream=["bars", "blobs", "rings"], tau=1e9))
+        graph = load_graph(report["artifacts"]["checkpoint"])
+        assert len(graph.basic_nodes) == 3 and len(graph.specific_nodes) == 0
+        assert [e["tau"] for e in report["expansion_log"]] == [float("-inf")] * 3
+        with open(tmp_path / "run" / "report.json") as f:
+            assert [e["tau"] for e in json.load(f)["expansion_log"]] == [float("-inf")] * 3
+
     def test_metrics_header_fixed(self, tmp_path):
         cmd_train(fast_cfg(tmp_path))
         header = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[0]

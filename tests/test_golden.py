@@ -25,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 
-from degm.cli import cmd_diagnose, cmd_train, cmd_train_multi, parse_config
+from degm.cli import METHODS, cmd_diagnose, cmd_train, cmd_train_multi, parse_config
 
 DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
@@ -80,6 +80,12 @@ CONFIGS = {
     "elbo_gr-cold-start": ({**TINY, "method": "elbo_gr", "warm_start": False}, None, []),
     "elbo_gr-linear-decoder": ({**TINY, "method": "elbo_gr", "decoder_widths": []}, None, []),
 }
+
+
+def test_every_method_has_a_golden_config():
+    # a method added to the CLI's table lands with digests of its own artifacts
+    covered = {cfg["method"] for cfg, _, _ in CONFIGS.values()}
+    assert set(METHODS) <= covered, f"no golden config for {sorted(set(METHODS) - covered)}"
 
 
 def environment() -> dict:

@@ -49,14 +49,13 @@ def micro_config(seed=0, epochs=5):
     return TrainConfig(epochs=epochs, batch_size=50, learning_rate=2e-3, seed=seed)
 
 
-def trained_micro_graph(seed=0, force=None, tau=30.0, epochs=5, families=("bars", "blobs", "rings")):
+def trained_micro_graph(seed=0, tau=30.0, epochs=5, families=("bars", "blobs", "rings")):
     stream = micro_stream(families=families, seed=seed + 100)
     graph, records, _ = train_degm_sequence(
         stream,
         MICRO_ARCH,
         micro_config(seed=seed, epochs=epochs),
         tau=tau,
-        force=force,
         eval_k_prime=20,
     )
     return stream, graph, records
@@ -100,22 +99,23 @@ class TestExpansionDecision:
         assert expansion_decision([700.0, 900.0], tau=600.0) == "basic"
         assert expansion_decision([500.0, 900.0], tau=600.0) == "specific"
 
-    def test_force_overrides(self):
-        assert expansion_decision([0.1], tau=600.0, force="basic") == "basic"
-        assert expansion_decision([1e9], tau=0.0, force="specific") == "specific"
+    def test_infinite_tau_fixes_the_decision(self):
+        # tau = -inf is degm2's one Basic node per task; +inf a Specific node past task 1
+        assert expansion_decision([0.1], tau=-math.inf) == "basic"
+        assert expansion_decision([1e9], tau=math.inf) == "specific"
 
-    def test_first_task_is_basic(self):
-        assert expansion_decision([], tau=5.0, first_task=True) == "basic"
-
-    def test_empty_ks_rejected_later(self):
-        with pytest.raises(ContractError):
-            expansion_decision([], tau=5.0)
+    def test_empty_novelty_is_basic(self):
+        # no Basic node to wire a Specific node to (task 1), whatever tau says
+        for tau in (-math.inf, 5.0, math.inf):
+            assert expansion_decision([], tau=tau) == "basic"
 
     def test_nan_novelty_rejected(self):
         # NaN > tau is False, so without the check the task would silently
         # get a Specific node
         with pytest.raises(ContractError, match="nan"):
             expansion_decision([700.0, float("nan")], tau=600.0)
+        with pytest.raises(ContractError, match="nan"):
+            expansion_decision([float("nan")], tau=-math.inf)
 
 
 class TestGraphConstruction:
@@ -178,7 +178,7 @@ class TestKnowledgeNovelty:
         assert ks[0] <= 0.05 * abs(node.best_elbo)
 
     def test_matched_domain_scores_lower(self):
-        stream, graph, _ = trained_micro_graph(seed=3, force="basic")
+        stream, graph, _ = trained_micro_graph(seed=3, tau=-math.inf)
         # every node is Basic; probe with each task's own data
         for i, task in enumerate(stream.tasks):
             ks = knowledge_novelty(graph, task.train.images[:200])
@@ -395,7 +395,7 @@ class TestSelectNode:
 
 class TestTrainDegmSequence:
     def test_force_basic_builds_one_node_per_task(self):
-        _, graph, _ = trained_micro_graph(seed=1, force="basic")
+        _, graph, _ = trained_micro_graph(seed=1, tau=-math.inf)
         assert len(graph.basic_nodes) == 3
         assert len(graph.specific_nodes) == 0
         assert [n.id for n in graph.basic_nodes] == [1, 2, 3]
@@ -438,7 +438,7 @@ class TestTrainDegmSequence:
         assert graph.basic_param_hash() == before
 
     def test_frozen_best_elbo_recorded(self):
-        _, graph, _ = trained_micro_graph(seed=1, force="basic")
+        _, graph, _ = trained_micro_graph(seed=1, tau=-math.inf)
         for node in graph.basic_nodes:
             assert node.best_elbo is not None and np.isfinite(node.best_elbo)
             assert not any(p.requires_grad for p in node.parameters())
@@ -460,8 +460,7 @@ class TestTrainDegmSequence:
             stream,
             ArchSpec(),
             TrainConfig(epochs=8, batch_size=64, seed=12),
-            tau=600.0,
-            force="basic",
+            tau=-math.inf,
             eval_k_prime=20,
         )
         accs = [e["selection_accuracy"] for e in records[-1]["evals"]]
