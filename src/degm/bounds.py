@@ -16,8 +16,6 @@ against brute-force enumeration.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -166,22 +164,7 @@ def discrepancy_slack(m_p: int, m_q: int, loss_bound: float, delta: float = 0.05
 
 
 # ---------------------------------------------------------------------------
-# KL gap and bound breakdown
-
-
-def kl_gap(model, target_sets, mixed_set) -> float:
-    """|KL1 - KL2|: average posterior-to-prior KL over per-task target sets
-    versus over the mixed source set, both analytic."""
-    if not target_sets:
-        raise InvalidSpecError("need at least one target set")
-    kls = []
-    for kind, ts in [*(("target", t) for t in target_sets), ("mixed", mixed_set)]:
-        x = np.asarray(getattr(ts, "images", ts), dtype=np.float64)
-        if x.shape[0] == 0:
-            raise InvalidSpecError(f"empty {kind} set")
-        with no_grad():
-            kls.append(float(vae_mod.gaussian_kl(*model.encode(x))))
-    return abs(float(np.mean(kls[:-1])) - kls[-1])
+# Bound breakdown
 
 
 def lelbo_breakdown(
@@ -192,41 +175,49 @@ def lelbo_breakdown(
     pair_losses_q: np.ndarray,
     rng=None,
     delta: float = 0.05,
-    loss_bound: float | None = None,
     normalize_risks: bool = False,
 ) -> dict:
     """Measure every estimable term of the lifelong bound at one point in time.
 
     source side: mean negative bound on the mixed training distribution;
     target side: average mean negative bound over the per-task target sets.
-    The residual target - (source + kl_gap) is what the risk/discrepancy
-    terms account for; the optimal combined risk is not estimable and is
-    reported as a zero lower bound with a flag. ``pair_losses_p`` and
-    ``pair_losses_q`` are one pool's ``pair_loss_means`` on
-    ``pooled_targets(target_sets)`` and on the mixed set.
+    The KL gap |KL1 - KL2| compares the average posterior-to-prior KL over
+    the target sets with the one over the mixed set, both taken from those
+    same bound estimates. The residual target - (source + kl_gap) is what
+    the risk/discrepancy terms account for; the optimal combined risk is
+    not estimable and is reported as a zero lower bound with a flag.
+    ``pair_losses_p`` and ``pair_losses_q`` are one pool's
+    ``pair_loss_means`` on ``pooled_targets(target_sets)`` and on the mixed
+    set. ``normalize_risks`` divides the discrepancy by the data dimension d
+    and takes the slack's loss bound as 1 instead of d.
     """
+    if not target_sets:
+        raise InvalidSpecError("need at least one target set")
+    xm, *targets = (
+        np.asarray(getattr(ts, "images", ts), dtype=np.float64) for ts in (mixed_set, *target_sets)
+    )
+    for kind, x in (("mixed", xm), *(("target", x) for x in targets)):
+        if x.shape[0] == 0:
+            raise InvalidSpecError(f"empty {kind} set")
     if rng is None:
         rng = rng_mod.stream(0, "bounds/lelbo")
-    xm = np.asarray(getattr(mixed_set, "images", mixed_set), dtype=np.float64)
-    source = -vae_mod.elbo(model, xm, rng=rng).total
-    per_task = []
-    for ts in target_sets:
-        x = np.asarray(getattr(ts, "images", ts), dtype=np.float64)
-        per_task.append(-vae_mod.elbo(model, x, rng=rng).total)
-    target = float(np.mean(per_task))
-    gap = kl_gap(model, target_sets, mixed_set)
+    mixed = vae_mod.elbo(model, xm, rng=rng)
+    per_task = [vae_mod.elbo(model, x, rng=rng) for x in targets]
+    source = -mixed.total
+    target = float(np.mean([-e.total for e in per_task]))
+    gap = abs(float(np.mean([e.kl_term for e in per_task])) - mixed.kl_term)
 
     disc = empirical_discrepancy(pair_losses_p, pair_losses_q)
     if normalize_risks:
         disc /= xm.shape[1]
-    m_p = len(target_sets) * min(len(getattr(ts, "images", ts)) for ts in target_sets)
-    bound = loss_bound if loss_bound is not None else float(xm.shape[1])
+    loss_bound = 1.0 if normalize_risks else float(xm.shape[1])
+    m_p = len(targets) * min(len(x) for x in targets)
     return {
         "source_risk_elbo": source,
         "target_risk_elbo": target,
         "kl_gap": gap,
         "empirical_discrepancy": disc,
-        "slack": discrepancy_slack(m_p, xm.shape[0], bound, delta),
+        "slack": discrepancy_slack(m_p, xm.shape[0], loss_bound, delta),
         "residual": target - (source + gap),
         "epsilon_lower_bound": 0.0,
         "epsilon_estimable": False,
@@ -418,75 +409,3 @@ def mixture_bound_report(summary: dict, per_term_risks: dict, kl_gaps: dict | No
         "epsilon_lower_bound": 0.0,
         "epsilon_estimable": False,
     }
-
-
-# ---------------------------------------------------------------------------
-# Ledger
-
-
-LEDGER_COLUMNS = [
-    "t",
-    "nll_per_task",
-    "avg_nll",
-    "source_risk",
-    "target_risk",
-    "empirical_discrepancy",
-    "slack",
-    "kl_gap",
-    "residual",
-    "accounting",
-]
-
-
-class DiagnosticsLedger:
-    """Append-only, time-indexed diagnostic records for one run."""
-
-    def __init__(self):
-        self.records: list[dict] = []
-
-    def append(self, t: int, **fields) -> dict:
-        if self.records and t < self.records[-1]["t"]:
-            raise InvalidLogError(
-                f"time index must be non-decreasing: {t} after {self.records[-1]['t']}"
-            )
-        record = {"t": t, **fields}
-        self.records.append(record)
-        return record
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(LEDGER_COLUMNS)
-            for rec in self.records:
-                nlls = rec.get("nll_per_task")
-                writer.writerow(
-                    [
-                        rec["t"],
-                        ";".join(repr(float(v)) for v in nlls) if nlls else "",
-                        _fmt(rec.get("avg_nll")),
-                        _fmt(rec.get("source_risk")),
-                        _fmt(rec.get("target_risk")),
-                        _fmt(rec.get("empirical_discrepancy")),
-                        _fmt(rec.get("slack")),
-                        _fmt(rec.get("kl_gap")),
-                        _fmt(rec.get("residual")),
-                        json.dumps(rec.get("accounting"), sort_keys=True)
-                        if rec.get("accounting") is not None
-                        else "",
-                    ]
-                )
-
-    def to_json(self) -> str:
-        return json.dumps({"records": self.records}, sort_keys=True, default=_jsonable)
-
-
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")

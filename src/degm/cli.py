@@ -65,6 +65,19 @@ METRICS_COLUMNS = [
     "wall_ms",
 ]
 
+LEDGER_COLUMNS = [
+    "t",
+    "nll_per_task",
+    "avg_nll",
+    "source_risk",
+    "target_risk",
+    "empirical_discrepancy",
+    "slack",
+    "kl_gap",
+    "residual",
+    "accounting",
+]
+
 SCHEMA_VERSION = 1
 
 # diagnose.csv's bound-term columns and the lelbo_breakdown keys they hold
@@ -520,20 +533,28 @@ def _load_mixed(path: str, dim: int) -> np.ndarray:
     return mixed
 
 
-def _fmt_cell(value) -> str:
-    if value is None or value == "":
+def _cell(value) -> str:
+    """How a run's CSV artifacts write a value: None as an empty cell, a float
+    (numpy's too) as its shortest round-trip repr, a list as its cells joined
+    by ";", a dict as key-sorted JSON, anything else as ``str``."""
+    if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, list):
+        return ";".join(_cell(v) for v in value)
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
     return str(value)
 
 
-def _write_metrics(path, rows) -> None:
+def _write_csv(path, columns, rows) -> None:
+    """A header of ``columns``, then one line of ``_cell``s per row dict; a missing key is empty."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(METRICS_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt_cell(row.get(col)) for col in METRICS_COLUMNS])
+            writer.writerow([_cell(row.get(col)) for col in columns])
 
 
 def cmd_train(cfg: dict) -> dict:
@@ -566,7 +587,7 @@ def cmd_train(cfg: dict) -> dict:
 
     # ledger: one record per task with every seen test NLL; with diagnostics
     # enabled the bound-term breakdown at each task boundary fills the rest
-    ledger = bounds_mod.DiagnosticsLedger()
+    ledger = []
     breakdowns = {}
     if recorder is not None:
         walk = _breakdowns(recorder.dir, recorder.entries, stream, cfg["diagnostics"]["pool_size"],
@@ -578,28 +599,30 @@ def cmd_train(cfg: dict) -> dict:
         )
         extra = breakdowns.get(record["task"], {})
         ledger.append(
-            t=record["task"],
-            nll_per_task=nlls,
-            avg_nll=float(np.mean(nlls)),
-            source_risk=extra.get("source_risk_elbo"),
-            target_risk=extra.get("target_risk_elbo"),
-            empirical_discrepancy=extra.get("empirical_discrepancy"),
-            slack=extra.get("slack"),
-            kl_gap=extra.get("kl_gap"),
-            residual=extra.get("residual"),
-            accounting={
-                "K": accounting["K"],
-                "C": accounting["C"],
-                "C_prime": accounting["C_prime"],
-                "accumulated_term_counts": {
-                    str(k): v for k, v in accounting["accumulated_term_counts"].items()
+            {
+                "t": record["task"],
+                "nll_per_task": nlls,
+                "avg_nll": float(np.mean(nlls)),
+                "source_risk": extra.get("source_risk_elbo"),
+                "target_risk": extra.get("target_risk_elbo"),
+                "empirical_discrepancy": extra.get("empirical_discrepancy"),
+                "slack": extra.get("slack"),
+                "kl_gap": extra.get("kl_gap"),
+                "residual": extra.get("residual"),
+                "accounting": {
+                    "K": accounting["K"],
+                    "C": accounting["C"],
+                    "C_prime": accounting["C_prime"],
+                    "accumulated_term_counts": {
+                        str(k): v for k, v in accounting["accumulated_term_counts"].items()
+                    },
                 },
-            },
+            }
         )
     ledger_path = os.path.join(out_dir, "ledger.csv")
-    ledger.to_csv(ledger_path)
+    _write_csv(ledger_path, LEDGER_COLUMNS, ledger)
     with open(os.path.join(out_dir, "ledger.json"), "w") as f:
-        f.write(ledger.to_json())
+        f.write(json.dumps({"records": ledger}, sort_keys=True))
 
     rows = []
     base = {"run_id": run_id, "seed": cfg["seed"], "method": cfg["method"], "wall_ms": 0}
@@ -634,7 +657,7 @@ def cmd_train(cfg: dict) -> dict:
                 }
             )
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    _write_metrics(metrics_path, rows)
+    _write_csv(metrics_path, METRICS_COLUMNS, rows)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -760,11 +783,9 @@ def cmd_diagnose(run_dir: str, pool_size: int | None = None, normalize_risks: bo
     rows = list(_breakdowns(snap_dir, entries, build_stream(cfg), pool_size, cfg["seed"],
                             "diag/elbo/g{global_epoch}", normalize_risks=normalize_risks))
     csv_path = os.path.join(run_dir, "diagnose.csv")
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", *_DIAGNOSE_TERMS])
-        for e, b in rows:
-            writer.writerow([e["global_epoch"], *(repr(b[k]) for k in _DIAGNOSE_TERMS.values())])
+    _write_csv(csv_path, ["epoch", *_DIAGNOSE_TERMS],
+               ({"epoch": e["global_epoch"], **{c: b[k] for c, k in _DIAGNOSE_TERMS.items()}}
+                for e, b in rows))
     summary = {
         "rows": len(rows),
         "final_breakdown": rows[-1][1] if rows else None,

@@ -469,6 +469,9 @@ def build_mlp(spec: MlpSpec) -> Mlp:
 # Adam
 
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Bias-corrected adaptive-moment state for a fixed parameter list."""
@@ -476,27 +479,17 @@ class OptimizerState:
     step_count: int
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
-    hyper: dict
+    learning_rate: float
 
 
-def init_adam(
-    params: list[Tensor],
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> OptimizerState:
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise InvalidSpecError(f"betas must lie in (0, 1), got {beta1}, {beta2}")
-    if epsilon <= 0.0:
-        raise InvalidSpecError(f"epsilon must be positive, got {epsilon}")
+def init_adam(params: list[Tensor], learning_rate: float = 1e-3) -> OptimizerState:
     if learning_rate <= 0.0:
         raise InvalidSpecError(f"learning rate must be positive, got {learning_rate}")
     return OptimizerState(
         step_count=0,
         first_moment=[np.zeros_like(p.data) for p in params],
         second_moment=[np.zeros_like(p.data) for p in params],
-        hyper={"learning_rate": learning_rate, "beta1": beta1, "beta2": beta2, "epsilon": epsilon},
+        learning_rate=learning_rate,
     )
 
 
@@ -509,22 +502,18 @@ def adam_step(params: list[Tensor], state: OptimizerState) -> None:
     for i, p in enumerate(params):
         if p.grad is None:
             raise ContractError(f"parameter {i} has no gradient; run backward first")
-    lr = state.hyper["learning_rate"]
-    b1 = state.hyper["beta1"]
-    b2 = state.hyper["beta2"]
-    eps = state.hyper["epsilon"]
     t = state.step_count + 1
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for i, p in enumerate(params):
         g = p.grad
         m = state.first_moment[i]
         v = state.second_moment[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
     state.step_count = t
 
 

@@ -1,4 +1,4 @@
-"""Diagnostics: risks, discrepancy, slack, KL gap, accounting ledger."""
+"""Diagnostics: risks, discrepancy, slack, KL gap, component-task accounting."""
 
 import math
 
@@ -9,7 +9,6 @@ from degm import rng
 from degm.bounds import (
     AssignmentLog,
     ComponentEntry,
-    DiagnosticsLedger,
     HypothesisSnapshot,
     IncompleteInputError,
     InvalidLogError,
@@ -17,7 +16,6 @@ from degm.bounds import (
     assignment_summary,
     discrepancy_slack,
     empirical_discrepancy,
-    kl_gap,
     lelbo_breakdown,
     mixture_bound_report,
     pooled_targets,
@@ -25,9 +23,9 @@ from degm.bounds import (
 )
 from degm.checkpoint import load_model, save_model
 from degm.data import synth_generate
-from degm.nn import InvalidSpecError
+from degm.nn import InvalidSpecError, no_grad
 from degm.replay import TrainConfig, train_task_gr
-from degm.vae import build_vae
+from degm.vae import build_vae, gaussian_kl
 from helpers import StackPool
 
 
@@ -255,22 +253,40 @@ def _trained_small_vae(seed=0, likelihood="bernoulli", epochs=4):
     return m, train
 
 
+def _kl_gap(model, target_sets, mixed_set):
+    pool = np.zeros((2, 2))  # the discrepancy's pool plays no part in the gap
+    return lelbo_breakdown(model, target_sets, mixed_set, pool, pool)["kl_gap"]
+
+
 class TestKlGap:
     def test_pooled_equal_sizes_zero_gap(self):
         m, train = _trained_small_vae(seed=3)
         sets = [train.images[:100], train.images[100:200], train.images[200:300]]
         pooled = np.concatenate(sets, axis=0)
-        assert kl_gap(m, sets, pooled) == pytest.approx(0.0, abs=1e-9)
+        assert _kl_gap(m, sets, pooled) == pytest.approx(0.0, abs=1e-9)
 
     def test_non_negative(self):
         m, train = _trained_small_vae(seed=4)
         other = synth_generate("rings", 80, width=6, height=6, seed=9).images
-        assert kl_gap(m, [train.images[:80]], other) >= 0.0
+        assert _kl_gap(m, [train.images[:80]], other) >= 0.0
 
     def test_empty_rejected(self):
         m, train = _trained_small_vae(seed=3)
-        with pytest.raises(InvalidSpecError):
-            kl_gap(m, [], train.images)
+        with pytest.raises(InvalidSpecError, match="at least one target set"):
+            _kl_gap(m, [], train.images)
+        with pytest.raises(InvalidSpecError, match="empty mixed set"):
+            _kl_gap(m, [train.images[:10]], train.images[:0])
+        with pytest.raises(InvalidSpecError, match="empty target set"):
+            _kl_gap(m, [train.images[:10], train.images[:0]], train.images)
+
+    def test_equals_two_encoder_passes_bitwise(self):
+        m, train = _trained_small_vae(seed=4)
+        targets = [train.images[:80], train.images[80:200]]
+        mixed = synth_generate("rings", 90, width=6, height=6, seed=9).images
+        with no_grad():
+            kl_targets = float(np.mean([float(gaussian_kl(*m.encode(t))) for t in targets]))
+            two_pass = abs(kl_targets - float(gaussian_kl(*m.encode(mixed))))
+        assert _kl_gap(m, targets, mixed) == two_pass
 
 
 class TestLelboBreakdown:
@@ -308,6 +324,20 @@ class TestLelboBreakdown:
         for key in ("source_risk_elbo", "target_risk_elbo", "kl_gap", "empirical_discrepancy", "slack"):
             assert np.isfinite(out[key])
         assert out["epsilon_lower_bound"] == 0.0 and not out["epsilon_estimable"]
+
+    def test_normalized_risks_bound_the_loss_by_one(self):
+        # the discrepancy is divided by d, so the slack's loss bound M is 1, not d
+        m, train = _trained_small_vae(seed=6)
+        targets = [train.images[:120], train.images[120:200]]
+        pool = StackPool()
+        pool.add(m, {})
+        pool.add(build_vae(36, 4, (16,), (16,), "bernoulli", seed=98), {})
+        losses = (pool.pair_losses(pooled_targets(targets)), pool.pair_losses(train.images))
+        plain = lelbo_breakdown(m, targets, train.images, *losses)
+        scaled = lelbo_breakdown(m, targets, train.images, *losses, normalize_risks=True)
+        assert plain["slack"] == discrepancy_slack(2 * 80, 400, 36.0)
+        assert scaled["slack"] == discrepancy_slack(2 * 80, 400, 1.0)
+        assert scaled["empirical_discrepancy"] == plain["empirical_discrepancy"] / 36
 
     def test_table_window_matches_stacked_pool_bitwise(self):
         m, train = _trained_small_vae(seed=6)
@@ -466,23 +496,3 @@ class TestMixtureBoundReport:
             summary, self._unit_inputs(summary), kl_gaps={1: 0.4, 99: 7.0}
         )
         assert report["D_diff"] == pytest.approx(0.4)
-
-
-class TestLedger:
-    def test_append_only_monotone(self):
-        ledger = DiagnosticsLedger()
-        ledger.append(t=1, avg_nll=10.0)
-        ledger.append(t=2, avg_nll=11.0)
-        with pytest.raises(InvalidLogError):
-            ledger.append(t=1, avg_nll=9.0)
-
-    def test_csv_roundtrip_stable(self, tmp_path):
-        ledger = DiagnosticsLedger()
-        ledger.append(t=1, nll_per_task=[10.0], avg_nll=10.0, kl_gap=0.1)
-        ledger.append(t=2, nll_per_task=[10.5, 12.0], avg_nll=11.25, kl_gap=0.2)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        ledger.to_csv(p1)
-        ledger.to_csv(p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        header = p1.read_text().splitlines()[0]
-        assert header.split(",")[0] == "t"

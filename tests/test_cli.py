@@ -23,6 +23,8 @@ from degm.checkpoint import load_model
 from degm.cli import (
     ConfigError,
     METRICS_COLUMNS,
+    _cell,
+    _write_csv,
     build_stream,
     cmd_diagnose,
     cmd_eval,
@@ -162,6 +164,50 @@ class TestCmdTrain:
         cmd_train(fast_cfg(tmp_path, stream=["bars", "blobs", "rings"]))
         lines = (tmp_path / "run" / "ledger.csv").read_text().splitlines()
         assert len(lines) == 1 + 3  # header + one record per task
+
+
+class TestCsvCells:
+    def test_each_kind_of_value_has_one_cell(self, tmp_path):
+        columns = ["float", "np_float", "int", "none", "empty", "list", "dict", "missing"]
+        row = {
+            "float": 0.1,
+            "np_float": np.float64(1 / 3),  # never "np.float64(...)"
+            "int": 7,
+            "none": None,
+            "empty": "",
+            "list": [10.5, np.float64(12.0)],
+            "dict": {"b": 1, "a": [2]},
+        }
+        path = tmp_path / "cells.csv"
+        _write_csv(path, columns, [row, {}])
+        assert path.read_text().splitlines() == [
+            ",".join(columns),
+            '0.1,0.3333333333333333,7,,,10.5;12.0,"{""a"": [2], ""b"": 1}",',
+            ",,,,,,,",
+        ]
+        assert [_cell(v) for v in (0.1, np.float64(1 / 3), 7, None, [], {})] == [
+            "0.1", "0.3333333333333333", "7", "", "", "{}"
+        ]
+
+    def test_ledger_header_and_rewrite_stable(self, tmp_path):
+        cmd_train(fast_cfg(tmp_path))
+        ledger = (tmp_path / "run" / "ledger.csv").read_bytes()
+        assert ledger.decode().splitlines()[0] == ",".join(cli.LEDGER_COLUMNS)
+        with open(tmp_path / "run" / "ledger.json") as f:
+            records = json.load(f)["records"]
+        _write_csv(tmp_path / "again.csv", cli.LEDGER_COLUMNS, records)
+        assert (tmp_path / "again.csv").read_bytes() == ledger
+
+
+def test_cli_import_loads_no_pool_or_scipy():
+    # the benchmark's set-up time is this import and one parse_config
+    code = (
+        "import sys, degm.cli\n"
+        "degm.cli.parse_config({'method': 'elbo_gr', 'stream': ['bars']})\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures', 'scipy'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSplitStream:
