@@ -33,6 +33,10 @@ class IncompleteInputError(ValueError):
         self.missing = sorted(missing)
         super().__init__(f"missing measured terms for keys: {self.missing}")
 
+    def __reduce__(self):
+        # the default would rebuild from the message, one character per key
+        return type(self), (self.missing,)
+
 
 class InvalidLogError(ValueError):
     """An assignment log violates the task-partition or retrain-count rules."""

@@ -685,14 +685,27 @@ def cmd_train(cfg: dict) -> dict:
 
 
 def cmd_train_multi(cfg: dict, seeds: list[int]) -> dict:
-    """Independent runs per seed plus a mean/standard-error aggregate."""
+    """Independent runs per seed plus a mean/standard-error aggregate.
+
+    Seeds run n at once, n = min(seeds, CPUs of the affinity mask): this process
+    runs ``seeds[0::n]`` and n - 1 forked workers the rest, read in seed order.
+    """
     base_dir = cfg["output_dir"] or f"runs/{cfg['method']}-multi"
-    reports = []
-    for seed in seeds:
-        sub = dict(copy.deepcopy(cfg))
-        sub["seed"] = seed
-        sub["output_dir"] = os.path.join(base_dir, f"seed_{seed}")
-        reports.append(cmd_train(sub))
+    subs = [{**copy.deepcopy(cfg), "seed": s, "output_dir": os.path.join(base_dir, f"seed_{s}")}
+            for s in seeds]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = min(len(seeds), cpus)
+    if n == 1:
+        reports = [cmd_train(sub) for sub in subs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"))
+        try:  # the workers fork at the first submit, while this process's heap is small
+            runs = [pool.submit(cmd_train, sub) if i % n else None for i, sub in enumerate(subs)]
+            reports = [run.result() if run else cmd_train(sub) for run, sub in zip(runs, subs)]
+        finally:
+            pool.shutdown(cancel_futures=True)
     finals = np.array([r["final_avg_nll"] for r in reports])
     per_task = np.array([r["nll_matrix"][-1] for r in reports])
     aggregate = {

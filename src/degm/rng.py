@@ -49,9 +49,12 @@ def content_keyed_normal(rows, cols: int, label: str) -> np.ndarray:
     n = rows.shape[0]
     out = np.empty((n, cols))
     prefix = label.encode("utf-8")
+    g = np.random.Generator(np.random.Philox(key=0))
+    # a fresh Philox(key=...): counter zero, empty buffer, no cached uint32
+    fresh = g.bit_generator.state
     for i in range(n):
         digest = hashlib.sha256(prefix + rows[i].tobytes()).digest()
-        key = np.frombuffer(digest[:16], dtype=np.uint64)
-        g = np.random.Generator(np.random.Philox(key=key))
-        out[i] = g.standard_normal(cols)
+        fresh["state"]["key"] = np.frombuffer(digest[:16], dtype=np.uint64)
+        g.bit_generator.state = fresh
+        g.standard_normal(cols, out=out[i])
     return out

@@ -5,7 +5,9 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import pickle
 import shutil
 import struct
 import subprocess
@@ -18,8 +20,14 @@ import numpy as np
 import pytest
 
 from degm import bounds, cli, rng
+from degm import checkpoint as checkpoint_mod
+from degm import data as data_mod
+from degm import nn as nn_mod
+from degm import replay as replay_mod
+from degm import vae as vae_mod
 from degm import graph as cli_graph
 from degm.checkpoint import load_model
+from degm.replay import NonFiniteError
 from degm.cli import (
     ConfigError,
     METRICS_COLUMNS,
@@ -208,6 +216,110 @@ def test_cli_import_loads_no_pool_or_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _exception_classes():
+    for module in (data_mod, nn_mod, bounds, checkpoint_mod, cli, replay_mod, vae_mod):
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == module.__name__:
+                yield obj
+
+
+@pytest.mark.parametrize("cls", list(_exception_classes()), ids=lambda c: c.__name__)
+def test_exception_survives_pickle(cls):
+    # a seed's error comes back from its worker process through pickle
+    err = cls(["slack", "kl_gap"]) if cls is bounds.IncompleteInputError else cls("boom")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls
+    assert str(back) == str(err) and back.args == err.args and vars(back) == vars(err)
+
+
+def test_exception_classes_found():
+    names = {c.__name__ for c in _exception_classes()}
+    assert {"IncompleteInputError", "NonFiniteError", "ConfigError", "IdxMagicError"} <= names
+
+
+MULTI_FILES = ["aggregate.json"] + [
+    f"seed_{s}/{f}" for s in (1, 2, 3) for f in ("metrics.csv", "ledger.csv", "ledger.json")
+]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _fail_seeds(monkeypatch, seeds):
+    """Each run whose seed is in ``seeds`` raises NonFiniteError naming it at its first NLL."""
+    real_stream, real_nll = cli.build_stream, cli.vae_mod.nll_estimate
+    current = {}
+
+    def stream_of(cfg):
+        current["seed"] = cfg["seed"]
+        return real_stream(cfg)
+
+    def nll_estimate(*args, **kwargs):
+        if current["seed"] in seeds:
+            raise NonFiniteError(f"NLL nan in seed {current['seed']}")
+        return real_nll(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_stream", stream_of)
+    monkeypatch.setattr(cli.vae_mod, "nll_estimate", nll_estimate)
+
+
+class TestSeedPool:
+    """``--seeds`` runs one seed per CPU at once and writes what a serial run writes."""
+
+    @pytest.mark.parametrize(
+        "method, extra, checkpoint",
+        [("elbo_gr", {}, "model.bin"), ("degm_elbo", {"tau": 35.0}, "graph.bin")],
+    )
+    def test_one_and_two_cpus_write_the_same_bytes(self, tmp_path, monkeypatch, method, extra, checkpoint):
+        real_stream = cli.build_stream
+
+        def stream_of(cfg):  # record which process trains each seed
+            with open(tmp_path / "pids", "a") as f:
+                f.write(f"{cfg['seed']} {os.getpid()}\n")
+            return real_stream(cfg)
+
+        monkeypatch.setattr(cli, "build_stream", stream_of)
+        written, pids = {}, {}
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            (tmp_path / str(n)).mkdir()
+            monkeypatch.chdir(tmp_path / str(n))
+            cfg = parse_config({**FAST, "method": method, "epochs": 1, **extra, "output_dir": "multi"})
+            aggregate = cli.cmd_train_multi(cfg, [1, 2, 3])
+            assert aggregate["seeds"] == [1, 2, 3]
+            files = MULTI_FILES + [f"seed_{s}/{checkpoint}" for s in (1, 2, 3)]
+            written[n] = {f: (Path("multi") / f).read_bytes() for f in files}
+            assert multiprocessing.active_children() == []
+            pids[n] = dict(map(int, line.split()) for line in (tmp_path / "pids").read_text().splitlines())
+            (tmp_path / "pids").unlink()
+        assert written[1] == written[2]
+        assert pids[1] == {1: os.getpid(), 2: os.getpid(), 3: os.getpid()}
+        assert pids[2][1] == pids[2][3] == os.getpid() != pids[2][2]
+
+    def test_worker_error_exits_4_like_serial(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**FAST, "epochs": 1}))
+        _fail_seeds(monkeypatch, {2})
+        lines = {}
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            out = str(tmp_path / f"multi{n}")
+            assert main(["train", "--config", str(path), "--seeds", "1,2,3", "--output-dir", out]) == 4
+            lines[n] = capsys.readouterr().err
+            assert not (tmp_path / f"multi{n}" / "aggregate.json").exists()
+            assert multiprocessing.active_children() == []
+        assert lines[2] == lines[1] == "runtime error: NonFiniteError: NLL nan in seed 2\n"
+
+    @pytest.mark.parametrize("failing, reported", [({1, 2}, 1), ({2, 3}, 2)])
+    def test_first_failing_seed_is_reported(self, tmp_path, monkeypatch, failing, reported):
+        _cpus(monkeypatch, 2)
+        _fail_seeds(monkeypatch, failing)
+        with pytest.raises(NonFiniteError, match=f"^NLL nan in seed {reported}$"):
+            cli.cmd_train_multi(fast_cfg(tmp_path, epochs=1), [1, 2, 3])
+        assert multiprocessing.active_children() == []
 
 
 class TestSplitStream:
