@@ -112,20 +112,17 @@ class _Reader:
         return names[code]
 
 
-def _open(path):
-    try:
-        return open(path, "rb")
-    except OSError as err:
-        raise CheckpointError(f"{path}: {err.strerror}") from err
-
-
 def _load(path, magic: bytes, parse):
     """Check magic and version, parse the body with ``parse(reader)`` and
     require the buffer to end where the body does. Every fault, including an
-    invalid spec the fields describe, comes back as CheckpointError."""
-    with _open(path) as f:
-        buf = bytearray(os.fstat(f.fileno()).st_size)
-        del buf[f.readinto(buf) :]
+    unreadable file and an invalid spec the fields describe, comes back as
+    CheckpointError."""
+    try:
+        with open(path, "rb") as f:
+            buf = bytearray(os.fstat(f.fileno()).st_size)
+            del buf[f.readinto(buf) :]
+    except OSError as err:
+        raise CheckpointError(f"{path}: {err.strerror}") from err
     r = _Reader(buf, str(path))
     found = r._unpack("4s")
     if found != magic:
@@ -298,13 +295,3 @@ def load_model(path, requires_grad: bool = False) -> VaeModel:
 
     return _load(path, MODEL_MAGIC, parse)
 
-
-def sniff_kind(path) -> str:
-    """Return 'graph' or 'model' by magic; raise CheckpointError otherwise."""
-    with _open(path) as f:
-        magic = f.read(4)
-    if magic == GRAPH_MAGIC:
-        return "graph"
-    if magic == MODEL_MAGIC:
-        return "model"
-    raise CheckpointError(f"{path}: bad magic {magic!r}")

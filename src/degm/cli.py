@@ -183,7 +183,7 @@ def _merge(cfg: dict, updates: dict, context: str) -> None:
 def _validate(cfg: dict) -> None:
     if cfg["method"] is None:
         raise ConfigError("missing required field 'method'")
-    if cfg["method"] not in METHODS:
+    if not isinstance(cfg["method"], str) or cfg["method"] not in METHODS:
         raise ConfigError(f"method must be one of {tuple(METHODS)}, got {cfg['method']!r}")
     if cfg["stream"] is None:
         raise ConfigError("missing required field 'stream'")
@@ -202,6 +202,10 @@ def _validate(cfg: dict) -> None:
             raise ConfigError("split stream 'groups' must be a non-empty list of label lists")
     elif not isinstance(stream, (list, tuple)) or len(stream) < 1:
         raise ConfigError("'stream' must be a list of task specs or a split-stream object")
+    for spec in [stream] if isinstance(stream, dict) else stream:
+        for key in ("train_images", "train_labels", "test_images", "test_labels", "idx_images", "idx_labels"):
+            if isinstance(spec, dict) and key in spec and not isinstance(spec[key], str):
+                raise ConfigError(f"IDX path {key!r} must be a path string, got {spec[key]!r}")
     for name in _POSITIVE_INT_FIELDS:
         _require_int(cfg[name], name, 1)
     if _require_finite(cfg["learning_rate"], "learning_rate") <= 0:
@@ -342,6 +346,8 @@ class _Family(NamedTuple):
     save: object  # (path, model): writes that checkpoint
     partition: object  # t -> the ledger's task partition after task t
     selection: object  # task_records -> each evaluation's node-selection accuracy, or None
+    load: object  # path -> the model that checkpoint holds; another family's is a CheckpointError
+    evaluate: object  # the family's ``evaluate_seen``: (model, tasks, n_tasks, seed, k_prime) -> evals
 
 
 _REPLAY = _Family(
@@ -353,6 +359,8 @@ _REPLAY = _Family(
     save=lambda path, model: ckpt_mod.save_model(path, model),
     partition=lambda t: [set(range(1, t + 1))],
     selection=lambda task_records: None,
+    load=lambda path: ckpt_mod.load_model(path),
+    evaluate=lambda *args: replay_mod.evaluate_seen(*args),
 )
 _GRAPH = _Family(
     check=_check_graph,
@@ -363,6 +371,8 @@ _GRAPH = _Family(
     save=lambda path, graph: ckpt_mod.save_graph(path, graph),
     partition=lambda t: [{i} for i in range(1, t + 1)],
     selection=lambda task_records: [[e["selection_accuracy"] for e in r["evals"]] for r in task_records],
+    load=lambda path: ckpt_mod.load_graph(path),
+    evaluate=lambda *args: graph_mod.evaluate_seen(*args),
 )
 
 
@@ -729,24 +739,21 @@ def cmd_train_multi(cfg: dict, seeds: list[int]) -> dict:
 def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dict:
     """Score a checkpoint on the configured stream; per-task NLL and selection.
 
-    It runs the training method's own task-end evaluation as after the last
+    The configured method's family reads the checkpoint (another family's
+    is a data error) and runs its own task-end evaluation as after the last
     task, so at the run's seed, stream and K' it reproduces the run's last
     NLL row exactly.
     """
     k_prime = k_prime or cfg["eval_k_prime"]
     stream = build_stream(cfg)
-    if ckpt_mod.sniff_kind(checkpoint_path) == "graph":
-        model = ckpt_mod.load_graph(checkpoint_path)
-        dim, evaluate_seen = model.arch.data_dim, graph_mod.evaluate_seen
-    else:
-        model = ckpt_mod.load_model(checkpoint_path)
-        dim, evaluate_seen = model.data_dim, replay_mod.evaluate_seen
-    if dim != stream.dim:
-        raise DataFormatError(f"checkpoint dim {dim} != stream dim {stream.dim}")
+    family = METHODS[cfg["method"]].family
+    model = family.load(checkpoint_path)
+    if model.data_dim != stream.dim:
+        raise DataFormatError(f"checkpoint dim {model.data_dim} != stream dim {stream.dim}")
     fields = ("nll", "nll_se", "selection_accuracy")
     results = [
         {"task": e["eval_task"], **{k: e[k] for k in fields if k in e}}
-        for e in evaluate_seen(model, stream.tasks, len(stream), cfg["seed"], k_prime)
+        for e in family.evaluate(model, stream.tasks, len(stream), cfg["seed"], k_prime)
     ]
     accs = [r["selection_accuracy"] for r in results if "selection_accuracy" in r]
     return {

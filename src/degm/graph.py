@@ -167,6 +167,10 @@ class GraphState:
     expansion_log: list[dict] = field(default_factory=list)
 
     @property
+    def data_dim(self) -> int:
+        return self.arch.data_dim
+
+    @property
     def basic_nodes(self) -> list[BasicNode]:
         return [node for node in self.nodes if isinstance(node, BasicNode)]
 
@@ -329,9 +333,7 @@ def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label
         nonlocal best
         # same content-keyed noise as novelty probes, so the recorded best
         # bound and later probe bounds are directly comparable
-        mean_bound = vae_mod.elbo(node, images, noise=score_noise).total
-        best = max(best, mean_bound)
-        record["train_elbo"] = mean_bound
+        best = max(best, vae_mod.elbo(node, images, noise=score_noise).total)
 
     history = run_training(
         node.parameters(), _bound_objective(node, config), images, config, label, epoch_hook
@@ -390,7 +392,7 @@ def train_degm_sequence(
             history = run_training(node.parameters(), _bound_objective(node, config), images, config, label)
         node.freeze()
         graph.expansion_log.append({"task_id": t, "decision": decision, "ks": ks.tolist(), "tau": tau})
-        train_metrics.append({"task": t, "decision": decision, "epochs": history})
+        train_metrics.append({"task": t, "epochs": history})
         evals = evaluate_seen(graph, stream.tasks[:t], len(stream), config.seed, eval_k_prime, memo)
         task_records.append({"task": t, "evals": evals})
     return graph, task_records, train_metrics

@@ -325,7 +325,7 @@ class MlpSpec:
     seed: int
 
     def __post_init__(self):
-        if not all(isinstance(w, (int, np.integer)) for w in self.layer_widths):
+        if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in self.layer_widths):
             raise InvalidSpecError(f"layer widths must be integers, got {self.layer_widths!r}")
         widths = tuple(int(w) for w in self.layer_widths)
         acts = tuple(str(a) for a in self.activations)

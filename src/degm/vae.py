@@ -350,15 +350,15 @@ def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Importance-weighted evaluation (the bound's log weights under no_grad, chunked)
+# Importance-weighted evaluation (the bound's log weights under no_grad, in batches)
 
 
-def _part_count(most: int, kc: int, nc: int) -> int:
-    """Slabs, at most ``most``, to split a (kc, nc, latent) noise block into
-    along K'. Each keeps at least two decoder rows when the block has two:
-    numpy multiplies a one-row matrix with BLAS gemv, whose sums round
-    differently from the gemm a larger block takes."""
-    return max(1, min(most, kc if nc > 1 else kc // 2))
+def _part_count(k: int, nc: int) -> int:
+    """Slabs of about ``SLAB_ROWS`` decoder rows to split a (k, nc, latent)
+    noise block into along K'. Each keeps at least two decoder rows when the
+    block has two: numpy multiplies a one-row matrix with BLAS gemv, whose
+    sums round differently from the gemm a larger block takes."""
+    return max(1, min(-(-k * nc // SLAB_ROWS), k if nc > 1 else k // 2))
 
 
 # Decoder rows per slab: ~0.6 MB temporaries at 144 pixels, which stay in
@@ -366,6 +366,11 @@ def _part_count(most: int, kc: int, nc: int) -> int:
 # and ~9.5k minor faults unslabbed, 84-118 ms and ~1.1k at 512 rows (median
 # of 25); 256 was no faster, 1024 passed glibc's trim threshold (~22k faults).
 SLAB_ROWS = 512
+
+# Examples per IW evaluation batch. Each batch draws its own (K', batch,
+# latent) noise block, so this decides which noise every example gets:
+# changing it moves every reported NLL, and it is no tuning knob.
+IW_BATCH = 64
 
 
 def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> Tensor:
@@ -382,35 +387,17 @@ def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> Tensor:
     return recon + log_p - log_q
 
 
-def _log_w_slabs(model, x, mu: Tensor, logvar: Tensor, gamma) -> np.ndarray:
-    """``_log_w_rows`` of a noise block in even K' slabs of about ``SLAB_ROWS``
-    decoder rows; every row keeps the bits of the block taken in one piece."""
-    k, nc = gamma.shape[:2]
-    log_w = np.empty((k, nc))
-    for rows in np.array_split(np.arange(k), _part_count(-(-k * nc // SLAB_ROWS), k, nc)):
-        log_w[rows] = _log_w_rows(model, x, mu, logvar, gamma[rows]).data
-    return log_w
-
-
-def iw_logpx_np(
-    model,
-    x: np.ndarray,
-    k_prime: int,
-    rng=None,
-    noise=None,
-    batch_chunk: int = 64,
-    k_chunk: int = 250,
-) -> np.ndarray:
+def iw_logpx_np(model, x: np.ndarray, k_prime: int, rng=None, noise=None) -> np.ndarray:
     """Per-example importance-weighted log-likelihood estimates, shape (n,).
 
-    Chunked over the batch and the K' samples; each K' chunk is decoded in
-    slabs of about ``SLAB_ROWS`` rows, so the call holds one slab's
-    temporaries, and every row keeps the bits of one piece. The generator's
-    draws for every chunk go into one buffer per call (the values a fresh
-    array per chunk would get); an explicit ``noise`` array of shape
-    (k_prime, n, latent) overrides the generator. Each batch chunk's log
-    weights are reduced by the log-mean-exp of ``iwelbo``, so under the same
-    noise the mean of these estimates is that bound.
+    Taken in batches of ``IW_BATCH`` examples. Each batch's K' x batch noise
+    block is drawn into one buffer per call (the values a fresh array per
+    batch would get) and decoded in K' slabs of about ``SLAB_ROWS`` rows, so
+    the call holds one slab's temporaries; no slab is a one-row matrix,
+    which BLAS would multiply with gemv. An explicit ``noise`` array of
+    shape (k_prime, n, latent) overrides the generator. Each batch's log
+    weights are reduced by the log-mean-exp of ``iwelbo``, so under the
+    same noise the mean of these estimates is that bound.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
@@ -426,25 +413,24 @@ def iw_logpx_np(
     # Freed on return, this buffer (1.6 MB at K'=200) lifts glibc's dynamic mmap threshold, so the
     # slabs' temporaries reuse heap pages; drawing each slab's noise on its own (same bits) left them
     # on fresh mmaps: ~20x the page faults and about 1.6x the time per call (ROADMAP, "Looked at").
-    drawn = np.empty(0 if noise is not None else min(k_chunk, k_prime) * min(batch_chunk, len(x)) * latent)
+    drawn = np.empty(0 if noise is not None else k_prime * min(IW_BATCH, len(x)) * latent)
     with no_grad():
-        for start in range(0, x.shape[0], batch_chunk):
-            xc = x[start : start + batch_chunk]
+        for start in range(0, x.shape[0], IW_BATCH):
+            xc = x[start : start + IW_BATCH]
             nc = xc.shape[0]
             mu, logvar = model.encode(xc)
+            if noise is not None:
+                gamma = noise[:, start : start + nc]
+            else:
+                gamma = rng.standard_normal(out=drawn[: k_prime * nc * latent].reshape(k_prime, nc, latent))
             log_w = np.empty((k_prime, nc))
-            for done in range(0, k_prime, k_chunk):
-                kc = min(k_chunk, k_prime - done)
-                if noise is not None:
-                    gamma = noise[done : done + kc, start : start + nc, :]
-                else:
-                    gamma = rng.standard_normal(out=drawn[: kc * nc * latent].reshape(kc, nc, latent))
-                log_w[done : done + kc] = _log_w_slabs(model, xc, mu, logvar, gamma)
+            for rows in np.array_split(np.arange(k_prime), _part_count(k_prime, nc)):
+                log_w[rows] = _log_w_rows(model, xc, mu, logvar, gamma[rows]).data
             out[start : start + nc] = _log_mean_exp(Tensor(log_w)).data
     return out
 
 
-def nll_estimate(model, data, k_prime: int = 5000, rng=None) -> tuple[float, float]:
+def nll_estimate(model, data, k_prime: int, rng=None) -> tuple[float, float]:
     """Mean negative importance-weighted log-likelihood over a dataset (nats)
     and its standard error."""
     x = getattr(data, "images", data)

@@ -1,5 +1,17 @@
 """Collects acceptance-criterion result lines and prints them as a summary
-block at the end of every pytest run, independent of output capture."""
+block at the end of every pytest run, independent of output capture.
+
+It also runs BLAS on one thread unless the environment says otherwise, set
+here, before any test module loads numpy. The acceptance fixtures and the
+``--seeds`` tests run seeds in forked processes, one per CPU; with
+OpenBLAS's default of one thread per core each process's second thread
+spins against the others, and the two 5-seed fixtures took about three
+times as long as one process running the seeds in turn."""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 ACCEPTANCE_LINES: list[str] = []
 

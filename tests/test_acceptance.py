@@ -6,8 +6,11 @@ fixtures; everything runs at its stated scale and tolerance. Run with
 """
 
 import math
+import multiprocessing
+import os
 import struct
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ from scipy import stats
 
 from degm import rng
 from degm.bounds import AssignmentLog, assignment_summary
-from degm.cli import cmd_diagnose, cmd_train, parse_config
+from degm.cli import cmd_diagnose, cmd_train, cmd_train_multi, parse_config
 from degm.data import make_cross_domain_stream
 from degm.graph import ArchSpec, train_degm_sequence
 from degm.nn import MlpSpec, Tensor, build_mlp
@@ -59,31 +62,37 @@ def desk_stream(seed: int):
     )
 
 
+def seed_method_runs(seed: int):
+    """One seed's ELBO-GR, DEGM-ELBO (tau=35) and DEGM-2 task records."""
+    stream = desk_stream(seed)
+    cfg = TrainConfig(epochs=10, batch_size=64, seed=seed)
+    _, rec_gr, _ = run_gr_sequence(
+        stream, lambda s: build_vae(seed=s), cfg, eval_k_prime=200
+    )
+    _, rec_d, _ = train_degm_sequence(
+        stream, ArchSpec(), cfg, tau=35.0, eval_k_prime=200
+    )
+    _, rec_d2, _ = train_degm_sequence(
+        stream, ArchSpec(), cfg, tau=-math.inf, eval_k_prime=200
+    )
+    return rec_gr, rec_d, rec_d2
+
+
 @pytest.fixture(scope="session")
 def method_runs():
-    """ELBO-GR, DEGM-ELBO (tau=35), DEGM-2 over 5 seeds; NLL at K'=200."""
-    runs = {"gr": [], "degm": [], "degm2": []}
-    for seed in SEEDS:
-        stream = desk_stream(seed)
-        cfg = TrainConfig(epochs=10, batch_size=64, seed=seed)
-        _, rec_gr, _ = run_gr_sequence(
-            stream, lambda s: build_vae(seed=s), cfg, eval_k_prime=200
-        )
-        runs["gr"].append(rec_gr)
-        _, rec_d, _ = train_degm_sequence(
-            stream, ArchSpec(), cfg, tau=35.0, eval_k_prime=200
-        )
-        runs["degm"].append(rec_d)
-        _, rec_d2, _ = train_degm_sequence(
-            stream, ArchSpec(), cfg, tau=-math.inf, eval_k_prime=200
-        )
-        runs["degm2"].append(rec_d2)
-    return runs
+    """ELBO-GR, DEGM-ELBO (tau=35), DEGM-2 over 5 seeds; NLL at K'=200.
+    The seeds run in forked workers, one per CPU the process may use."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(len(SEEDS), cpus), mp_context=fork) as pool:
+        per_seed = list(pool.map(seed_method_runs, SEEDS))
+    return {name: [runs[i] for runs in per_seed] for i, name in enumerate(("gr", "degm", "degm2"))}
 
 
 @pytest.fixture(scope="session")
 def diagnose_runs(tmp_path_factory):
-    """5-seed forgetting-trace protocol; returns per-seed diagnose rows."""
+    """5-seed forgetting-trace protocol, trained on ``cmd_train_multi``'s seed
+    pool; returns per-seed diagnose rows."""
     base = {
         "method": "elbo_gr",
         "stream": ["bars", "blobs", "rings"],
@@ -98,11 +107,10 @@ def diagnose_runs(tmp_path_factory):
     }
     root = tmp_path_factory.mktemp("forgetting")
     t0 = time.monotonic()
+    cmd_train_multi(parse_config({**base, "output_dir": str(root)}), list(SEEDS))
     per_seed = []
     for seed in SEEDS:
-        out = str(root / f"seed{seed}")
-        cfg = parse_config({**base, "seed": seed, "output_dir": out})
-        cmd_train(cfg)
+        out = str(root / f"seed_{seed}")
         cmd_diagnose(out)
         rows = Path(out, "diagnose.csv").read_text().splitlines()[1:]
         per_seed.append([tuple(map(float, r.split(","))) for r in rows])

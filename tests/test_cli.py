@@ -1089,13 +1089,28 @@ class TestMainExitCodes:
         assert code == 2
         assert "tau" in capsys.readouterr().err
 
-    def test_data_error_is_3(self, tmp_path, capsys):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"XXXX" + bytes(16))
-        code = main(
-            ["eval", "--checkpoint", str(bad), "--method", "elbo_gr", "--stream", "bars,blobs"]
-        )
-        assert code == 3
+    @pytest.mark.parametrize(
+        "method, checkpoint, message",
+        [
+            ("elbo_gr", "bad", "bad magic b'XXXX'"),
+            # a checkpoint of the other family than the method's
+            ("elbo_gr", "graph", "bad magic b'DEGM', expected b'SVAE'"),
+            ("degm_elbo", "model", "bad magic b'SVAE', expected b'DEGM'"),
+        ],
+    )
+    def test_data_error_is_3(self, tmp_path, capsys, method, checkpoint, message):
+        path = tmp_path / f"{checkpoint}.bin"
+        if checkpoint == "model":
+            checkpoint_mod.save_model(path, vae_mod.build_vae())
+        elif checkpoint == "graph":
+            graph = cli_graph.GraphState(arch=cli_graph.ArchSpec())
+            cli_graph.build_basic_node(graph, 1, seed=1)
+            checkpoint_mod.save_graph(path, graph)
+        else:
+            path.write_bytes(b"XXXX" + bytes(16))
+        argv = ["eval", "--checkpoint", str(path), "--method", method, "--tau", "35", "--stream", "bars,blobs"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {path}: {message}")
 
     def test_success_is_0(self, tmp_path):
         code = main(
@@ -1182,7 +1197,7 @@ class TestMalformedModelConfig:
             (method, {key: value})
             for method in ("elbo_gr", "degm_elbo")
             for key in ("trunk_widths", "decoder_widths")
-            for value in ([], [0], "x", [-3], [1.5])
+            for value in ([], [0], "x", [-3], [1.5], [True])
             if (method, key, value) != ("elbo_gr", "decoder_widths", [])  # a linear decoder
         ]
         + [(method, {"hidden_activation": "foo"}) for method in ("elbo_gr", "degm_elbo")]
@@ -1192,6 +1207,14 @@ class TestMalformedModelConfig:
             ("elbo_gr", {"warm_start": "no"}),
             ("elbo_gr", {"normalize_recon": "no"}),
             ("elbo_gr", {"diagnostics": {"enabled": "no"}}),
+            ("elbo_gr", {"method": ["elbo_gr"]}),
+            ("elbo_gr", {"method": {"elbo_gr": 1}}),
+            # an integer would be opened as a file descriptor
+            ("elbo_gr", {"stream": [{"idx_images": 0}, "bars"]}),
+            ("elbo_gr", {"stream": [{"idx_images": "a.idx", "idx_labels": 0}, "bars"]}),
+            ("elbo_gr", {"stream": {"kind": "split", "train_images": 0, "test_images": "t", "groups": [[0]]}}),
+            ("elbo_gr", {"stream": {"kind": "split", "train_images": "t", "test_images": "t",
+                                    "test_labels": 1, "groups": [[0]]}}),
         ],
         ids=str,
     )
