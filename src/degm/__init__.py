@@ -6,4 +6,11 @@ graph), ``bounds`` (forgetting diagnostics), ``data`` (task streams),
 ``checkpoint`` (binary containers), ``cli`` (run orchestration).
 """
 
+import os
+
+# BLAS on one thread unless the environment says otherwise, before numpy loads:
+# ``--seeds`` runs a seed per CPU, and spare BLAS threads spin against the others.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"

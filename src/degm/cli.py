@@ -41,6 +41,7 @@ from .data import (
     DataFormatError,
     TaskStream,
     binarize,
+    check_task_specs,
     load_idx,
     make_cross_domain_stream,
     make_split_stream,
@@ -200,8 +201,13 @@ def _validate(cfg: dict) -> None:
                 raise ConfigError(f"split stream is missing {key!r}")
         if not isinstance(stream["groups"], (list, tuple)) or not stream["groups"]:
             raise ConfigError("split stream 'groups' must be a non-empty list of label lists")
-    elif not isinstance(stream, (list, tuple)) or len(stream) < 1:
+    elif not isinstance(stream, (list, tuple)):
         raise ConfigError("'stream' must be a list of task specs or a split-stream object")
+    else:
+        try:
+            check_task_specs(stream)
+        except DataFormatError as err:
+            raise ConfigError(str(err))
     for spec in [stream] if isinstance(stream, dict) else stream:
         for key in ("train_images", "train_labels", "test_images", "test_labels", "idx_images", "idx_labels"):
             if isinstance(spec, dict) and key in spec and not isinstance(spec[key], str):
@@ -341,32 +347,30 @@ class _Family(NamedTuple):
     globals when called, so a wrapper bound over one after import (a tracer's) runs."""
 
     check: object  # cfg: the model's own geometry checks; no weights are built
-    train: object  # (stream, cfg, TrainConfig, tau, recorder) -> (model, task_records, train_metrics)
+    train: object  # (stream, cfg, TrainConfig, tau, recorder) -> (task-end states, train_metrics)
     checkpoint: str  # the final checkpoint's file name
     save: object  # (path, model): writes that checkpoint
     partition: object  # t -> the ledger's task partition after task t
     selection: object  # task_records -> each evaluation's node-selection accuracy, or None
     load: object  # path -> the model that checkpoint holds; another family's is a CheckpointError
-    evaluate: object  # the family's ``evaluate_seen``: (model, tasks, n_tasks, seed, k_prime) -> evals
+    evaluate: object  # (state, stream, t, seed, k_prime, memo) -> state's evals on tasks 1..t
 
 
 _REPLAY = _Family(
     check=lambda cfg: vae_mod.vae_specs(*_vae_geometry(cfg)),
     train=lambda stream, cfg, train_cfg, tau, recorder: run_gr_sequence(
-        stream, lambda seed: _vae(cfg, seed), train_cfg, cfg["eval_k_prime"], recorder and recorder.hook
+        stream, lambda seed: _vae(cfg, seed), train_cfg, recorder and recorder.hook
     ),
     checkpoint="model.bin",
     save=lambda path, model: ckpt_mod.save_model(path, model),
     partition=lambda t: [set(range(1, t + 1))],
     selection=lambda task_records: None,
     load=lambda path: ckpt_mod.load_model(path),
-    evaluate=lambda *args: replay_mod.evaluate_seen(*args),
+    evaluate=lambda model, stream, t, seed, k, memo: replay_mod.evaluate_seen(model, stream, t, seed, k),
 )
 _GRAPH = _Family(
     check=_check_graph,
-    train=lambda stream, cfg, train_cfg, tau, recorder: train_degm_sequence(
-        stream, _arch(cfg), train_cfg, tau, cfg["eval_k_prime"]
-    ),
+    train=lambda stream, cfg, train_cfg, tau, recorder: train_degm_sequence(stream, _arch(cfg), train_cfg, tau),
     checkpoint="graph.bin",
     save=lambda path, graph: ckpt_mod.save_graph(path, graph),
     partition=lambda t: [{i} for i in range(1, t + 1)],
@@ -567,6 +571,21 @@ def _write_csv(path, columns, rows) -> None:
             writer.writerow([_cell(row.get(col)) for col in columns])
 
 
+def evaluate_task_ends(family: _Family, states, stream: TaskStream, seed: int, k_prime: int) -> list[dict]:
+    """The task-end evaluation matrix: for each task t, ``{"task": t, "evals": ...}``
+    with ``family.evaluate`` of ``states[t - 1]`` on tasks 1..t, one memo
+    across every t. A non-finite NLL raises ``NonFiniteError``."""
+    memo: dict = {}
+    task_records = []
+    for t, state in enumerate(states, 1):
+        evals = family.evaluate(state, stream, t, seed, k_prime, memo)
+        for e in evals:
+            if not math.isfinite(e["nll"]):
+                raise NonFiniteError(f"NLL {e['nll']} on test task {e['eval_task']} after task {t}")
+        task_records.append({"task": t, "evals": evals})
+    return task_records
+
+
 def cmd_train(cfg: dict) -> dict:
     """Train one run and write report.json, metrics.csv, ledger.csv, checkpoint."""
     t_start = time.monotonic()
@@ -579,12 +598,8 @@ def cmd_train(cfg: dict) -> dict:
     tau = cfg["tau"] if tau is None else tau
     recorder = _SnapshotRecorder(out_dir, cfg) if cfg["diagnostics"]["enabled"] else None
     try:
-        model, task_records, train_metrics = family.train(stream, cfg, train_cfg, tau, recorder)
-        nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
-        for record, nlls in zip(task_records, nll_matrix):
-            for j, nll in enumerate(nlls, 1):
-                if not math.isfinite(nll):
-                    raise NonFiniteError(f"NLL {nll} on test task {j} after task {record['task']}")
+        states, train_metrics = family.train(stream, cfg, train_cfg, tau, recorder)
+        task_records = evaluate_task_ends(family, states, stream, cfg["seed"], cfg["eval_k_prime"])
     except NonFiniteError:
         # a diverged run leaves no checkpoint and no snapshots behind
         if recorder is not None:
@@ -592,8 +607,10 @@ def cmd_train(cfg: dict) -> dict:
         raise
     if recorder is not None:
         recorder.finish()
+    model = states[-1]
     checkpoint_path = os.path.join(out_dir, family.checkpoint)
     family.save(checkpoint_path, model)
+    nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
 
     # ledger: one record per task with every seen test NLL; with diagnostics
     # enabled the bound-term breakdown at each task boundary fills the rest
@@ -634,38 +651,20 @@ def cmd_train(cfg: dict) -> dict:
     with open(os.path.join(out_dir, "ledger.json"), "w") as f:
         f.write(json.dumps({"records": ledger}, sort_keys=True))
 
-    rows = []
+    # one row per training epoch, then one per evaluation (its eval_task, nll and
+    # bound terms); a column a row lacks is an empty cell
     base = {"run_id": run_id, "seed": cfg["seed"], "method": cfg["method"], "wall_ms": 0}
-    for tm in train_metrics:
-        for rec in tm["epochs"]:
-            rows.append(
-                {
-                    **base,
-                    "task_index": tm["task"],
-                    "eval_task": "",
-                    "nll": "",
-                    "elbo": -rec["objective"],
-                    "kl_term": "",
-                    "recon_term": "",
-                    "k_prime": train_cfg.k_prime,
-                    "epoch": (tm["task"] - 1) * cfg["epochs"] + rec["epoch"],
-                }
-            )
-    for record in task_records:
-        for ev in record["evals"]:
-            rows.append(
-                {
-                    **base,
-                    "task_index": record["task"],
-                    "eval_task": ev["eval_task"],
-                    "nll": ev["nll"],
-                    "elbo": ev.get("elbo", ""),
-                    "kl_term": ev.get("kl_term", ""),
-                    "recon_term": ev.get("recon_term", ""),
-                    "k_prime": cfg["eval_k_prime"],
-                    "epoch": record["task"] * cfg["epochs"],
-                }
-            )
+    rows = [
+        {**base, "task_index": tm["task"], "elbo": -rec["objective"], "k_prime": train_cfg.k_prime,
+         "epoch": (tm["task"] - 1) * cfg["epochs"] + rec["epoch"]}
+        for tm in train_metrics
+        for rec in tm["epochs"]
+    ] + [
+        {**base, **ev, "task_index": record["task"], "k_prime": cfg["eval_k_prime"],
+         "epoch": record["task"] * cfg["epochs"]}
+        for record in task_records
+        for ev in record["evals"]
+    ]
     metrics_path = os.path.join(out_dir, "metrics.csv")
     _write_csv(metrics_path, METRICS_COLUMNS, rows)
 
@@ -753,7 +752,7 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
     fields = ("nll", "nll_se", "selection_accuracy")
     results = [
         {"task": e["eval_task"], **{k: e[k] for k in fields if k in e}}
-        for e in family.evaluate(model, stream.tasks, len(stream), cfg["seed"], k_prime)
+        for e in family.evaluate(model, stream, len(stream), cfg["seed"], k_prime, {})
     ]
     accs = [r["selection_accuracy"] for r in results if "selection_accuracy" in r]
     return {

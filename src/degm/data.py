@@ -245,10 +245,18 @@ def make_split_stream(train: Dataset, test: Dataset, groups) -> TaskStream:
     return TaskStream(tasks, kind="split")
 
 
-def _parse_family_spec(spec: str) -> tuple[str, bool]:
-    if spec.endswith("-inv"):
-        return spec[: -len("-inv")], True
-    return spec, False
+def check_task_specs(specs) -> None:
+    """A cross-domain stream's specs: at least 2, each a ``SYNTH_FAMILIES`` name with
+    an optional ``-inv`` or a dict with ``idx_images``; else ``DataFormatError``."""
+    if len(specs) < 2:
+        raise DataFormatError("a cross-domain stream needs at least 2 task specs")
+    for spec in specs:
+        if isinstance(spec, str):
+            family = spec.removesuffix("-inv")
+            if family not in SYNTH_FAMILIES:
+                raise DataFormatError(f"unknown family {family!r}; choose from {SYNTH_FAMILIES}")
+        elif not (isinstance(spec, dict) and "idx_images" in spec):
+            raise DataFormatError(f"bad task spec {spec!r}")
 
 
 def make_cross_domain_stream(
@@ -267,21 +275,20 @@ def make_cross_domain_stream(
     ``{"idx_images": path, "idx_labels": path?}`` ingests user-supplied files.
     """
     specs = list(specs)
-    if len(specs) < 2:
-        raise DataFormatError("a cross-domain stream needs at least 2 task specs")
+    check_task_specs(specs)
     tasks = []
     for i, spec in enumerate(specs, start=1):
         if isinstance(spec, str):
-            family, inverted = _parse_family_spec(spec)
             full = synth_generate(
-                family, n_train + n_test, width, height, seed=rng_mod.derive_seed(seed, f"task{i}/{spec}")
+                spec.removesuffix("-inv"), n_train + n_test, width, height,
+                seed=rng_mod.derive_seed(seed, f"task{i}/{spec}"),
             )
-            if inverted:
+            if spec.endswith("-inv"):
                 full = inverse_domain(full)
             train = full.subset(slice(0, n_train))
             test = full.subset(slice(n_train, n_train + n_test))
             name = spec
-        elif isinstance(spec, dict) and "idx_images" in spec:
+        else:  # a dict with idx_images
             full = load_idx(spec["idx_images"], spec.get("idx_labels"))
             if len(full) < n_train + n_test:
                 raise DataFormatError(
@@ -290,8 +297,6 @@ def make_cross_domain_stream(
             train = full.subset(slice(0, n_train))
             test = full.subset(slice(n_train, n_train + n_test))
             name = full.name
-        else:
-            raise DataFormatError(f"bad task spec {spec!r}")
         if binarize_mode and binarize_mode != "none":
             train = binarize(train, binarize_mode, seed=rng_mod.derive_seed(seed, f"bin/{i}/train"))
             test = binarize(test, binarize_mode, seed=rng_mod.derive_seed(seed, f"bin/{i}/test"))

@@ -342,33 +342,25 @@ def _train_basic(node: BasicNode, images: np.ndarray, config: TrainConfig, label
     return history
 
 
-def train_degm_sequence(
-    stream: TaskStream,
-    arch: ArchSpec,
-    config: TrainConfig,
-    tau: float,
-    eval_k_prime: int = 200,
-):
-    """Grow and train the graph over a task stream.
+def train_degm_sequence(stream: TaskStream, arch: ArchSpec, config: TrainConfig, tau: float):
+    """Grow and train the graph over a task stream; evaluates nothing.
 
     Per task: score novelty against every Basic node (there is none before
     task 1), decide basic/specific by ``expansion_decision`` at ``tau``
     (``-inf`` gives the one-Basic-node-per-task baseline ``degm2``), build the
     node, train only its parameters, then freeze it.
-    Evaluation picks a node per test batch by bound score and measures the
-    negative log-likelihood with ``eval_k_prime`` weighted samples, keyed by
-    the final evaluation's label: frozen nodes are scored and estimated once
-    per test batch, so a batch keeps its NLL while it keeps its node.
 
-    Returns ``(graph, task_records, train_metrics)``.
+    Returns ``(states, train_metrics)``: ``states[t - 1]`` is the graph as
+    task t left it, a ``GraphState`` of the first t nodes and expansion-log
+    entries (the frozen nodes are shared, not copied), and ``states[-1]``
+    the final graph.
     """
     if len(stream) == 0:
         raise InvalidSpecError("empty task stream")
     if stream.dim != arch.data_dim:
         raise InvalidSpecError(f"stream dim {stream.dim} != arch data_dim {arch.data_dim}")
     graph = GraphState(arch=arch)
-    memo: dict[int, dict] = {}  # eval task -> evaluate_task's memo
-    task_records = []
+    states = []
     train_metrics = []
     for task in stream.tasks:
         t = task.task_id
@@ -393,25 +385,28 @@ def train_degm_sequence(
         node.freeze()
         graph.expansion_log.append({"task_id": t, "decision": decision, "ks": ks.tolist(), "tau": tau})
         train_metrics.append({"task": t, "epochs": history})
-        evals = evaluate_seen(graph, stream.tasks[:t], len(stream), config.seed, eval_k_prime, memo)
-        task_records.append({"task": t, "evals": evals})
-    return graph, task_records, train_metrics
+        states.append(GraphState(arch, graph.nodes[:], graph.expansion_log[:]))
+    return states, train_metrics
 
 
-def evaluate_seen(graph: GraphState, tasks, n_tasks: int, seed: int, k_prime: int, memo=None):
-    """``evaluate_task`` on each task's test set, with the noise label of the
-    final evaluation of a run over ``n_tasks`` tasks, which every task end
-    reuses. ``memo`` maps a task id to that task's ``evaluate_task`` memo."""
-    memo = {} if memo is None else memo
+def evaluate_seen(graph: GraphState, stream: TaskStream, t: int, seed: int, k_prime: int, memo: dict):
+    """``evaluate_task`` on each test set of ``stream``'s first ``t`` tasks, for
+    the graph that training task t left.
+
+    Every task end takes the noise label of the run's final evaluation, so with
+    one ``memo`` across task ends (a task id -> that task's ``evaluate_task``
+    memo) a frozen node is scored and estimated once per test batch, and a
+    batch keeps its NLL while it keeps its node. The memo changes no record.
+    """
     evals = []
-    for task in tasks:
+    for task in stream.tasks[:t]:
         record = evaluate_task(
             graph,
             task.test.images,
             true_task=task.task_id,
             eval_k_prime=k_prime,
             rng_seed=seed,
-            rng_label=f"degm/eval/after{n_tasks}/task{task.task_id}",
+            rng_label=f"degm/eval/after{len(stream)}/task{task.task_id}",
             memo=memo.setdefault(task.task_id, {}),
         )
         record["eval_task"] = task.task_id

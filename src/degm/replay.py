@@ -185,23 +185,16 @@ def train_task_gr(
     )
 
 
-def run_gr_sequence(
-    stream: TaskStream,
-    model_factory,
-    config: TrainConfig,
-    eval_k_prime: int = 200,
-    epoch_hook=None,
-):
-    """Train through a task stream with generative replay.
+def run_gr_sequence(stream: TaskStream, model_factory, config: TrainConfig, epoch_hook=None):
+    """Train through a task stream with generative replay; evaluates nothing.
 
-    Returns ``(model, task_records, train_metrics)`` where ``task_records``
-    holds, per task, the negative-log-likelihood of every seen test set
-    (estimated with ``eval_k_prime`` weighted samples) plus bound terms.
+    Returns ``(states, train_metrics)``: ``states[t - 1]`` is a frozen copy
+    of the model as task t left it, and ``states[-1]`` the final model.
     """
     if len(stream) == 0:
         raise InvalidSpecError("empty task stream")
     model = model_factory(config.seed)
-    task_records = []
+    states = []
     train_metrics = []
     prior_count = 0
     for task in stream.tasks:
@@ -215,21 +208,20 @@ def run_gr_sequence(
         )
         prior_count += len(task.train)
         train_metrics.append({"task": task.task_id, "epochs": metrics})
-        seen = stream.tasks[: task.task_id]
-        evals = evaluate_seen(model, seen, task.task_id, config.seed, eval_k_prime)
-        task_records.append({"task": task.task_id, "evals": evals})
-    return model, task_records, train_metrics
+        states.append(model.copy(requires_grad=False))
+    return states, train_metrics
 
 
-def evaluate_seen(model, tasks, after: int, seed: int, k_prime: int) -> list[dict]:
-    """Score ``model`` on each task's test set after training task ``after``.
+def evaluate_seen(model, stream: TaskStream, after: int, seed: int, k_prime: int) -> list[dict]:
+    """Score ``model`` on the test set of each of ``stream``'s first ``after``
+    tasks, as the model that training task ``after`` left.
 
     Per task: the NLL estimated with ``k_prime`` weighted samples and its
     standard error, and the single-sample bound with its terms, each under
     its own noise label.
     """
     evals = []
-    for task in tasks:
+    for task in stream.tasks[:after]:
         j = task.task_id
         nll_rng = rng_mod.stream(seed, f"gr/eval/after{after}/task{j}")
         nll, se = vae_mod.nll_estimate(model, task.test, k_prime=k_prime, rng=nll_rng)

@@ -19,7 +19,7 @@ from scipy import stats
 
 from degm import rng
 from degm.bounds import AssignmentLog, assignment_summary
-from degm.cli import cmd_diagnose, cmd_train, cmd_train_multi, parse_config
+from degm.cli import METHODS, cmd_diagnose, cmd_train, cmd_train_multi, evaluate_task_ends, parse_config
 from degm.data import make_cross_domain_stream
 from degm.graph import ArchSpec, train_degm_sequence
 from degm.nn import MlpSpec, Tensor, build_mlp
@@ -66,16 +66,12 @@ def seed_method_runs(seed: int):
     """One seed's ELBO-GR, DEGM-ELBO (tau=35) and DEGM-2 task records."""
     stream = desk_stream(seed)
     cfg = TrainConfig(epochs=10, batch_size=64, seed=seed)
-    _, rec_gr, _ = run_gr_sequence(
-        stream, lambda s: build_vae(seed=s), cfg, eval_k_prime=200
-    )
-    _, rec_d, _ = train_degm_sequence(
-        stream, ArchSpec(), cfg, tau=35.0, eval_k_prime=200
-    )
-    _, rec_d2, _ = train_degm_sequence(
-        stream, ArchSpec(), cfg, tau=-math.inf, eval_k_prime=200
-    )
-    return rec_gr, rec_d, rec_d2
+    runs = [
+        ("elbo_gr", run_gr_sequence(stream, lambda s: build_vae(seed=s), cfg)[0]),
+        ("degm_elbo", train_degm_sequence(stream, ArchSpec(), cfg, tau=35.0)[0]),
+        ("degm2", train_degm_sequence(stream, ArchSpec(), cfg, tau=-math.inf)[0]),
+    ]
+    return tuple(evaluate_task_ends(METHODS[m].family, states, stream, seed, 200) for m, states in runs)
 
 
 @pytest.fixture(scope="session")
@@ -263,12 +259,8 @@ class TestCriterion5MelboValidity:
             )
             cfg = TrainConfig(epochs=4, batch_size=50, learning_rate=2e-3, seed=seed)
             prefix = stream.__class__(tasks=stream.tasks[:1], kind="cross_domain")
-            graph_prefix, _, _ = train_degm_sequence(
-                prefix, arch, cfg, tau=0.0, eval_k_prime=5
-            )
-            graph, _, _ = train_degm_sequence(
-                stream, arch, cfg, tau=math.inf, eval_k_prime=5
-            )
+            graph_prefix = train_degm_sequence(prefix, arch, cfg, tau=0.0)[0][-1]
+            graph = train_degm_sequence(stream, arch, cfg, tau=math.inf)[0][-1]
             # identical seed => identical task-1 training; specific-node
             # training must leave the basic node untouched
             if graph.basic_param_hash() != graph_prefix.basic_param_hash():

@@ -211,11 +211,27 @@ def test_cli_import_loads_no_pool_or_scipy():
     # the benchmark's set-up time is this import and one parse_config
     code = (
         "import sys, degm.cli\n"
-        "degm.cli.parse_config({'method': 'elbo_gr', 'stream': ['bars']})\n"
+        "degm.cli.parse_config({'method': 'elbo_gr', 'stream': ['bars', 'blobs']})\n"
         "print(sorted({'multiprocessing', 'concurrent.futures', 'scipy'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"])],
+    ids=["unset", "set"],
+)
+def test_import_pins_blas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    code = f"import os, degm; print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == expected
 
 
 def _exception_classes():
@@ -1050,6 +1066,66 @@ class TestNonFiniteRun:
         assert not (tmp_path / "run" / "graph.bin").exists()
 
 
+class _Evaluated(Exception):
+    pass
+
+
+class TestEvaluationPhase:
+    """The trainers only train: ``cmd_train`` evaluates the task-end states they
+    return, in ``evaluate_task_ends``."""
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise _Evaluated
+
+        monkeypatch.setattr(vae_mod, "iw_logpx_np", refuse)
+        monkeypatch.setattr(vae_mod, "nll_estimate", refuse)
+
+    @pytest.mark.parametrize("k_prime", [1, 3])
+    def test_trainers_evaluate_nothing(self, no_evaluation, k_prime):
+        stream = build_stream(parse_config(FAST))
+        train_cfg = replay_mod.TrainConfig(epochs=1, k_prime=k_prime, seed=3)
+        states, _ = replay_mod.run_gr_sequence(stream, lambda s: vae_mod.build_vae(seed=s), train_cfg)
+        assert len(states) == 2
+        # tau 1e12: task 2 trains a Specific node
+        states, _ = cli_graph.train_degm_sequence(stream, cli_graph.ArchSpec(), train_cfg, tau=1e12)
+        assert [e["decision"] for e in states[-1].expansion_log] == ["basic", "specific"]
+
+    @pytest.mark.parametrize("method, checkpoint", [("elbo_gr", "model.bin"), ("degm_elbo", "graph.bin")])
+    def test_cmd_train_evaluates_after_training(self, tmp_path, monkeypatch, no_evaluation, method, checkpoint):
+        real, phases = cli.evaluate_task_ends, []
+
+        def evaluate_task_ends(family, states, *args):
+            phases.append(len(states))
+            return real(family, states, *args)
+
+        monkeypatch.setattr(cli, "evaluate_task_ends", evaluate_task_ends)
+        with pytest.raises(_Evaluated):
+            cmd_train(fast_cfg(tmp_path, method=method, tau=30.0, epochs=1))
+        assert phases == [2]  # reached with every task trained
+        assert not (tmp_path / "run" / checkpoint).exists()
+
+    @pytest.mark.parametrize("seed", [1, 13])
+    def test_degm_records_are_graph_prefix_evaluations(self, tmp_path, seed):
+        # each task-end state is a prefix of the saved graph, so the records
+        # come back from graph.bin alone, with the memo or one task end at a time
+        cfg = fast_cfg(tmp_path, method="degm_elbo", tau=4.0, seed=seed,
+                       stream=["bars", "blobs", "rings", "checkers", "bars-inv", "blobs-inv"])
+        report = cmd_train(cfg)
+        with open(tmp_path / "run" / "report.json") as f:
+            records = json.load(f)["task_records"]
+        decisions = [e["decision"] for e in report["expansion_log"]]
+        assert decisions == ["basic", "specific", "specific", "basic", "specific", "specific"]
+        loaded = checkpoint_mod.load_graph(tmp_path / "run" / "graph.bin")
+        states = [cli_graph.GraphState(loaded.arch, loaded.nodes[:t]) for t in range(1, 7)]
+        stream, family = build_stream(cfg), cli.METHODS["degm_elbo"].family
+        assert cli.evaluate_task_ends(family, states, stream, seed, cfg["eval_k_prime"]) == records
+        for t, state in enumerate(states, 1):
+            evals = family.evaluate(state, stream, t, seed, cfg["eval_k_prime"], {})
+            assert evals == records[t - 1]["evals"]
+
+
 class TestExportPlots:
     def test_fig3b_five_columns(self, tmp_path):
         cfg = fast_cfg(
@@ -1088,6 +1164,19 @@ class TestMainExitCodes:
         code = main(["train", "--method", "degm_elbo", "--stream", "bars,blobs"])
         assert code == 2
         assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stream, message",
+        [
+            ("bars", "a cross-domain stream needs at least 2 task specs"),
+            ("bars,nope", "unknown family 'nope'"),
+        ],
+    )
+    def test_bad_stream_spec_is_2(self, tmp_path, monkeypatch, capsys, stream, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--method", "elbo_gr", "--stream", stream]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "method, checkpoint, message",
@@ -1215,6 +1304,11 @@ class TestMalformedModelConfig:
             ("elbo_gr", {"stream": {"kind": "split", "train_images": 0, "test_images": "t", "groups": [[0]]}}),
             ("elbo_gr", {"stream": {"kind": "split", "train_images": "t", "test_images": "t",
                                     "test_labels": 1, "groups": [[0]]}}),
+            # the cross-domain stream rule: at least 2 specs, each a family or an IDX spec
+            ("elbo_gr", {"stream": []}),
+            ("degm_elbo", {"stream": ["bars", "nope-inv"]}),
+            ("elbo_gr", {"stream": ["bars", 5]}),
+            ("elbo_gr", {"stream": ["bars", {"images": "a.idx"}]}),
         ],
         ids=str,
     )

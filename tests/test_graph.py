@@ -9,6 +9,7 @@ import pytest
 from degm import graph as graph_mod
 from degm import rng
 from degm.checkpoint import load_graph, save_graph
+from degm.cli import METHODS, evaluate_task_ends
 from degm.data import make_cross_domain_stream
 from degm.graph import (
     SELECT_BATCH,
@@ -49,16 +50,15 @@ def micro_config(seed=0, epochs=5):
     return TrainConfig(epochs=epochs, batch_size=50, learning_rate=2e-3, seed=seed)
 
 
+def task_end_records(states, stream, seed, k_prime=20):
+    return evaluate_task_ends(METHODS["degm_elbo"].family, states, stream, seed, k_prime)
+
+
 def trained_micro_graph(seed=0, tau=30.0, epochs=5, families=("bars", "blobs", "rings")):
+    """The stream, the final graph and the task-end states of a micro run."""
     stream = micro_stream(families=families, seed=seed + 100)
-    graph, records, _ = train_degm_sequence(
-        stream,
-        MICRO_ARCH,
-        micro_config(seed=seed, epochs=epochs),
-        tau=tau,
-        eval_k_prime=20,
-    )
-    return stream, graph, records
+    states, _ = train_degm_sequence(stream, MICRO_ARCH, micro_config(seed=seed, epochs=epochs), tau=tau)
+    return stream, states[-1], states
 
 
 class TestImportanceWeights:
@@ -407,7 +407,6 @@ class TestTrainDegmSequence:
         assert len(graph.specific_nodes) == 2
 
     def test_expansion_log_replays(self):
-        _, _, _ = trained_micro_graph(seed=9)
         a = trained_micro_graph(seed=9)[1]
         b = trained_micro_graph(seed=9)[1]
         assert len(a.expansion_log) == len(b.expansion_log) == 3
@@ -418,13 +417,12 @@ class TestTrainDegmSequence:
 
     def test_basic_hashes_stable_under_specific_training(self):
         stream = micro_stream(families=("bars", "blobs"), seed=44)
-        graph, _, _ = train_degm_sequence(
+        graph = train_degm_sequence(
             stream.__class__(tasks=stream.tasks[:1], kind="cross_domain"),
             MICRO_ARCH,
             micro_config(seed=3),
             tau=1e12,
-            eval_k_prime=10,
-        )
+        )[0][-1]
         before = graph.basic_param_hash()
         # manually extend with a specific node trained on task 2
         pi = importance_weights(
@@ -444,8 +442,15 @@ class TestTrainDegmSequence:
             assert not any(p.requires_grad for p in node.parameters())
 
     def test_eval_records_lower_triangular(self):
-        _, _, records = trained_micro_graph(seed=1)
+        stream, _, states = trained_micro_graph(seed=1)
+        records = task_end_records(states, stream, seed=1)
         assert [len(r["evals"]) for r in records] == [1, 2, 3]
+
+    def test_states_are_graph_prefixes(self):
+        _, graph, states = trained_micro_graph(seed=1)
+        for t, state in enumerate(states, 1):
+            assert len(state.nodes) == t and all(a is b for a, b in zip(state.nodes, graph.nodes))
+            assert state.expansion_log == graph.expansion_log[:t]
 
     def test_selection_accuracy_on_separated_domains(self):
         # needs converged nodes, so this one runs at the desk scale
@@ -456,13 +461,10 @@ class TestTrainDegmSequence:
             seed=110,
             binarize_mode="stochastic",
         )
-        graph, records, _ = train_degm_sequence(
-            stream,
-            ArchSpec(),
-            TrainConfig(epochs=8, batch_size=64, seed=12),
-            tau=-math.inf,
-            eval_k_prime=20,
+        states, _ = train_degm_sequence(
+            stream, ArchSpec(), TrainConfig(epochs=8, batch_size=64, seed=12), tau=-math.inf
         )
+        records = task_end_records(states, stream, seed=12)
         accs = [e["selection_accuracy"] for e in records[-1]["evals"]]
         assert np.mean(accs) >= 0.9
 
@@ -502,10 +504,9 @@ def memo_run():
         mp.setattr(graph_mod.vae_mod, "iw_logpx_np", counting("iw", iw_logpx_np))
         mp.setattr(graph_mod.vae_mod, "elbo", counting("score", elbo))
         mp.setattr(graph_mod.rng_mod, "content_keyed_normal", counting_noise)
-        graph, records, _ = train_degm_sequence(
-            stream, MICRO_ARCH, micro_config(seed=1), tau=1e12, eval_k_prime=20
-        )
-    return stream, graph, records, calls
+        states, _ = train_degm_sequence(stream, MICRO_ARCH, micro_config(seed=1), tau=1e12)
+        records = task_end_records(states, stream, seed=1)
+    return stream, states[-1], records, calls
 
 
 class TestEvalMemo:

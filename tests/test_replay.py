@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from degm.cli import METHODS, evaluate_task_ends
 from degm.data import make_cross_domain_stream, synth_generate
 from degm.nn import InvalidSpecError, Tensor
 from degm.rng import derive_seed
@@ -209,19 +210,19 @@ class TestRunGrSequence:
         )
         one = type(stream)(tasks=stream.tasks[:1], kind="cross_domain")
         cfg = TrainConfig(epochs=2, batch_size=32, seed=6)
-        model, records, _ = run_gr_sequence(one, self._factory(), cfg, eval_k_prime=20)
+        states, _ = run_gr_sequence(one, self._factory(), cfg)
 
         plain = small_model(seed=cfg.seed)
         train_task_gr(plain, one.tasks[0].train, cfg, task_index=1, prior_count=0)
-        assert model.param_bytes() == plain.param_bytes()
-        assert len(records) == 1
+        assert len(states) == 1
+        assert states[0].param_bytes() == plain.param_bytes()
 
     def test_cold_start_replays_the_previous_model(self):
         # warm_start off: each later task trains fresh parameters, and its
         # pseudo data is decoded by the model the previous task finished with
         stream = self._stream()
         cfg = TrainConfig(epochs=1, batch_size=50, seed=6, warm_start=False)
-        model, _, _ = run_gr_sequence(stream, self._factory(), cfg, eval_k_prime=5)
+        model = run_gr_sequence(stream, self._factory(), cfg)[0][-1]
 
         prev = small_model(seed=cfg.seed)
         train_task_gr(prev, stream.tasks[0].train, cfg, task_index=1, prior_count=0)
@@ -233,9 +234,25 @@ class TestRunGrSequence:
             prev = fresh
         assert model.param_bytes() == prev.param_bytes()
 
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_states_are_what_each_task_left(self, warm_start):
+        # states[t - 1] is the final model of the same run on the first t
+        # tasks, frozen: an aliased or still-trained copy differs
+        stream = self._stream()
+        cfg = TrainConfig(epochs=1, batch_size=50, seed=6, warm_start=warm_start)
+        states, _ = run_gr_sequence(stream, self._factory(), cfg)
+        assert len(states) == 3
+        for t, state in enumerate(states, 1):
+            prefix = type(stream)(tasks=stream.tasks[:t], kind="cross_domain")
+            final = run_gr_sequence(prefix, self._factory(), cfg)[0][-1]
+            assert state.param_bytes() == final.param_bytes()
+            assert not any(p.requires_grad for p in state.parameters())
+
     def test_eval_record_count(self):
         cfg = TrainConfig(epochs=1, batch_size=50, seed=6)
-        _, records, _ = run_gr_sequence(self._stream(), self._factory(), cfg, eval_k_prime=10)
+        stream = self._stream()
+        states, _ = run_gr_sequence(stream, self._factory(), cfg)
+        records = evaluate_task_ends(METHODS["elbo_gr"].family, states, stream, cfg.seed, 10)
         total = sum(len(r["evals"]) for r in records)
         assert total == 3 * 4 // 2  # t(t+1)/2 for t = 3
 
@@ -250,9 +267,8 @@ class TestRunGrSequence:
             binarize_mode="stochastic",
         )
         cfg = TrainConfig(epochs=10, batch_size=64, seed=1)
-        _, records, _ = run_gr_sequence(
-            stream, lambda s: build_vae(seed=s), cfg, eval_k_prime=50
-        )
+        states, _ = run_gr_sequence(stream, lambda s: build_vae(seed=s), cfg)
+        records = evaluate_task_ends(METHODS["elbo_gr"].family, states, stream, cfg.seed, 50)
         first_nll = {r["task"]: {e["eval_task"]: e["nll"] for e in r["evals"]} for r in records}
         degradation_t1 = first_nll[3][1] - first_nll[1][1]
         degradation_t2 = first_nll[3][2] - first_nll[2][2]
