@@ -18,6 +18,7 @@ so its ``wall_ms`` column is always 0; real timing lives in report.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import hashlib
@@ -347,13 +348,13 @@ class _Family(NamedTuple):
     globals when called, so a wrapper bound over one after import (a tracer's) runs."""
 
     check: object  # cfg: the model's own geometry checks; no weights are built
-    train: object  # (stream, cfg, TrainConfig, tau, recorder) -> (task-end states, train_metrics)
+    train: object  # (stream, cfg, TrainConfig, tau, recorder) -> yields (task-end state, task_metrics)
     checkpoint: str  # the final checkpoint's file name
     save: object  # (path, model): writes that checkpoint
     partition: object  # t -> the ledger's task partition after task t
     selection: object  # task_records -> each evaluation's node-selection accuracy, or None
     load: object  # path -> the model that checkpoint holds; another family's is a CheckpointError
-    evaluate: object  # (state, stream, t, seed, k_prime, memo) -> state's evals on tasks 1..t
+    evaluate: object  # (state, stream, t, j, seed, k_prime, memo) -> task t's state's eval on task j
 
 
 _REPLAY = _Family(
@@ -366,7 +367,7 @@ _REPLAY = _Family(
     partition=lambda t: [set(range(1, t + 1))],
     selection=lambda task_records: None,
     load=lambda path: ckpt_mod.load_model(path),
-    evaluate=lambda model, stream, t, seed, k, memo: replay_mod.evaluate_seen(model, stream, t, seed, k),
+    evaluate=lambda model, stream, t, j, seed, k, memo: replay_mod.evaluate_task(model, stream, t, j, seed, k),
 )
 _GRAPH = _Family(
     check=_check_graph,
@@ -376,7 +377,10 @@ _GRAPH = _Family(
     partition=lambda t: [{i} for i in range(1, t + 1)],
     selection=lambda task_records: [[e["selection_accuracy"] for e in r["evals"]] for r in task_records],
     load=lambda path: ckpt_mod.load_graph(path),
-    evaluate=lambda *args: graph_mod.evaluate_seen(*args),
+    # every task end takes the final evaluation's noise label, so one memo spans them (graph.evaluate_task)
+    evaluate=lambda graph, stream, t, j, seed, k, memo: {**graph_mod.evaluate_task(
+        graph, stream.tasks[j - 1].test.images, true_task=j, eval_k_prime=k, rng_seed=seed,
+        rng_label=f"degm/eval/after{len(stream)}/task{j}", memo=memo.setdefault(j, {})), "eval_task": j},
 )
 
 
@@ -571,43 +575,140 @@ def _write_csv(path, columns, rows) -> None:
             writer.writerow([_cell(row.get(col)) for col in columns])
 
 
-def evaluate_task_ends(family: _Family, states, stream: TaskStream, seed: int, k_prime: int) -> list[dict]:
-    """The task-end evaluation matrix: for each task t, ``{"task": t, "evals": ...}``
-    with ``family.evaluate`` of ``states[t - 1]`` on tasks 1..t, one memo
-    across every t. A non-finite NLL raises ``NonFiniteError``."""
-    memo: dict = {}
-    task_records = []
-    for t, state in enumerate(states, 1):
-        evals = family.evaluate(state, stream, t, seed, k_prime, memo)
-        for e in evals:
-            if not math.isfinite(e["nll"]):
-                raise NonFiniteError(f"NLL {e['nll']} on test task {e['eval_task']} after task {t}")
-        task_records.append({"task": t, "evals": evals})
-    return task_records
+def _cpus() -> int:
+    """CPUs of this process's affinity mask (the CPU count where there is none)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def cmd_train(cfg: dict) -> dict:
+def _worker_jobs(t: int, n_tasks: int) -> range:
+    """A worker's eval tasks at task end t of ``n_tasks``: all of them, but the first half at the last."""
+    return range(1, (t if t < n_tasks else n_tasks // 2) + 1)
+
+
+def _score(family: _Family, state, stream: TaskStream, t: int, j: int, seed: int, k_prime: int, memo) -> dict:
+    """One task-end job: task t's state on task j. A non-finite NLL raises ``NonFiniteError``."""
+    record = family.evaluate(state, stream, t, j, seed, k_prime, memo)
+    if not math.isfinite(record["nll"]):
+        raise NonFiniteError(f"NLL {record['nll']} on test task {j} after task {t}")
+    return record
+
+
+def _work(parent_end, conn, family: _Family, stream: TaskStream, seed: int, k_prime: int) -> None:
+    """Score ``_worker_jobs`` of each ``(t, state)`` received until None, one memo across them,
+    answering each with ``(True, its records by (t, j))``, or at the first error ``(False, error)``."""
+    parent_end.close()  # so a parent that dies ends the recv below
+    memo = {}
+    try:
+        for t, state in iter(conn.recv, None):
+            conn.send((True, {(t, j): _score(family, state, stream, t, j, seed, k_prime, memo)
+                              for j in _worker_jobs(t, len(stream))}))
+    except Exception as err:  # noqa: BLE001 - re-raised by the calling process
+        try:
+            conn.send((False, err))  # pickled whole before a byte is written
+        except Exception:  # noqa: BLE001 - an error pickle cannot carry
+            conn.send((False, RuntimeError(repr(err))))
+
+
+class _EvalWorker:
+    """A forked process that scores ``_worker_jobs`` of each task-end state sent to it. A state is
+    sent once the last one is answered, so training runs at most one task past a failed job."""
+
+    def __init__(self, family: _Family, stream: TaskStream, seed: int, k_prime: int):
+        import ctypes
+        import multiprocessing  # off the import path: a run on one CPU forks nothing
+        getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)  # the worker inherits no free heap pages
+        fork = multiprocessing.get_context("fork")
+        self.conn, child = fork.Pipe()
+        args = (self.conn, child, family, stream, seed, k_prime)
+        self.process = fork.Process(target=_work, args=args, daemon=True)
+        self.process.start()
+        child.close()
+        self.n_tasks, self.waiting, self.done = len(stream), False, {}
+
+    def send(self, t: int, state) -> int:
+        """Send task end t's state once the last is answered; return the first eval task of t left here."""
+        self.records()
+        with contextlib.suppress(OSError):  # a dead worker is reported by the next records()
+            self.conn.send((t, state))
+        self.waiting = True
+        return len(_worker_jobs(t, self.n_tasks)) + 1
+
+    def records(self) -> dict:
+        """Its records by (t, j) once the last state sent is answered; raises its error, or that it died."""
+        if self.waiting:
+            self.waiting = False
+            try:
+                ok, value = self.conn.recv()
+            except (EOFError, OSError):
+                self.process.join()
+                ok, value = False, RuntimeError(f"the evaluation worker exited with code "
+                                                f"{self.process.exitcode} before it sent its records")
+            if not ok:
+                raise value
+            self.done.update(value)
+        return self.done
+
+    def close(self) -> None:
+        """Let an idle worker exit, stop a busy one, and reap it."""
+        with contextlib.suppress(OSError):
+            self.conn.send(None)
+        if self.waiting:
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+def evaluate_task_ends(family: _Family, states, stream: TaskStream, seed: int, k_prime: int,
+                       worker: _EvalWorker | None = None) -> list[dict]:
+    """For each task t, ``{"task": t, "evals": ...}``: the t-th of ``states``, scored as it arrives, on
+    tasks 1..t, one memo across every t; a ``worker`` takes its ``_worker_jobs``. A non-finite NLL raises
+    ``NonFiniteError``; the worker's jobs come first in (t, j) order, so its error wins, as serially."""
+    records, memo, ends = {}, {}, 0
+    try:
+        for ends, state in enumerate(states, 1):
+            for j in range(1 if worker is None else worker.send(ends, state), ends + 1):
+                records[ends, j] = _score(family, state, stream, ends, j, seed, k_prime, memo)
+        records.update(worker.records() if worker is not None else {})
+    except Exception:
+        if worker is not None:
+            worker.records()  # raises the worker's error, the earlier one
+        raise
+    return [{"task": t, "evals": [records[t, j] for j in range(1, t + 1)]} for t in range(1, ends + 1)]
+
+
+def cmd_train(cfg: dict, _eval_worker: bool = True) -> dict:
     """Train one run and write report.json, metrics.csv, ledger.csv, checkpoint."""
     t_start = time.monotonic()
     out_dir = cfg["output_dir"] or f"runs/{cfg['method']}-seed{cfg['seed']}"
     stream = build_stream(cfg)  # before the directory, so a data error leaves none
-    os.makedirs(out_dir, exist_ok=True)
     run_id = run_id_of(cfg)
     train_cfg = _train_config(cfg)
     family, _, tau = METHODS[cfg["method"]]
     tau = cfg["tau"] if tau is None else tau
-    recorder = _SnapshotRecorder(out_dir, cfg) if cfg["diagnostics"]["enabled"] else None
+    recorder, model, train_metrics = None, None, []
+
+    def states():  # each task-end state, handed on as soon as training makes it
+        nonlocal model
+        for model, metrics in family.train(stream, cfg, train_cfg, tau, recorder):
+            train_metrics.append(metrics)
+            yield model
+
+    spare = _eval_worker and len(stream) > 1 and _cpus() > 1  # forked before training: a small heap
+    worker = _EvalWorker(family, stream, cfg["seed"], cfg["eval_k_prime"]) if spare else None
     try:
-        states, train_metrics = family.train(stream, cfg, train_cfg, tau, recorder)
-        task_records = evaluate_task_ends(family, states, stream, cfg["seed"], cfg["eval_k_prime"])
+        os.makedirs(out_dir, exist_ok=True)
+        recorder = _SnapshotRecorder(out_dir, cfg) if cfg["diagnostics"]["enabled"] else None
+        task_records = evaluate_task_ends(family, states(), stream, cfg["seed"], cfg["eval_k_prime"], worker)
     except NonFiniteError:
         # a diverged run leaves no checkpoint and no snapshots behind
         if recorder is not None:
             recorder.discard()
         raise
+    finally:
+        if worker is not None:
+            worker.close()
     if recorder is not None:
         recorder.finish()
-    model = states[-1]
     checkpoint_path = os.path.join(out_dir, family.checkpoint)
     family.save(checkpoint_path, model)
     nll_matrix = [[e["nll"] for e in record["evals"]] for record in task_records]
@@ -702,17 +803,16 @@ def cmd_train_multi(cfg: dict, seeds: list[int]) -> dict:
     base_dir = cfg["output_dir"] or f"runs/{cfg['method']}-multi"
     subs = [{**copy.deepcopy(cfg), "seed": s, "output_dir": os.path.join(base_dir, f"seed_{s}")}
             for s in seeds]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = min(len(seeds), cpus)
-    if n == 1:
-        reports = [cmd_train(sub) for sub in subs]
+    n = min(len(seeds), _cpus())
+    if n == 1:  # cmd_train's False: no seed run forks an evaluation worker
+        reports = [cmd_train(sub, False) for sub in subs]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"))
         try:  # the workers fork at the first submit, while this process's heap is small
-            runs = [pool.submit(cmd_train, sub) if i % n else None for i, sub in enumerate(subs)]
-            reports = [run.result() if run else cmd_train(sub) for run, sub in zip(runs, subs)]
+            runs = [pool.submit(cmd_train, sub, False) if i % n else None for i, sub in enumerate(subs)]
+            reports = [run.result() if run else cmd_train(sub, False) for run, sub in zip(runs, subs)]
         finally:
             pool.shutdown(cancel_futures=True)
     finals = np.array([r["final_avg_nll"] for r in reports])
@@ -750,10 +850,9 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
     if model.data_dim != stream.dim:
         raise DataFormatError(f"checkpoint dim {model.data_dim} != stream dim {stream.dim}")
     fields = ("nll", "nll_se", "selection_accuracy")
-    results = [
-        {"task": e["eval_task"], **{k: e[k] for k in fields if k in e}}
-        for e in family.evaluate(model, stream, len(stream), cfg["seed"], k_prime, {})
-    ]
+    n, memo = len(stream), {}
+    evals = [family.evaluate(model, stream, n, j, cfg["seed"], k_prime, memo) for j in range(1, n + 1)]
+    results = [{"task": e["eval_task"], **{k: e[k] for k in fields if k in e}} for e in evals]
     accs = [r["selection_accuracy"] for r in results if "selection_accuracy" in r]
     return {
         "checkpoint": str(checkpoint_path),

@@ -350,18 +350,15 @@ def train_degm_sequence(stream: TaskStream, arch: ArchSpec, config: TrainConfig,
     (``-inf`` gives the one-Basic-node-per-task baseline ``degm2``), build the
     node, train only its parameters, then freeze it.
 
-    Returns ``(states, train_metrics)``: ``states[t - 1]`` is the graph as
-    task t left it, a ``GraphState`` of the first t nodes and expansion-log
-    entries (the frozen nodes are shared, not copied), and ``states[-1]``
-    the final graph.
+    Yields ``(state, task_metrics)`` as each task t ends: ``state`` is a
+    ``GraphState`` of the first t nodes and expansion-log entries (the frozen
+    nodes are shared, not copied), so the last one is the final graph.
     """
     if len(stream) == 0:
         raise InvalidSpecError("empty task stream")
     if stream.dim != arch.data_dim:
         raise InvalidSpecError(f"stream dim {stream.dim} != arch data_dim {arch.data_dim}")
     graph = GraphState(arch=arch)
-    states = []
-    train_metrics = []
     for task in stream.tasks:
         t = task.task_id
         images = task.train.images
@@ -384,34 +381,7 @@ def train_degm_sequence(stream: TaskStream, arch: ArchSpec, config: TrainConfig,
             history = run_training(node.parameters(), _bound_objective(node, config), images, config, label)
         node.freeze()
         graph.expansion_log.append({"task_id": t, "decision": decision, "ks": ks.tolist(), "tau": tau})
-        train_metrics.append({"task": t, "epochs": history})
-        states.append(GraphState(arch, graph.nodes[:], graph.expansion_log[:]))
-    return states, train_metrics
-
-
-def evaluate_seen(graph: GraphState, stream: TaskStream, t: int, seed: int, k_prime: int, memo: dict):
-    """``evaluate_task`` on each test set of ``stream``'s first ``t`` tasks, for
-    the graph that training task t left.
-
-    Every task end takes the noise label of the run's final evaluation, so with
-    one ``memo`` across task ends (a task id -> that task's ``evaluate_task``
-    memo) a frozen node is scored and estimated once per test batch, and a
-    batch keeps its NLL while it keeps its node. The memo changes no record.
-    """
-    evals = []
-    for task in stream.tasks[:t]:
-        record = evaluate_task(
-            graph,
-            task.test.images,
-            true_task=task.task_id,
-            eval_k_prime=k_prime,
-            rng_seed=seed,
-            rng_label=f"degm/eval/after{len(stream)}/task{task.task_id}",
-            memo=memo.setdefault(task.task_id, {}),
-        )
-        record["eval_task"] = task.task_id
-        evals.append(record)
-    return evals
+        yield GraphState(arch, graph.nodes[:], graph.expansion_log[:]), {"task": t, "epochs": history}
 
 
 def evaluate_task(

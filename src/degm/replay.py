@@ -188,14 +188,12 @@ def train_task_gr(
 def run_gr_sequence(stream: TaskStream, model_factory, config: TrainConfig, epoch_hook=None):
     """Train through a task stream with generative replay; evaluates nothing.
 
-    Returns ``(states, train_metrics)``: ``states[t - 1]`` is a frozen copy
-    of the model as task t left it, and ``states[-1]`` the final model.
+    Yields ``(state, task_metrics)`` as each task ends: ``state`` is a frozen
+    copy of the model as task t left it, so the last one is the final model.
     """
     if len(stream) == 0:
         raise InvalidSpecError("empty task stream")
     model = model_factory(config.seed)
-    states = []
-    train_metrics = []
     prior_count = 0
     for task in stream.tasks:
         generator = None
@@ -207,34 +205,17 @@ def run_gr_sequence(stream: TaskStream, model_factory, config: TrainConfig, epoc
             model, task.train, config, task.task_id, prior_count, epoch_hook, generator
         )
         prior_count += len(task.train)
-        train_metrics.append({"task": task.task_id, "epochs": metrics})
-        states.append(model.copy(requires_grad=False))
-    return states, train_metrics
+        yield model.copy(requires_grad=False), {"task": task.task_id, "epochs": metrics}
 
 
-def evaluate_seen(model, stream: TaskStream, after: int, seed: int, k_prime: int) -> list[dict]:
-    """Score ``model`` on the test set of each of ``stream``'s first ``after``
-    tasks, as the model that training task ``after`` left.
-
-    Per task: the NLL estimated with ``k_prime`` weighted samples and its
-    standard error, and the single-sample bound with its terms, each under
-    its own noise label.
-    """
-    evals = []
-    for task in stream.tasks[:after]:
-        j = task.task_id
-        nll_rng = rng_mod.stream(seed, f"gr/eval/after{after}/task{j}")
-        nll, se = vae_mod.nll_estimate(model, task.test, k_prime=k_prime, rng=nll_rng)
-        elbo_rng = rng_mod.stream(seed, f"gr/eval-elbo/after{after}/task{j}")
-        est = vae_mod.elbo(model, task.test.images, rng=elbo_rng)
-        evals.append(
-            {
-                "eval_task": j,
-                "nll": nll,
-                "nll_se": se,
-                "elbo": est.total,
-                "recon_term": est.recon_term,
-                "kl_term": est.kl_term,
-            }
-        )
-    return evals
+def evaluate_task(model, stream: TaskStream, after: int, task_id: int, seed: int, k_prime: int) -> dict:
+    """Score ``model``, as training task ``after`` left it, on task ``task_id``'s test set:
+    the NLL estimated with ``k_prime`` weighted samples and its standard error, and
+    the single-sample bound with its terms, each under its own noise label."""
+    test = stream.tasks[task_id - 1].test
+    nll_rng = rng_mod.stream(seed, f"gr/eval/after{after}/task{task_id}")
+    nll, se = vae_mod.nll_estimate(model, test, k_prime=k_prime, rng=nll_rng)
+    elbo_rng = rng_mod.stream(seed, f"gr/eval-elbo/after{after}/task{task_id}")
+    est = vae_mod.elbo(model, test.images, rng=elbo_rng)
+    return {"eval_task": task_id, "nll": nll, "nll_se": se, "elbo": est.total, "recon_term": est.recon_term,
+            "kl_term": est.kl_term}

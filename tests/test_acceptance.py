@@ -19,7 +19,7 @@ from scipy import stats
 
 from degm import rng
 from degm.bounds import AssignmentLog, assignment_summary
-from degm.cli import METHODS, cmd_diagnose, cmd_train, cmd_train_multi, evaluate_task_ends, parse_config
+from degm.cli import METHODS, _cpus, cmd_diagnose, cmd_train, cmd_train_multi, evaluate_task_ends, parse_config
 from degm.data import make_cross_domain_stream
 from degm.graph import ArchSpec, train_degm_sequence
 from degm.nn import MlpSpec, Tensor, build_mlp
@@ -67,9 +67,9 @@ def seed_method_runs(seed: int):
     stream = desk_stream(seed)
     cfg = TrainConfig(epochs=10, batch_size=64, seed=seed)
     runs = [
-        ("elbo_gr", run_gr_sequence(stream, lambda s: build_vae(seed=s), cfg)[0]),
-        ("degm_elbo", train_degm_sequence(stream, ArchSpec(), cfg, tau=35.0)[0]),
-        ("degm2", train_degm_sequence(stream, ArchSpec(), cfg, tau=-math.inf)[0]),
+        ("elbo_gr", [s for s, _ in run_gr_sequence(stream, lambda s: build_vae(seed=s), cfg)]),
+        ("degm_elbo", [s for s, _ in train_degm_sequence(stream, ArchSpec(), cfg, tau=35.0)]),
+        ("degm2", [s for s, _ in train_degm_sequence(stream, ArchSpec(), cfg, tau=-math.inf)]),
     ]
     return tuple(evaluate_task_ends(METHODS[m].family, states, stream, seed, 200) for m, states in runs)
 
@@ -78,9 +78,8 @@ def seed_method_runs(seed: int):
 def method_runs():
     """ELBO-GR, DEGM-ELBO (tau=35), DEGM-2 over 5 seeds; NLL at K'=200.
     The seeds run in forked workers, one per CPU the process may use."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(SEEDS), cpus), mp_context=fork) as pool:
+    with ProcessPoolExecutor(min(len(SEEDS), _cpus()), mp_context=fork) as pool:
         per_seed = list(pool.map(seed_method_runs, SEEDS))
     return {name: [runs[i] for runs in per_seed] for i, name in enumerate(("gr", "degm", "degm2"))}
 
@@ -259,8 +258,8 @@ class TestCriterion5MelboValidity:
             )
             cfg = TrainConfig(epochs=4, batch_size=50, learning_rate=2e-3, seed=seed)
             prefix = stream.__class__(tasks=stream.tasks[:1], kind="cross_domain")
-            graph_prefix = train_degm_sequence(prefix, arch, cfg, tau=0.0)[0][-1]
-            graph = train_degm_sequence(stream, arch, cfg, tau=math.inf)[0][-1]
+            graph_prefix = list(train_degm_sequence(prefix, arch, cfg, tau=0.0))[-1][0]
+            graph = list(train_degm_sequence(stream, arch, cfg, tau=math.inf))[-1][0]
             # identical seed => identical task-1 training; specific-node
             # training must leave the basic node untouched
             if graph.basic_param_hash() != graph_prefix.basic_param_hash():

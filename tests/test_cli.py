@@ -1,6 +1,7 @@
 """CLI: config parsing, commands, artifact formats, exit codes."""
 
 import collections
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,7 +9,9 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -1072,7 +1075,7 @@ class _Evaluated(Exception):
 
 class TestEvaluationPhase:
     """The trainers only train: ``cmd_train`` evaluates the task-end states they
-    return, in ``evaluate_task_ends``."""
+    yield, in ``evaluate_task_ends``."""
 
     @pytest.fixture
     def no_evaluation(self, monkeypatch):
@@ -1086,24 +1089,25 @@ class TestEvaluationPhase:
     def test_trainers_evaluate_nothing(self, no_evaluation, k_prime):
         stream = build_stream(parse_config(FAST))
         train_cfg = replay_mod.TrainConfig(epochs=1, k_prime=k_prime, seed=3)
-        states, _ = replay_mod.run_gr_sequence(stream, lambda s: vae_mod.build_vae(seed=s), train_cfg)
+        states, _ = zip(*replay_mod.run_gr_sequence(stream, lambda s: vae_mod.build_vae(seed=s), train_cfg))
         assert len(states) == 2
         # tau 1e12: task 2 trains a Specific node
-        states, _ = cli_graph.train_degm_sequence(stream, cli_graph.ArchSpec(), train_cfg, tau=1e12)
+        states, _ = zip(*cli_graph.train_degm_sequence(stream, cli_graph.ArchSpec(), train_cfg, tau=1e12))
         assert [e["decision"] for e in states[-1].expansion_log] == ["basic", "specific"]
 
     @pytest.mark.parametrize("method, checkpoint", [("elbo_gr", "model.bin"), ("degm_elbo", "graph.bin")])
-    def test_cmd_train_evaluates_after_training(self, tmp_path, monkeypatch, no_evaluation, method, checkpoint):
-        real, phases = cli.evaluate_task_ends, []
+    def test_cmd_train_scores_each_state_as_it_arrives(self, tmp_path, monkeypatch, no_evaluation, method,
+                                                       checkpoint):
+        real, arrived = cli.evaluate_task_ends, []
 
         def evaluate_task_ends(family, states, *args):
-            phases.append(len(states))
-            return real(family, states, *args)
+            return real(family, (arrived.append(t) or s for t, s in enumerate(states, 1)), *args)
 
         monkeypatch.setattr(cli, "evaluate_task_ends", evaluate_task_ends)
+        _cpus(monkeypatch, 1)
         with pytest.raises(_Evaluated):
             cmd_train(fast_cfg(tmp_path, method=method, tau=30.0, epochs=1))
-        assert phases == [2]  # reached with every task trained
+        assert arrived == [1]  # scored before task 2 trains
         assert not (tmp_path / "run" / checkpoint).exists()
 
     @pytest.mark.parametrize("seed", [1, 13])
@@ -1122,8 +1126,231 @@ class TestEvaluationPhase:
         stream, family = build_stream(cfg), cli.METHODS["degm_elbo"].family
         assert cli.evaluate_task_ends(family, states, stream, seed, cfg["eval_k_prime"]) == records
         for t, state in enumerate(states, 1):
-            evals = family.evaluate(state, stream, t, seed, cfg["eval_k_prime"], {})
+            evals = [family.evaluate(state, stream, t, j, seed, cfg["eval_k_prime"], {}) for j in range(1, t + 1)]
             assert evals == records[t - 1]["evals"]
+
+
+THREE = ["bars", "blobs", "rings"]
+DIAGNOSTICS = {"likelihood": "gaussian_identity", "binarize": "none",
+               "diagnostics": {"enabled": True, "sample_size": 100}}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _jobs_by_pid(monkeypatch, path):
+    """Log each task-end job's (t, j) and the pid that scores it; returns the reader."""
+    real = cli._score
+
+    def score(family, state, stream, t, j, *args):
+        with open(path, "a") as f:
+            f.write(f"{t} {j} {os.getpid()}\n")
+        return real(family, state, stream, t, j, *args)
+
+    def read():
+        jobs = collections.defaultdict(set)
+        for line in path.read_text().splitlines():
+            t, j, pid = map(int, line.split())
+            jobs[pid].add((t, j))
+        path.unlink()
+        return dict(jobs)
+
+    monkeypatch.setattr(cli, "_score", score)
+    return read
+
+
+class TestEvalWorker:
+    """With a spare CPU, ``cmd_train`` scores task ends on one forked worker
+    while it trains on, and writes what a serial run writes."""
+
+    ALL = {(t, j) for t in range(1, 4) for j in range(1, t + 1)}
+
+    @pytest.mark.parametrize("n_tasks, worker, own", [
+        (2, [(1, 1), (2, 1)], [(2, 2)]),
+        (3, [(1, 1), (2, 1), (2, 2), (3, 1)], [(3, 2), (3, 3)]),
+        (6, [(t, j) for t in range(1, 6) for j in range(1, t + 1)] + [(6, 1), (6, 2), (6, 3)],
+         [(6, 4), (6, 5), (6, 6)]),
+    ])
+    def test_split_rule(self, n_tasks, worker, own):
+        jobs = [(t, j) for t in range(1, n_tasks + 1) for j in cli._worker_jobs(t, n_tasks)]
+        rest = [(t, j) for t in range(1, n_tasks + 1) for j in range(1, t + 1) if (t, j) not in jobs]
+        assert (jobs, rest) == (worker, own)
+
+    @pytest.mark.parametrize("seed", [1, 13])
+    @pytest.mark.parametrize(
+        "extra",
+        [{"method": "elbo_gr"}, {"method": "degm_elbo", "tau": 35.0}, {"method": "elbo_gr", **DIAGNOSTICS}],
+        ids=["elbo_gr", "degm_elbo", "diagnostics"],
+    )
+    def test_worker_changes_no_byte(self, tmp_path, monkeypatch, seed, extra):
+        read_jobs = _jobs_by_pid(monkeypatch, tmp_path / "jobs")
+        written, jobs = {}, {}
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            (tmp_path / str(n)).mkdir()
+            monkeypatch.chdir(tmp_path / str(n))
+            with _deadline(120):
+                cmd_train(parse_config({**FAST, "stream": THREE, "seed": seed, **extra, "output_dir": "run"}))
+            assert multiprocessing.active_children() == []
+            files = sorted(p for p in Path("run").rglob("*") if p.is_file())
+            written[n] = {str(p): p.read_bytes() for p in files}
+            report = json.loads(written[n].pop("run/report.json"))
+            report.pop("wall_clock_s")
+            written[n]["report"] = report
+            jobs[n] = read_jobs()
+        assert written[1] == written[2]
+        assert {"run/metrics.csv", "run/ledger.csv", "run/ledger.json"} < set(written[1])
+        assert jobs[1] == {os.getpid(): self.ALL}
+        own = jobs[2].pop(os.getpid())
+        assert own == {(3, 2), (3, 3)} and list(jobs[2].values()) == [self.ALL - own]
+
+    def test_one_cpu_or_a_seed_pool_starts_no_worker(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an evaluation worker was started")
+
+        monkeypatch.setattr(cli, "_EvalWorker", refuse)
+        _cpus(monkeypatch, 1)
+        cmd_train(fast_cfg(tmp_path, stream=THREE, epochs=1))
+        _cpus(monkeypatch, 2)
+        with _deadline(120):
+            cli.cmd_train_multi(fast_cfg(tmp_path, stream=THREE, epochs=1, output_dir=str(tmp_path / "multi")),
+                                [1, 2])
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_run_loads_no_multiprocessing(self, tmp_path):
+        code = (
+            "import json, os, sys, degm.cli\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "degm.cli.cmd_train(degm.cli.parse_config(json.loads(sys.argv[1])))\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        cfg = {**FAST, "stream": THREE, "epochs": 1, "output_dir": str(tmp_path / "run")}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)], capture_output=True, text=True,
+                              check=True, timeout=120)
+        assert proc.stdout.strip() == "[]"
+
+    @staticmethod
+    def _main(tmp_path, monkeypatch, capsys, n, **extra):
+        """``degm train`` of a 3-task run on ``n`` CPUs, under a deadline: (exit code, stderr)."""
+        _cpus(monkeypatch, n)
+        path = tmp_path / f"cfg{n}.json"
+        path.write_text(json.dumps({**FAST, "stream": THREE, "epochs": 1, **extra,
+                                    "output_dir": str(tmp_path / f"run{n}")}))
+        with _deadline(120):
+            code = main(["train", "--config", str(path)])
+        assert multiprocessing.active_children() == []
+        return code, capsys.readouterr().err
+
+    def _patch_eval(self, monkeypatch, change):
+        """``replay.evaluate_task`` whose record of (t, j) goes through ``change(t, j, record)``."""
+        real = replay_mod.evaluate_task
+
+        def evaluate_task(model, test, after, task_id, *args):
+            return change(after, task_id, real(model, test, after, task_id, *args))
+
+        monkeypatch.setattr(replay_mod, "evaluate_task", evaluate_task)
+
+    def test_worker_data_error_exits_3_like_serial(self, tmp_path, monkeypatch, capsys):
+        def change(t, j, record):
+            if (t, j) == (2, 1):  # the worker's job
+                raise data_mod.DataFormatError(f"test set {j} after task {t} is unreadable")
+            return record
+
+        self._patch_eval(monkeypatch, change)
+        outcomes = [self._main(tmp_path, monkeypatch, capsys, n) for n in (1, 2)]
+        assert outcomes[0] == outcomes[1] == (3, "data error: test set 1 after task 2 is unreadable\n")
+
+    def test_failed_worker_job_stops_training_one_task_later(self, tmp_path, monkeypatch, capsys):
+        real_train, trained = replay_mod.train_task_gr, []
+
+        def train_task_gr(model, new_data, config, task_index, *args):
+            trained.append(task_index)
+            return real_train(model, new_data, config, task_index, *args)
+
+        def change(t, j, record):
+            if (t, j) == (1, 1):  # the worker's job, scored while task 2 trains
+                raise data_mod.DataFormatError("test set 1 is unreadable")
+            return record
+
+        monkeypatch.setattr(replay_mod, "train_task_gr", train_task_gr)
+        self._patch_eval(monkeypatch, change)
+        for n, tasks in ((1, [1]), (2, [1, 2])):
+            trained.clear()
+            assert self._main(tmp_path, monkeypatch, capsys, n) == (3, "data error: test set 1 is unreadable\n")
+            assert trained == tasks
+
+    @pytest.mark.parametrize("bad, first", [
+        ({(2, 2), (3, 3)}, (2, 2)),  # the worker's before this process's
+        ({(3, 1), (3, 2)}, (3, 1)),  # the worker's last before this process's first
+        ({(3, 3), (3, 2)}, (3, 2)),  # this process's alone
+    ])
+    def test_first_non_finite_nll_is_the_serial_one(self, tmp_path, monkeypatch, capsys, bad, first):
+        self._patch_eval(monkeypatch, lambda t, j, r: {**r, "nll": float("nan")} if (t, j) in bad else r)
+        outcomes = [self._main(tmp_path, monkeypatch, capsys, n) for n in (1, 2)]
+        line = f"runtime error: NonFiniteError: NLL nan on test task {first[1]} after task {first[0]}\n"
+        assert outcomes[0] == outcomes[1] == (4, line)
+
+    def test_training_error_reaps_the_worker_and_discards_snapshots(self, tmp_path, monkeypatch, capsys):
+        real_train, real_worker, started = replay_mod.train_task_gr, cli._EvalWorker, []
+
+        def train_task_gr(model, new_data, config, task_index, *args):
+            if task_index == 3:
+                raise NonFiniteError("gr/task3: loss nan in epoch 1, batch 1")
+            return real_train(model, new_data, config, task_index, *args)
+
+        def worker(*args):
+            started.append(real_worker(*args))
+            return started[-1]
+
+        monkeypatch.setattr(replay_mod, "train_task_gr", train_task_gr)
+        monkeypatch.setattr(cli, "_EvalWorker", worker)
+        code, err = self._main(tmp_path, monkeypatch, capsys, 2, **DIAGNOSTICS)
+        assert (code, err) == (4, "runtime error: NonFiniteError: gr/task3: loss nan in epoch 1, batch 1\n")
+        assert len(started) == 1 and started[0].process.exitcode == 0
+        assert sorted(p.name for p in (tmp_path / "run2").iterdir()) == []
+
+    def test_killed_worker_exits_4_without_hanging(self, tmp_path, monkeypatch, capsys):
+        real, parent = cli._score, os.getpid()
+
+        def score(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_score", score)
+        code, err = self._main(tmp_path, monkeypatch, capsys, 2)
+        assert (code, err) == (4, "runtime error: RuntimeError: the evaluation worker exited with code -9 "
+                                  "before it sent its records\n")
+
+    def test_unpicklable_error_comes_back_as_runtime_error(self, tmp_path, monkeypatch):
+        class Unpicklable(Exception):  # a local class: pickle cannot find it by name
+            pass
+
+        parent = os.getpid()
+
+        def change(t, j, record):
+            if os.getpid() != parent:
+                raise Unpicklable("boom")
+            return record
+
+        self._patch_eval(monkeypatch, change)
+        _cpus(monkeypatch, 2)
+        with _deadline(120), pytest.raises(Exception) as info:
+            cmd_train(fast_cfg(tmp_path, stream=THREE, epochs=1))
+        assert type(info.value) is RuntimeError and str(info.value) == "Unpicklable('boom')"
+        assert multiprocessing.active_children() == []
 
 
 class TestExportPlots:

@@ -57,7 +57,7 @@ def task_end_records(states, stream, seed, k_prime=20):
 def trained_micro_graph(seed=0, tau=30.0, epochs=5, families=("bars", "blobs", "rings")):
     """The stream, the final graph and the task-end states of a micro run."""
     stream = micro_stream(families=families, seed=seed + 100)
-    states, _ = train_degm_sequence(stream, MICRO_ARCH, micro_config(seed=seed, epochs=epochs), tau=tau)
+    states, _ = zip(*train_degm_sequence(stream, MICRO_ARCH, micro_config(seed=seed, epochs=epochs), tau=tau))
     return stream, states[-1], states
 
 
@@ -417,12 +417,12 @@ class TestTrainDegmSequence:
 
     def test_basic_hashes_stable_under_specific_training(self):
         stream = micro_stream(families=("bars", "blobs"), seed=44)
-        graph = train_degm_sequence(
+        graph = list(train_degm_sequence(
             stream.__class__(tasks=stream.tasks[:1], kind="cross_domain"),
             MICRO_ARCH,
             micro_config(seed=3),
             tau=1e12,
-        )[0][-1]
+        ))[-1][0]
         before = graph.basic_param_hash()
         # manually extend with a specific node trained on task 2
         pi = importance_weights(
@@ -461,9 +461,9 @@ class TestTrainDegmSequence:
             seed=110,
             binarize_mode="stochastic",
         )
-        states, _ = train_degm_sequence(
+        states, _ = zip(*train_degm_sequence(
             stream, ArchSpec(), TrainConfig(epochs=8, batch_size=64, seed=12), tau=-math.inf
-        )
+        ))
         records = task_end_records(states, stream, seed=12)
         accs = [e["selection_accuracy"] for e in records[-1]["evals"]]
         assert np.mean(accs) >= 0.9
@@ -504,7 +504,7 @@ def memo_run():
         mp.setattr(graph_mod.vae_mod, "iw_logpx_np", counting("iw", iw_logpx_np))
         mp.setattr(graph_mod.vae_mod, "elbo", counting("score", elbo))
         mp.setattr(graph_mod.rng_mod, "content_keyed_normal", counting_noise)
-        states, _ = train_degm_sequence(stream, MICRO_ARCH, micro_config(seed=1), tau=1e12)
+        states, _ = zip(*train_degm_sequence(stream, MICRO_ARCH, micro_config(seed=1), tau=1e12))
         records = task_end_records(states, stream, seed=1)
     return stream, states[-1], records, calls
 

@@ -210,7 +210,7 @@ class TestRunGrSequence:
         )
         one = type(stream)(tasks=stream.tasks[:1], kind="cross_domain")
         cfg = TrainConfig(epochs=2, batch_size=32, seed=6)
-        states, _ = run_gr_sequence(one, self._factory(), cfg)
+        states, _ = zip(*run_gr_sequence(one, self._factory(), cfg))
 
         plain = small_model(seed=cfg.seed)
         train_task_gr(plain, one.tasks[0].train, cfg, task_index=1, prior_count=0)
@@ -222,7 +222,7 @@ class TestRunGrSequence:
         # pseudo data is decoded by the model the previous task finished with
         stream = self._stream()
         cfg = TrainConfig(epochs=1, batch_size=50, seed=6, warm_start=False)
-        model = run_gr_sequence(stream, self._factory(), cfg)[0][-1]
+        model = list(run_gr_sequence(stream, self._factory(), cfg))[-1][0]
 
         prev = small_model(seed=cfg.seed)
         train_task_gr(prev, stream.tasks[0].train, cfg, task_index=1, prior_count=0)
@@ -240,18 +240,18 @@ class TestRunGrSequence:
         # tasks, frozen: an aliased or still-trained copy differs
         stream = self._stream()
         cfg = TrainConfig(epochs=1, batch_size=50, seed=6, warm_start=warm_start)
-        states, _ = run_gr_sequence(stream, self._factory(), cfg)
+        states, _ = zip(*run_gr_sequence(stream, self._factory(), cfg))
         assert len(states) == 3
         for t, state in enumerate(states, 1):
             prefix = type(stream)(tasks=stream.tasks[:t], kind="cross_domain")
-            final = run_gr_sequence(prefix, self._factory(), cfg)[0][-1]
+            final = list(run_gr_sequence(prefix, self._factory(), cfg))[-1][0]
             assert state.param_bytes() == final.param_bytes()
             assert not any(p.requires_grad for p in state.parameters())
 
     def test_eval_record_count(self):
         cfg = TrainConfig(epochs=1, batch_size=50, seed=6)
         stream = self._stream()
-        states, _ = run_gr_sequence(stream, self._factory(), cfg)
+        states, _ = zip(*run_gr_sequence(stream, self._factory(), cfg))
         records = evaluate_task_ends(METHODS["elbo_gr"].family, states, stream, cfg.seed, 10)
         total = sum(len(r["evals"]) for r in records)
         assert total == 3 * 4 // 2  # t(t+1)/2 for t = 3
@@ -267,7 +267,7 @@ class TestRunGrSequence:
             binarize_mode="stochastic",
         )
         cfg = TrainConfig(epochs=10, batch_size=64, seed=1)
-        states, _ = run_gr_sequence(stream, lambda s: build_vae(seed=s), cfg)
+        states, _ = zip(*run_gr_sequence(stream, lambda s: build_vae(seed=s), cfg))
         records = evaluate_task_ends(METHODS["elbo_gr"].family, states, stream, cfg.seed, 50)
         first_nll = {r["task"]: {e["eval_task"]: e["nll"] for e in r["evals"]} for r in records}
         degradation_t1 = first_nll[3][1] - first_nll[1][1]
