@@ -18,7 +18,6 @@ so its ``wall_ms`` column is always 0; real timing lives in report.json.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import csv
 import hashlib
@@ -593,85 +592,62 @@ def _score(family: _Family, state, stream: TaskStream, t: int, j: int, seed: int
     return record
 
 
-def _work(parent_end, conn, family: _Family, stream: TaskStream, seed: int, k_prime: int) -> None:
-    """Score ``_worker_jobs`` of each ``(t, state)`` received until None, one memo across them,
-    answering each with ``(True, its records by (t, j))``, or at the first error ``(False, error)``."""
-    parent_end.close()  # so a parent that dies ends the recv below
-    memo = {}
-    try:
-        for t, state in iter(conn.recv, None):
-            conn.send((True, {(t, j): _score(family, state, stream, t, j, seed, k_prime, memo)
-                              for j in _worker_jobs(t, len(stream))}))
-    except Exception as err:  # noqa: BLE001 - re-raised by the calling process
-        try:
-            conn.send((False, err))  # pickled whole before a byte is written
-        except Exception:  # noqa: BLE001 - an error pickle cannot carry
-            conn.send((False, RuntimeError(repr(err))))
+def _fork_pool(workers: int, initializer=None, initargs=()):
+    """A ``ProcessPoolExecutor`` of ``workers`` processes forked now, after this process hands its free
+    heap pages back; each runs ``initializer(*initargs)``, which it inherits at the fork, unpickled."""
+    import ctypes
+    import multiprocessing  # off the import path: a run on one CPU forks nothing
+    from concurrent.futures import ProcessPoolExecutor
+    getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)  # the workers inherit no free heap pages
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), initializer, initargs)
+    pool.submit(int)  # the executor forks its workers at the first submit
+    return pool
 
 
-class _EvalWorker:
-    """A forked process that scores ``_worker_jobs`` of each task-end state sent to it. A state is
-    sent once the last one is answered, so training runs at most one task past a failed job."""
+_inputs = None  # an evaluation worker's (family, stream, seed, k_prime), set by its pool's initializer
 
-    def __init__(self, family: _Family, stream: TaskStream, seed: int, k_prime: int):
-        import ctypes
-        import multiprocessing  # off the import path: a run on one CPU forks nothing
-        getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)  # the worker inherits no free heap pages
-        fork = multiprocessing.get_context("fork")
-        self.conn, child = fork.Pipe()
-        args = (self.conn, child, family, stream, seed, k_prime)
-        self.process = fork.Process(target=_work, args=args, daemon=True)
-        self.process.start()
-        child.close()
-        self.n_tasks, self.waiting, self.done = len(stream), False, {}
 
-    def send(self, t: int, state) -> int:
-        """Send task end t's state once the last is answered; return the first eval task of t left here."""
-        self.records()
-        with contextlib.suppress(OSError):  # a dead worker is reported by the next records()
-            self.conn.send((t, state))
-        self.waiting = True
-        return len(_worker_jobs(t, self.n_tasks)) + 1
+def _set_inputs(*inputs) -> None:
+    global _inputs
+    _inputs = inputs
 
-    def records(self) -> dict:
-        """Its records by (t, j) once the last state sent is answered; raises its error, or that it died."""
-        if self.waiting:
-            self.waiting = False
-            try:
-                ok, value = self.conn.recv()
-            except (EOFError, OSError):
-                self.process.join()
-                ok, value = False, RuntimeError(f"the evaluation worker exited with code "
-                                                f"{self.process.exitcode} before it sent its records")
-            if not ok:
-                raise value
-            self.done.update(value)
-        return self.done
 
-    def close(self) -> None:
-        """Let an idle worker exit, stop a busy one, and reap it."""
-        with contextlib.suppress(OSError):
-            self.conn.send(None)
-        if self.waiting:
-            self.process.terminate()
-        self.process.join()
-        self.conn.close()
+def _worker_job(t: int, state, memo: dict) -> tuple[dict, dict]:
+    """In an evaluation worker: task end t's records by (t, j) for each eval task j that ``memo``
+    holds an entry of, and ``memo`` with those entries filled in."""
+    family, stream, seed, k_prime = _inputs
+    return {(t, j): _score(family, state, stream, t, j, seed, k_prime, memo) for j in memo}, memo
 
 
 def evaluate_task_ends(family: _Family, states, stream: TaskStream, seed: int, k_prime: int,
-                       worker: _EvalWorker | None = None) -> list[dict]:
+                       pool=None) -> list[dict]:
     """For each task t, ``{"task": t, "evals": ...}``: the t-th of ``states``, scored as it arrives, on
-    tasks 1..t, one memo across every t; a ``worker`` takes its ``_worker_jobs``. A non-finite NLL raises
-    ``NonFiniteError``; the worker's jobs come first in (t, j) order, so its error wins, as serially."""
-    records, memo, ends = {}, {}, 0
+    tasks 1..t, one memo across every t. A ``pool`` (one worker, initialized by ``_set_inputs``) takes
+    each task end's ``_worker_jobs`` with their memo entries, once it has answered the task end before.
+    A non-finite NLL raises ``NonFiniteError``; the worker's jobs come first in (t, j) order, so its
+    error wins, as serially."""
+    records, memo, ends, pending = {}, {}, 0, []
+
+    def collect():  # the pending job's records and memo entries; raises its error
+        while pending:
+            done, entries = pending.pop().result()
+            records.update(done)
+            memo.update(entries)
+
     try:
         for ends, state in enumerate(states, 1):
-            for j in range(1 if worker is None else worker.send(ends, state), ends + 1):
+            first = 1
+            if pool is not None:
+                collect()
+                jobs = _worker_jobs(ends, len(stream))
+                # pickled after submit returns: nothing here writes these entries before collect()
+                pending.append(pool.submit(_worker_job, ends, state, {j: memo.get(j, {}) for j in jobs}))
+                first = len(jobs) + 1
+            for j in range(first, ends + 1):
                 records[ends, j] = _score(family, state, stream, ends, j, seed, k_prime, memo)
-        records.update(worker.records() if worker is not None else {})
+        collect()
     except Exception:
-        if worker is not None:
-            worker.records()  # raises the worker's error, the earlier one
+        collect()  # raises the worker's error, the earlier one
         raise
     return [{"task": t, "evals": [records[t, j] for j in range(1, t + 1)]} for t in range(1, ends + 1)]
 
@@ -694,19 +670,19 @@ def cmd_train(cfg: dict, _eval_worker: bool = True) -> dict:
             yield model
 
     spare = _eval_worker and len(stream) > 1 and _cpus() > 1  # forked before training: a small heap
-    worker = _EvalWorker(family, stream, cfg["seed"], cfg["eval_k_prime"]) if spare else None
+    pool = _fork_pool(1, _set_inputs, (family, stream, cfg["seed"], cfg["eval_k_prime"])) if spare else None
     try:
         os.makedirs(out_dir, exist_ok=True)
         recorder = _SnapshotRecorder(out_dir, cfg) if cfg["diagnostics"]["enabled"] else None
-        task_records = evaluate_task_ends(family, states(), stream, cfg["seed"], cfg["eval_k_prime"], worker)
+        task_records = evaluate_task_ends(family, states(), stream, cfg["seed"], cfg["eval_k_prime"], pool)
     except NonFiniteError:
         # a diverged run leaves no checkpoint and no snapshots behind
         if recorder is not None:
             recorder.discard()
         raise
     finally:
-        if worker is not None:
-            worker.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if recorder is not None:
         recorder.finish()
     checkpoint_path = os.path.join(out_dir, family.checkpoint)
@@ -807,10 +783,8 @@ def cmd_train_multi(cfg: dict, seeds: list[int]) -> dict:
     if n == 1:  # cmd_train's False: no seed run forks an evaluation worker
         reports = [cmd_train(sub, False) for sub in subs]
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork"))
-        try:  # the workers fork at the first submit, while this process's heap is small
+        pool = _fork_pool(n - 1)  # before any seed trains, while this process's heap is small
+        try:
             runs = [pool.submit(cmd_train, sub, False) if i % n else None for i, sub in enumerate(subs)]
             reports = [run.result() if run else cmd_train(sub, False) for run, sub in zip(runs, subs)]
         finally:

@@ -6,11 +6,9 @@ fixtures; everything runs at its stated scale and tolerance. Run with
 """
 
 import math
-import multiprocessing
 import os
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +17,8 @@ from scipy import stats
 
 from degm import rng
 from degm.bounds import AssignmentLog, assignment_summary
-from degm.cli import METHODS, _cpus, cmd_diagnose, cmd_train, cmd_train_multi, evaluate_task_ends, parse_config
+from degm.cli import (METHODS, _cpus, _fork_pool, cmd_diagnose, cmd_train, cmd_train_multi, evaluate_task_ends,
+                      parse_config)
 from degm.data import make_cross_domain_stream
 from degm.graph import ArchSpec, train_degm_sequence
 from degm.nn import MlpSpec, Tensor, build_mlp
@@ -78,8 +77,7 @@ def seed_method_runs(seed: int):
 def method_runs():
     """ELBO-GR, DEGM-ELBO (tau=35), DEGM-2 over 5 seeds; NLL at K'=200.
     The seeds run in forked workers, one per CPU the process may use."""
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(SEEDS), _cpus()), mp_context=fork) as pool:
+    with _fork_pool(min(len(SEEDS), _cpus())) as pool:
         per_seed = list(pool.map(seed_method_runs, SEEDS))
     return {name: [runs[i] for runs in per_seed] for i, name in enumerate(("gr", "degm", "degm2"))}
 

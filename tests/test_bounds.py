@@ -490,6 +490,19 @@ class TestMixtureBoundReport:
         assert (2, "risk") in err.value.missing
         assert (1, "elbo") in err.value.missing
 
+    @pytest.mark.parametrize("partition, kl_gaps, rhs_total", [
+        ([{1}, {2}, {3}], None, 4.0),  # three once-trained components
+        ([{1, 2, 3}], None, 3.0),  # one component retrained on all three tasks
+        ([{1, 2, 3}], {1: 1.0}, 10 / 3),
+    ])
+    def test_unit_inputs_rhs_total_at_t3(self, partition, kl_gaps, rhs_total):
+        # the code's current values: the once-trained elbo sum is not divided
+        # by t, the multi-trained one is; this scaling has not been checked
+        # against the paper's theorem
+        summary = assignment_summary(AssignmentLog.from_partition(3, partition))
+        report = mixture_bound_report(summary, self._unit_inputs(summary), kl_gaps=kl_gaps)
+        assert report["rhs_total"] == pytest.approx(rhs_total)
+
     def test_kl_gaps_summed_over_multi_components(self):
         summary = assignment_summary(AssignmentLog.from_partition(3, [{1, 2}, {3}]))
         report = mixture_bound_report(

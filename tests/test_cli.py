@@ -1131,6 +1131,7 @@ class TestEvaluationPhase:
 
 
 THREE = ["bars", "blobs", "rings"]
+SIX = THREE + ["checkers", "bars-inv", "blobs-inv"]
 DIAGNOSTICS = {"likelihood": "gaussian_identity", "binarize": "none",
                "diagnostics": {"enabled": True, "sample_size": 100}}
 
@@ -1217,10 +1218,14 @@ class TestEvalWorker:
         assert own == {(3, 2), (3, 3)} and list(jobs[2].values()) == [self.ALL - own]
 
     def test_one_cpu_or_a_seed_pool_starts_no_worker(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("an evaluation worker was started")
+        real = cli._fork_pool
 
-        monkeypatch.setattr(cli, "_EvalWorker", refuse)
+        def refuse(workers, initializer=None, initargs=()):  # a seed pool is let through
+            if initializer is not None:
+                raise AssertionError("an evaluation worker was started")
+            return real(workers)
+
+        monkeypatch.setattr(cli, "_fork_pool", refuse)
         _cpus(monkeypatch, 1)
         cmd_train(fast_cfg(tmp_path, stream=THREE, epochs=1))
         _cpus(monkeypatch, 2)
@@ -1303,22 +1308,23 @@ class TestEvalWorker:
         assert outcomes[0] == outcomes[1] == (4, line)
 
     def test_training_error_reaps_the_worker_and_discards_snapshots(self, tmp_path, monkeypatch, capsys):
-        real_train, real_worker, started = replay_mod.train_task_gr, cli._EvalWorker, []
+        real_train, real_pool, started = replay_mod.train_task_gr, cli._fork_pool, []
 
         def train_task_gr(model, new_data, config, task_index, *args):
             if task_index == 3:
                 raise NonFiniteError("gr/task3: loss nan in epoch 1, batch 1")
             return real_train(model, new_data, config, task_index, *args)
 
-        def worker(*args):
-            started.append(real_worker(*args))
-            return started[-1]
+        def pool(*args):
+            made = real_pool(*args)
+            started.extend(multiprocessing.active_children())
+            return made
 
         monkeypatch.setattr(replay_mod, "train_task_gr", train_task_gr)
-        monkeypatch.setattr(cli, "_EvalWorker", worker)
+        monkeypatch.setattr(cli, "_fork_pool", pool)
         code, err = self._main(tmp_path, monkeypatch, capsys, 2, **DIAGNOSTICS)
         assert (code, err) == (4, "runtime error: NonFiniteError: gr/task3: loss nan in epoch 1, batch 1\n")
-        assert len(started) == 1 and started[0].process.exitcode == 0
+        assert len(started) == 1 and started[0].exitcode == 0
         assert sorted(p.name for p in (tmp_path / "run2").iterdir()) == []
 
     def test_killed_worker_exits_4_without_hanging(self, tmp_path, monkeypatch, capsys):
@@ -1331,10 +1337,10 @@ class TestEvalWorker:
 
         monkeypatch.setattr(cli, "_score", score)
         code, err = self._main(tmp_path, monkeypatch, capsys, 2)
-        assert (code, err) == (4, "runtime error: RuntimeError: the evaluation worker exited with code -9 "
-                                  "before it sent its records\n")
+        assert (code, err) == (4, "runtime error: BrokenProcessPool: A process in the process pool was "
+                                  "terminated abruptly while the future was running or pending.\n")
 
-    def test_unpicklable_error_comes_back_as_runtime_error(self, tmp_path, monkeypatch):
+    def test_unpicklable_error_exits_4_without_hanging(self, tmp_path, monkeypatch, capsys):
         class Unpicklable(Exception):  # a local class: pickle cannot find it by name
             pass
 
@@ -1346,11 +1352,51 @@ class TestEvalWorker:
             return record
 
         self._patch_eval(monkeypatch, change)
+        code, err = self._main(tmp_path, monkeypatch, capsys, 2)
+        assert code == 4
+        assert re.fullmatch(r"runtime error: AttributeError: Can't pickle local object '.*\.Unpicklable'\n", err)
+
+    def test_own_share_reuses_the_worker_memo(self, tmp_path, monkeypatch):
+        # the calling process's jobs at the last task end score no node the
+        # worker already scored, as on one CPU
+        real_score, real_elbo, job, calls = cli._score, vae_mod.elbo, [None], collections.Counter()
+
+        def score(family, state, stream, t, j, *args):
+            job[0] = (t, j)
+            try:
+                return real_score(family, state, stream, t, j, *args)
+            finally:
+                job[0] = None
+
+        def elbo(*args, **kwargs):
+            calls[os.getpid(), job[0]] += 1
+            return real_elbo(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_score", score)
+        monkeypatch.setattr(vae_mod, "elbo", elbo)
+        own = [(6, j) for j in (4, 5, 6)]
+        counts = {}
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            calls.clear()
+            with _deadline(120):
+                cmd_train(fast_cfg(tmp_path / str(n), method="degm_elbo", tau=4.0, stream=SIX))
+            counts[n] = [calls[os.getpid(), key] for key in own]
+        assert counts[2] == counts[1] and sum(counts[1]) > 0
+
+    def test_worker_is_alive_before_training(self, tmp_path, monkeypatch):
+        # forked before the first task trains, the worker inherits the heap as it was then
+        real, alive = cli.run_gr_sequence, []
+
+        def run_gr_sequence(*args):
+            alive.append([p.is_alive() for p in multiprocessing.active_children()])
+            return real(*args)
+
+        monkeypatch.setattr(cli, "run_gr_sequence", run_gr_sequence)
         _cpus(monkeypatch, 2)
-        with _deadline(120), pytest.raises(Exception) as info:
+        with _deadline(120):
             cmd_train(fast_cfg(tmp_path, stream=THREE, epochs=1))
-        assert type(info.value) is RuntimeError and str(info.value) == "Unpicklable('boom')"
-        assert multiprocessing.active_children() == []
+        assert alive == [[True]]
 
 
 class TestExportPlots:
