@@ -825,7 +825,7 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
         raise DataFormatError(f"checkpoint dim {model.data_dim} != stream dim {stream.dim}")
     fields = ("nll", "nll_se", "selection_accuracy")
     n, memo = len(stream), {}
-    evals = [family.evaluate(model, stream, n, j, cfg["seed"], k_prime, memo) for j in range(1, n + 1)]
+    evals = [_score(family, model, stream, n, j, cfg["seed"], k_prime, memo) for j in range(1, n + 1)]
     results = [{"task": e["eval_task"], **{k: e[k] for k in fields if k in e}} for e in evals]
     accs = [r["selection_accuracy"] for r in results if "selection_accuracy" in r]
     return {
@@ -838,13 +838,13 @@ def cmd_eval(checkpoint_path: str, cfg: dict, k_prime: int | None = None) -> dic
 
 
 def _read_run_json(path: str):
-    """A run directory's JSON file; missing or malformed is a data error."""
+    """A run directory's JSON file; missing, malformed or not UTF-8 is a data error."""
     try:
         with open(path) as f:
             return json.load(f)
     except FileNotFoundError:
         raise DataFormatError(f"{path} is missing")
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise DataFormatError(f"{path} is not valid JSON: {err}")
 
 

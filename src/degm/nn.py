@@ -238,6 +238,12 @@ def as_tensor(value) -> Tensor:
     return Tensor(value)
 
 
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    """``np.concatenate`` along axis 0 as one tape op; the backward hands each part its rows."""
+    cuts = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return Tensor._from_op(np.concatenate([p.data for p in parts]), tuple(parts), lambda g: np.split(g, cuts))
+
+
 def backward(scalar_loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 

@@ -15,12 +15,12 @@ too (a Specific node's ``latent`` makes its bound the mixture bound).
 Evaluation runs the training code under ``no_grad``: one forward pass per
 model, one likelihood kernel (``recon_loglik_np``, which the tape op
 ``_recon_loglik_pe`` wraps) and one per-example implementation of each
-bound (``_elbo_pe`` for the single-sample bound, ``_log_w_rows`` for the
-importance weights, taken in cache-sized K' slabs with the bits of one
-piece). The importance weights have one reduction,
-``_log_mean_exp``, shared by ``iwelbo`` (the training bound) and
-``iw_logpx_np`` (the NLL estimate), so both give the same bits under the
-same noise. The single-sample bound's reductions differ: training averages
+bound (``_elbo_pe`` for the single-sample bound, ``_log_w`` for the
+importance weights, in cache-sized K' slabs that one tape op joins).
+``iwelbo`` (the training bound) and ``iw_logpx_np`` (the NLL estimate)
+reduce ``_log_w`` with one ``_log_mean_exp``, so on up to ``IW_BATCH``
+examples the bound is the mean of the estimates under the same noise by
+construction. The single-sample bound's reductions differ: training averages
 the terms separately, scoring (``elbo``) averages the per-example bounds.
 """
 
@@ -40,6 +40,7 @@ from .nn import (
     Tensor,
     as_tensor,
     build_mlp,
+    concat_rows,
     no_grad,
 )
 
@@ -335,9 +336,10 @@ def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> Tensor:
     differentiable while grad recording is on, a score under ``no_grad``.
 
     K' = 1 shares the single-sample path, so it is exactly ``recon - kl`` of
-    ``elbo_parts`` under the same noise. K' >= 2 reduces the log weights as
-    ``iw_logpx_np`` does, so its value is the mean of that function's
-    estimates under the same noise, bit for bit.
+    ``elbo_parts`` under the same noise. K' >= 2 reduces the K' slabs of
+    ``_log_w`` as ``iw_logpx_np`` does, so on up to ``IW_BATCH`` examples its
+    value is the mean of that function's estimates under the same noise, bit
+    for bit; the gradients of mu and logvar are summed slab by slab.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
@@ -346,11 +348,11 @@ def iwelbo(model, batch, k_prime: int, noise=None, rng=None) -> Tensor:
         return recon - kl
     x = as_tensor(batch)
     eps = _noise_block(rng, k_prime, x.shape[0], model.latent_dim, noise)
-    return _log_mean_exp(_log_w_rows(model, x, *model.encode(x), eps)).mean()
+    return _log_mean_exp(_log_w(model, x, *model.encode(x), eps)).mean()
 
 
 # ---------------------------------------------------------------------------
-# Importance-weighted evaluation (the bound's log weights under no_grad, in batches)
+# Importance weights in K' slabs, and their evaluation under no_grad in batches
 
 
 def _part_count(k: int, nc: int) -> int:
@@ -373,18 +375,21 @@ SLAB_ROWS = 512
 IW_BATCH = 64
 
 
-def _log_w_rows(model, x, mu: Tensor, logvar: Tensor, gamma) -> Tensor:
-    """log p(x, z) - log q(z | x) for each sample of a (k, n, latent) noise
-    block, shape (k, n); tape ops."""
-    k, n, latent = gamma.shape
-    z = reparameterize(mu, logvar, gamma)
-    y = model.decode(z.reshape(k * n, latent)).reshape(k, n, -1)
-    recon = _recon_loglik_pe(y, x, model.likelihood, model.normalize_recon)
-    log_p = (z * z).sum(axis=-1) * -0.5 - (latent / 2.0) * _LOG_2PI
-    # log q(z|x) at the reparameterized sample: the quadratic term is exactly
-    # the (constant) noise, so only logvar stays in the graph
-    log_q = (logvar.sum(axis=-1) + (gamma * gamma).sum(axis=-1) + latent * _LOG_2PI) * -0.5
-    return recon + log_p - log_q
+def _log_w(model, x, mu: Tensor, logvar: Tensor, gamma) -> Tensor:
+    """log p(x, z) - log q(z | x) for each sample of a (k, n, latent) noise block,
+    shape (k, n); tape ops on K' slabs of about ``SLAB_ROWS`` decoder rows, joined by one."""
+    slabs = []
+    for slab in np.array_split(gamma, _part_count(*gamma.shape[:2])):
+        k, n, latent = slab.shape
+        z = reparameterize(mu, logvar, slab)
+        y = model.decode(z.reshape(k * n, latent)).reshape(k, n, -1)
+        recon = _recon_loglik_pe(y, x, model.likelihood, model.normalize_recon)
+        log_p = (z * z).sum(axis=-1) * -0.5 - (latent / 2.0) * _LOG_2PI
+        # log q(z|x) at the reparameterized sample: the quadratic term is exactly
+        # the (constant) noise, so only logvar stays in the graph
+        log_q = (logvar.sum(axis=-1) + (slab * slab).sum(axis=-1) + latent * _LOG_2PI) * -0.5
+        slabs.append(recon + log_p - log_q)
+    return slabs[0] if len(slabs) == 1 else concat_rows(slabs)
 
 
 def iw_logpx_np(model, x: np.ndarray, k_prime: int, rng=None, noise=None) -> np.ndarray:
@@ -392,12 +397,12 @@ def iw_logpx_np(model, x: np.ndarray, k_prime: int, rng=None, noise=None) -> np.
 
     Taken in batches of ``IW_BATCH`` examples. Each batch's K' x batch noise
     block is drawn into one buffer per call (the values a fresh array per
-    batch would get) and decoded in K' slabs of about ``SLAB_ROWS`` rows, so
-    the call holds one slab's temporaries; no slab is a one-row matrix,
-    which BLAS would multiply with gemv. An explicit ``noise`` array of
-    shape (k_prime, n, latent) overrides the generator. Each batch's log
-    weights are reduced by the log-mean-exp of ``iwelbo``, so under the
-    same noise the mean of these estimates is that bound.
+    batch would get) and decoded by ``_log_w`` in K' slabs of about
+    ``SLAB_ROWS`` rows, so the call holds one slab's temporaries; no slab is
+    a one-row matrix, which BLAS would multiply with gemv. An explicit
+    ``noise`` array of shape (k_prime, n, latent) overrides the generator.
+    ``iwelbo`` reduces the same log weights alike, so under the same noise
+    the mean of these estimates is that bound.
     """
     if k_prime < 1:
         raise InvalidSpecError(f"k_prime must be >= 1, got {k_prime}")
@@ -423,10 +428,7 @@ def iw_logpx_np(model, x: np.ndarray, k_prime: int, rng=None, noise=None) -> np.
                 gamma = noise[:, start : start + nc]
             else:
                 gamma = rng.standard_normal(out=drawn[: k_prime * nc * latent].reshape(k_prime, nc, latent))
-            log_w = np.empty((k_prime, nc))
-            for rows in np.array_split(np.arange(k_prime), _part_count(k_prime, nc)):
-                log_w[rows] = _log_w_rows(model, xc, mu, logvar, gamma[rows]).data
-            out[start : start + nc] = _log_mean_exp(Tensor(log_w)).data
+            out[start : start + nc] = _log_mean_exp(_log_w(model, xc, mu, logvar, gamma)).data
     return out
 
 

@@ -902,6 +902,9 @@ class TestBrokenRunDirectory:
             ("report.json", "[1, 2]"),
             (os.path.join("snapshots", "meta.json"), None),
             (os.path.join("snapshots", "meta.json"), '{"entries": '),
+            # a byte that is not UTF-8
+            ("report.json", b'{"config": "\xff"}'),
+            (os.path.join("snapshots", "meta.json"), b'{"entries": "\xff"}'),
         ],
     )
     def test_diagnose_exits_3(self, diag_run, tmp_path, capsys, name, content):
@@ -909,6 +912,8 @@ class TestBrokenRunDirectory:
         shutil.copytree(diag_run, run, ignore=shutil.ignore_patterns("diagnose.csv"))
         if content is None:
             (run / name).unlink()
+        elif isinstance(content, bytes):
+            (run / name).write_bytes(content)
         else:
             (run / name).write_text(content)
         code = main(["diagnose", "--run-dir", str(run)])
@@ -1473,6 +1478,20 @@ class TestMainExitCodes:
         argv = ["eval", "--checkpoint", str(path), "--method", method, "--tau", "35", "--stream", "bars,blobs"]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith(f"data error: {path}: {message}")
+
+    def test_non_finite_nll_is_4(self, tmp_path, capsys):
+        """``degm eval`` guards its NLLs as a run's task ends do: a checkpoint
+        with a NaN weight is a runtime error, and no NaN reaches stdout."""
+        model = vae_mod.build_vae()
+        model.trunk.weights[0].data[0, 0] = np.nan
+        path = tmp_path / "model.bin"
+        checkpoint_mod.save_model(path, model)
+        argv = ["eval", "--checkpoint", str(path), "--method", "elbo_gr", "--stream", "bars,blobs",
+                "--test-per-task", "20", "--eval-k-prime", "3"]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert "NaN" not in out and "nan" not in out
+        assert err == "runtime error: NonFiniteError: NLL nan on test task 1 after task 2\n"
 
     def test_success_is_0(self, tmp_path):
         code = main(

@@ -28,6 +28,7 @@ from degm.vae import (
     recon_loglik_np,
 )
 from helpers import (
+    max_grad_error,
     oracle_forward_np,
     oracle_iw_logpx_np,
     oracle_mixture_bound,
@@ -322,9 +323,10 @@ class TestSlabs:
         monkeypatch.setattr(vae, "_log_mean_exp", recorded)
         monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
         iw_logpx_np(model, x, 40, noise=gamma)
+        monkeypatch.setattr(vae, "SLAB_ROWS", 40 * nc)
         with nn.no_grad():
             mu, logvar = model.encode(nn.Tensor(x))
-            whole = vae._log_w_rows(model, x, mu, logvar, gamma).data
+            whole = vae._log_w(model, x, mu, logvar, gamma).data
         assert len(reduced) == 1 and same_bits(reduced[0], whole)
 
     # The oracle draws and decodes each batch's block in K' chunks of 3 or 5
@@ -473,3 +475,52 @@ class TestOneBound:
                 if float(bound) != iw_logpx_np(model, x, k_prime, noise=noise).mean():
                     mismatches.append((n, k_prime))
         assert mismatches == []
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("slab_rows", [512, 5])
+    def test_log_weights_of_a_large_block_agree(self, monkeypatch, slab_rows, record):
+        """A 200 x 64 block is 12800 decoder rows, enough for OpenBLAS to round
+        some rows of one product otherwise than the same rows in slabs (177
+        log weights here, an ulp in the mean). The bound and the estimates
+        take the same slabs, so every log weight agrees, on the tape or not."""
+        monkeypatch.setattr(vae, "SLAB_ROWS", slab_rows)
+        reduced = []
+        real = vae._log_mean_exp
+
+        def recorded(log_w):
+            reduced.append(log_w.data.copy())
+            return real(log_w)
+
+        monkeypatch.setattr(vae, "_log_mean_exp", recorded)
+        model = self.model("vae")
+        g = np.random.default_rng(12)
+        x = (g.random((64, 36)) > 0.5).astype(np.float64)
+        noise = g.standard_normal((200, 64, 4))
+        with contextlib.nullcontext() if record else nn.no_grad():
+            bound = iwelbo(model, x, 200, noise=noise)
+        assert bound.requires_grad == record
+        assert float(bound) == iw_logpx_np(model, x, 200, noise=noise).mean()
+        assert len(reduced) == 2 and same_bits(*reduced)
+
+    def test_gradients_through_joined_slabs_match_fd(self, monkeypatch):
+        """With slabs of 4 decoder rows the tape joins 3 slabs of a 4 x 3
+        block (2, 1 and 1 samples), and the bound's gradient of every
+        parameter still matches finite differences."""
+        monkeypatch.setattr(vae, "SLAB_ROWS", 4)
+        joined = []
+        real = vae.concat_rows
+
+        def counted(parts):
+            joined.append(len(parts))
+            return real(parts)
+
+        monkeypatch.setattr(vae, "concat_rows", counted)
+        model = build_vae(data_dim=6, latent_dim=2, trunk_widths=(5,), decoder_widths=(5,), seed=3)
+        g = np.random.default_rng(5)
+        x = g.random((3, 6))
+        noise = g.standard_normal((4, 3, 2))
+        params = model.parameters()
+        error = max_grad_error(
+            lambda: float(iwelbo(model, x, 4, noise=noise)), lambda: iwelbo(model, x, 4, noise=noise), params
+        )
+        assert joined[0] == 3 and error < 1e-4
